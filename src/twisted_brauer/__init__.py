@@ -15,34 +15,26 @@ from .diagram import (
     BrauerDiagram,
     DegreeMismatchError,
     DiagramError,
-    DiagramNotation,
     DuplicateVertexError,
     KernelSignature,
     MissingVertexError,
-    NotationError,
     VertexRangeError,
     diagram_from_json,
     diagram_from_json_obj,
-    from_notation,
     identity,
     make_diagram,
     multiply,
     parse_diagram,
     permutation_diagram,
-    star_involution,
-    tau,
-    to_notation,
     transposition,
 )
 from .twisted import (
     TwistedElement,
     as_twisted,
-    chain_twist,
     is_idempotent_plain,
     is_idempotent_twisted,
     star,
     star_chain,
-    twisted_involution,
 )
 from .green import (
     ClassDescription,
@@ -84,7 +76,6 @@ from .enumeration import (
     all_diagrams,
     bounded_closure,
     d_class,
-    divisibility_oracle,
     idempotents,
     plain_closure,
     random_diagram,

@@ -50,10 +50,6 @@ class DegreeMismatchError(DiagramError):
     """Operands of a product have different degrees."""
 
 
-class NotationError(DiagramError):
-    """A transversal/hook table violates the partition constraints."""
-
-
 @dataclass(frozen=True, order=True)
 class BrauerDiagram:
     """A perfect matching on [n] u [n]', immutable and totally ordered.
@@ -222,29 +218,6 @@ class KernelSignature:
         return "".join(f"({a},{b})" for a, b in self.sorted_hooks()) or "()"
 
 
-@dataclass(frozen=True)
-class DiagramNotation:
-    """Transversal/hook table of a diagram.
-
-    ``transversals`` lists (top, bottom) pairs; ``upper_hooks`` and
-    ``lower_hooks`` list same-row pairs.  Canonical order: transversals
-    sorted by top vertex, hooks sorted by their smaller vertex, and each
-    hook written smaller-first.  ``from_notation`` accepts any order.
-    """
-
-    transversals: tuple[tuple[int, int], ...]
-    upper_hooks: tuple[tuple[int, int], ...]
-    lower_hooks: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.transversals) + 2 * len(self.upper_hooks)
-
-    @property
-    def rank(self) -> int:
-        return len(self.transversals)
-
-
 def _raw_diagram(degree: int, pairing: tuple[int, ...]) -> BrauerDiagram:
     # construction bypass for outputs that are involutions by construction
     d = object.__new__(BrauerDiagram)
@@ -257,8 +230,13 @@ def _index_to_token(x: int, n: int) -> int:
     return x + 1 if x < n else -(x - n + 1)
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: bools are no vertex, degree or twist."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _token_to_index(t: int, n: int) -> int:
-    if not isinstance(t, int) or t == 0 or abs(t) > n:
+    if not is_int(t) or t == 0 or abs(t) > n:
         raise VertexRangeError(f"vertex token {t!r} out of range for degree {n}")
     return t - 1 if t > 0 else n - t - 1
 
@@ -277,8 +255,8 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
     >>> make_diagram(2, [(1, -1), (2, -2)]) == identity(2)
     True
     """
-    if degree < 0:
-        raise DiagramError("degree must be non-negative")
+    if not is_int(degree) or degree < 0:
+        raise DiagramError(f"degree must be a non-negative integer, got {degree!r}")
     pairing = [-1] * (2 * degree)
     for block in blocks:
         block = tuple(block)
@@ -387,50 +365,16 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     return _raw_diagram(n, tuple(out)), len(floating)
 
 
-def tau(alpha: BrauerDiagram, beta: BrauerDiagram) -> int:
-    """Number of floating components created by the product alpha*beta."""
-    return multiply(alpha, beta)[1]
-
-
-def star_involution(alpha: BrauerDiagram) -> BrauerDiagram:
-    """Interchange top and bottom rows; an anti-automorphism of the monoid."""
-    return alpha.star()
-
-
-def to_notation(alpha: BrauerDiagram) -> DiagramNotation:
-    """Canonical transversal/hook table of a diagram."""
-    return DiagramNotation(
-        tuple(alpha.transversal_pairs()),
-        tuple(alpha.top_hooks()),
-        tuple(alpha.bottom_hooks()),
-    )
-
-
-def from_notation(notation: DiagramNotation) -> BrauerDiagram:
-    """Rebuild a diagram from its table; inverse of :func:`to_notation`."""
-    n = notation.degree
-    if len(notation.lower_hooks) != len(notation.upper_hooks):
-        raise NotationError("upper and lower hook counts differ")
-    blocks = (
-        [(i, -j) for i, j in notation.transversals]
-        + [(a, b) for a, b in notation.upper_hooks]
-        + [(-c, -d) for c, d in notation.lower_hooks]
-    )
-    try:
-        return make_diagram(n, blocks)
-    except DiagramError as exc:
-        raise NotationError(f"notation is not a partition of [{n}] u [{n}]': {exc}") from exc
-
-
-_TOKEN = re.compile(r"\(\s*(\d+)\s*('?)\s*,\s*(\d+)\s*('?)\s*\)")
+_BLOCK = re.compile(r"\s*\(\s*(\d+)\s*('?)\s*,\s*(\d+)\s*('?)\s*\)")
 _PREFIX = re.compile(r"^\s*n\s*=\s*(\d+)\s*:\s*")
 
 
 def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
     """Parse the human text format, e.g. ``n=6: (1,3)(2,3')...``.
 
-    Blocks may appear in any order; a leading ``n=K:`` fixes the degree
-    (mandatory unless ``degree`` is given).
+    Blocks may appear in any order, separated and padded by any
+    whitespace; anything else in the body is an error.  A leading ``n=K:``
+    fixes the degree (mandatory unless ``degree`` is given).
     """
     m = _PREFIX.match(text)
     body = text
@@ -444,23 +388,28 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
         body = text[m.end():]
     if degree is None:
         raise DiagramError(f"no degree in {text!r}; expected a leading 'n=K:'")
+    body = body.rstrip()
     blocks = []
-    consumed = 0
-    for m in _TOKEN.finditer(body):
+    pos = 0
+    while pos < len(body):
+        m = _BLOCK.match(body, pos)
+        if m is None:
+            raise DiagramError(f"unparsable diagram text: {text!r}")
         a = int(m.group(1)) * (-1 if m.group(2) else 1)
         b = int(m.group(3)) * (-1 if m.group(4) else 1)
         blocks.append((a, b))
-        consumed += m.end() - m.start()
-    if consumed != len(body.replace(" ", "")):
-        raise DiagramError(f"unparsable diagram text: {text!r}")
+        pos = m.end()
     return make_diagram(degree, blocks)
 
 
 def diagram_from_json_obj(obj: dict) -> BrauerDiagram:
     """Read the machine format ``{"n": ..., "blocks": [[..], ..]}``."""
-    if "n" not in obj or "blocks" not in obj:
+    if not isinstance(obj, dict) or "n" not in obj or "blocks" not in obj:
         raise DiagramError(f"JSON object needs 'n' and 'blocks': {obj!r}")
-    return make_diagram(obj["n"], [tuple(b) for b in obj["blocks"]])
+    blocks = obj["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise DiagramError(f"'blocks' must be a list of vertex lists: {blocks!r}")
+    return make_diagram(obj["n"], [tuple(b) for b in blocks])
 
 
 def diagram_from_json(text: str) -> BrauerDiagram:

@@ -3,18 +3,26 @@ Exhaustive iteration over Brauer diagrams, D-classes, idempotents and
 twist-bounded closures.
 
 Everything here is the brute-force side of a dual route: streams are
-deterministic and restartable, closures are plain worklists, and the
-divisibility oracle decides Green's pre-orders by exhaustive witness
-search so the structural characterisations can be checked against it.
+deterministic and restartable, and closures and the divisibility oracle
+rest on one Cayley-graph engine, so the structural characterisations of
+Green's pre-orders can be checked against plain products.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DiagramError, multiply
+from .diagram import (
+    BrauerDiagram,
+    DiagramError,
+    identity,
+    make_diagram,
+    permutation_diagram,
+    transposition,
+)
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
 ENUMERATION_DEGREE_LIMIT = 10
@@ -143,6 +151,58 @@ def random_diagram(n: int, rng: random.Random) -> BrauerDiagram:
     return BrauerDiagram(n, tuple(pairing))
 
 
+class CayleyGraph:
+    """The semigroup generated by ``generators`` under ``product``, with its
+    right Cayley graph, in the manner of Froidure & Pin (1997).
+
+    Elements are found breadth first: each one, in order of discovery, is
+    multiplied on the right by every generator, so |S| * |gens| products
+    are computed in all.  ``elements`` lists them in that order and
+    ``index`` maps each to its position.  ``right[i][j]`` is the position of
+    ``elements[i] * generators[j]``, or None where that product fails
+    ``keep`` and is dropped; any drop clears ``complete``.  Elements are
+    reached through kept prefixes only, so none is missed as long as no
+    product of a dropped element would pass ``keep`` again.
+    """
+
+    def __init__(self, generators, product, keep=None):
+        gens = list(generators)
+        self.elements: list = []
+        self.index: dict = {}
+        self._parent: list[tuple[int, int]] = []
+        for j, g in enumerate(gens):
+            if g not in self.index:
+                self._add(g, -1, j)
+        self.right: list[list[int | None]] = []
+        self.complete = True
+        for i, x in enumerate(self.elements):  # grows while it is scanned
+            row: list[int | None] = []
+            for j, g in enumerate(gens):
+                p = product(x, g)
+                if keep is not None and not keep(p):
+                    self.complete = False
+                    row.append(None)
+                    continue
+                k = self.index.get(p)
+                row.append(self._add(p, i, j) if k is None else k)
+            self.right.append(row)
+
+    def _add(self, x, prefix: int, gen: int) -> int:
+        k = self.index[x] = len(self.elements)
+        self.elements.append(x)
+        self._parent.append((prefix, gen))
+        return k
+
+    def word(self, x) -> list[int]:
+        """Generator indices of a shortest word whose product is ``x``."""
+        out = []
+        i = self.index[x]
+        while i >= 0:
+            i, j = self._parent[i]
+            out.append(j)
+        return out[::-1]
+
+
 @dataclass(frozen=True)
 class ClosureResult:
     """A twist-bounded closure: the reachable elements with twist <= bound,
@@ -158,91 +218,83 @@ def bounded_closure(generators, twist_bound: int) -> ClosureResult:
     """Close a generator set under the star product, discarding any product
     whose twist exceeds ``twist_bound``.
 
+    Twist never falls along a product, so every prefix of a word within
+    the bound is itself within it and the Cayley graph misses nothing.
     Terminates because at most (bound+1) * (2n-1)!! elements fit under the
     bound.  Monotone in both the bound and the generator set.
     """
     gens = [as_twisted(g) for g in generators]
     if any(g.twist > twist_bound for g in gens):
         raise DiagramError("twist bound lies below a generator's twist")
-    elements: set[TwistedElement] = set(gens)
-    frontier = list(elements)
-    saturated = True
-    while frontier:
-        fresh: list[TwistedElement] = []
-        for x in frontier:
-            for y in list(elements):
-                for p in (star(x, y), star(y, x)):
-                    if p.twist > twist_bound:
-                        saturated = False
-                    elif p not in elements:
-                        elements.add(p)
-                        fresh.append(p)
-        frontier = fresh
-    return ClosureResult(twist_bound, frozenset(elements), saturated)
+    graph = CayleyGraph(gens, star, keep=lambda p: p.twist <= twist_bound)
+    return ClosureResult(twist_bound, frozenset(graph.elements), graph.complete)
 
 
 def plain_closure(generators) -> frozenset[BrauerDiagram]:
     """Close a set of diagrams under the plain (untwisted) product."""
-    elements: set[BrauerDiagram] = set(generators)
-    frontier = list(elements)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(elements):
-                for p in (multiply(x, y)[0], multiply(y, x)[0]):
-                    if p not in elements:
-                        elements.add(p)
-                        fresh.append(p)
-        frontier = fresh
-    return frozenset(elements)
+    return frozenset(CayleyGraph(generators, BrauerDiagram.__mul__).elements)
 
 
 class DivisibilityOracle:
-    """Green's pre-orders on one degree, by exhaustive witness search.
+    """Green's pre-orders on one degree, as reachability in Cayley graphs.
 
-    Caches the full list of diagrams, the right-translation sets b*B_n,
-    and the left-multiple sets B_n*b, so sweeps over many pairs stay
-    affordable.  Deliberately never consults kernels or ranks: this is
-    the independent route the characterisations are verified against.
+    B_n is enumerated from the identity, a transposition, an n-cycle and
+    one hook.  alpha <=_R beta when alpha is reached from beta in the right
+    Cayley graph, <=_L in the left one and <=_J in their union.  It never
+    consults kernels or ranks: this is the independent route the
+    characterisations are verified against.  It checks itself by reaching
+    all (2n-1)!! diagrams.
     """
 
-    def __init__(self, n: int, allow_large: bool = False):
+    def __init__(self, n: int):
+        if n > ENUMERATION_DEGREE_LIMIT:
+            raise DiagramError(f"oracle of degree {n} > {ENUMERATION_DEGREE_LIMIT} refused")
+        gens = [identity(n)]
+        if n >= 2:
+            gens += [
+                transposition(n, 1, 2),
+                permutation_diagram(n, list(range(2, n + 1)) + [1]),
+                make_diagram(n, [(1, 2), (-1, -2)] + [(i, -i) for i in range(3, n + 1)]),
+            ]
+        graph = CayleyGraph(gens, BrauerDiagram.__mul__)
         self.n = n
-        self.diagrams = list(all_diagrams(n, allow_large))
-        self._right: dict[BrauerDiagram, frozenset[BrauerDiagram]] = {}
-        self._left_products: dict[BrauerDiagram, frozenset[BrauerDiagram]] = {}
+        self.diagrams = graph.elements
+        expected = math.prod(range(2 * n - 1, 0, -2))
+        if len(self.diagrams) != expected:
+            raise DiagramError(f"reached {len(self.diagrams)} of {expected} diagrams")
+        self._index = graph.index
+        left = [[graph.index[g * x] for g in gens] for x in self.diagrams]
+        two_sided = [r + l for r, l in zip(graph.right, left)]
+        self._graphs = {"R": (graph.right, {}), "L": (left, {}), "J": (two_sided, {})}
 
-    def _right_set(self, beta: BrauerDiagram) -> frozenset[BrauerDiagram]:
-        out = self._right.get(beta)
-        if out is None:
-            out = frozenset(multiply(beta, d)[0] for d in self.diagrams)
-            self._right[beta] = out
-        return out
-
-    def _left_product_set(self, beta: BrauerDiagram) -> frozenset[BrauerDiagram]:
-        out = self._left_products.get(beta)
-        if out is None:
-            out = frozenset(multiply(g, beta)[0] for g in self.diagrams)
-            self._left_products[beta] = out
-        return out
+    def _reaches(self, rel: str, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
+        """Whether alpha is reached from beta.  A search from a new source
+        takes over the bitmask kept for any earlier source it meets."""
+        succ, masks = self._graphs[rel]
+        source = self._index[beta]
+        reach = masks.get(source)
+        if reach is None:
+            reach, stack = 1 << source, [source]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if not reach >> w & 1:
+                        known = masks.get(w)
+                        if known is None:
+                            reach |= 1 << w
+                            stack.append(w)
+                        else:
+                            reach |= known
+            masks[source] = reach
+        return bool(reach >> self._index[alpha] & 1)
 
     def leq_R(self, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
         """Whether alpha = beta * d for some diagram d."""
-        return alpha in self._right_set(beta)
+        return self._reaches("R", alpha, beta)
 
     def leq_L(self, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
         """Whether alpha = g * beta for some diagram g."""
-        return alpha in self._left_product_set(beta)
+        return self._reaches("L", alpha, beta)
 
     def leq_J(self, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
         """Whether alpha = g * beta * d for some diagrams g, d."""
-        return any(alpha in self._right_set(p) for p in self._left_product_set(beta))
-
-
-def divisibility_oracle(relation: str, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
-    """One-shot oracle query; build a DivisibilityOracle directly for sweeps."""
-    oracle = DivisibilityOracle(alpha.degree)
-    try:
-        return {"R": oracle.leq_R, "L": oracle.leq_L, "J": oracle.leq_J}[relation](alpha, beta)
-    except KeyError:
-        raise DiagramError(f"relation must be R, L or J, not {relation!r}") from None
+        return self._reaches("J", alpha, beta)

@@ -20,7 +20,6 @@ from .diagram import (
     DegreeMismatchError,
     DiagramError,
     make_diagram,
-    multiply,
     permutation_diagram,
 )
 from .twisted import as_twisted

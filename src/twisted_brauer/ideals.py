@@ -152,10 +152,6 @@ def parse_ideal(text: str, degree: int) -> IdealSpec:
     return ideal_normalize(degree, terms)
 
 
-def ideal_from_json_obj(obj: dict) -> IdealSpec:
-    return ideal_normalize(obj["n"], [tuple(t) for t in obj["terms"]])
-
-
 # ---------------------------------------------------------------------------
 # Constructive lemmas
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .diagram import (
 )
 from .green import PreconditionError, canonical_idempotent
 from .ideals import idempotent_factor_sigma, index_set, lemma_rank_drop, rho
-from .twisted import TwistedElement, as_twisted, is_idempotent_twisted
+from .twisted import TwistedElement, as_twisted, is_idempotent_twisted, star
 from . import enumeration
 
 
@@ -415,43 +415,18 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     return chain
 
 
-def factor_into_idempotents_bfs(
-    alpha: BrauerDiagram, max_length: int = 32
-) -> list[BrauerDiagram] | None:
+def factor_into_idempotents_bfs(alpha: BrauerDiagram) -> list[BrauerDiagram] | None:
     """Search fallback for :func:`factor_into_idempotents` at small degree.
 
-    Breadth-first search over zero-twist products of twisted idempotents;
-    independent of the constructive pipeline, so the two can be played
-    against each other.  Returns a shortest chain, or None if none exists
-    within ``max_length`` factors.  Exponential in principle; intended
-    for degree <= 3 cross-validation only.
+    Reads a shortest chain off the zero-twist closure of the twisted
+    idempotents; independent of the constructive pipeline, so the two can
+    be played against each other.  Returns None if alpha is not in that
+    closure.  Enumerates the whole closure; intended for degree <= 4
+    cross-validation only.
     """
-    n = alpha.degree
-    idems = [d for d in enumeration.all_diagrams(n) if is_idempotent_twisted(d)]
-    parent: dict[BrauerDiagram, tuple[BrauerDiagram, BrauerDiagram] | None] = {
-        e: None for e in idems
-    }
-    frontier = list(idems)
-    length = 1
-    while alpha not in parent:
-        if not frontier or length >= max_length:
-            return None
-        fresh = []
-        for state in frontier:
-            for e in idems:
-                product, twist = multiply(state, e)
-                if twist == 0 and product not in parent:
-                    parent[product] = (state, e)
-                    fresh.append(product)
-        frontier = fresh
-        length += 1
-    chain: list[BrauerDiagram] = []
-    node = alpha
-    while True:
-        link = parent[node]
-        if link is None:
-            chain.append(node)
-            break
-        node, factor = link
-        chain.append(factor)
-    return list(reversed(chain))
+    idems = [as_twisted(e) for e in enumeration.idempotents(alpha.degree)]
+    graph = enumeration.CayleyGraph(idems, star, keep=lambda p: p.twist == 0)
+    target = as_twisted(alpha)
+    if target not in graph.index:
+        return None
+    return [idems[j].diagram for j in graph.word(target)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DegreeMismatchError, DiagramError, multiply
+from .diagram import BrauerDiagram, DegreeMismatchError, DiagramError, is_int, multiply
 
 
 @dataclass(frozen=True, order=True)
@@ -22,7 +22,7 @@ class TwistedElement:
     diagram: BrauerDiagram
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twist, int) or self.twist < 0:
+        if not is_int(self.twist) or self.twist < 0:
             raise DiagramError(f"twist must be a natural number, got {self.twist!r}")
 
     @property
@@ -84,16 +84,6 @@ def star_chain(*factors) -> TwistedElement:
     for f in factors[1:]:
         acc = star(acc, f)
     return acc
-
-
-def chain_twist(*factors) -> int:
-    """The accumulated twist tau(a_1, ..., a_k) of a chain of diagrams."""
-    return star_chain(*factors).twist
-
-
-def twisted_involution(x) -> TwistedElement:
-    """The * anti-automorphism of the twisted monoid."""
-    return as_twisted(x).star_involution()
 
 
 def is_idempotent_plain(alpha: BrauerDiagram) -> bool:

@@ -69,3 +69,24 @@ def product_oracle(a: BrauerDiagram, b: BrauerDiagram):
                  w + 1 if w < n else -(w - 2 * n + 1))
             )
     return make_diagram(n, blocks), floating
+
+
+def closure_oracle(generators, product, keep=lambda p: True):
+    """Reference closure: the all-pairs worklist, which multiplies every
+    new element by every known one, on both sides, round after round.
+    Returns the elements and whether ``keep`` never dropped a product."""
+    elements = set(generators)
+    frontier = list(elements)
+    complete = True
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in list(elements):
+                for p in (product(x, y), product(y, x)):
+                    if not keep(p):
+                        complete = False
+                    elif p not in elements:
+                        elements.add(p)
+                        fresh.append(p)
+        frontier = fresh
+    return frozenset(elements), complete

@@ -74,6 +74,7 @@ def test_criterion_04_green_characterizations():
     assert small.passed and small.counts["pairs"] == 225
     big = V.check_green_preorders(n=5, samples=10_000, seed=0, factor=False)
     assert big.passed and big.counts["pairs"] == 10_000
+    assert small.seconds + big.seconds < 5.0
     _announce(
         4,
         "kernel/cokernel/rank characterizations match the divisibility oracle "

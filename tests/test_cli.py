@@ -41,6 +41,12 @@ def test_mul_jsonl(capsys):
     assert payload["product"]["n"] == 10
 
 
+def test_mul_non_integer_degree_is_domain_error(capsys):
+    code, _, err = run(capsys, "mul", "--n", "2", '{"n": "2", "blocks": [[1,2],[-1,-2]]}',
+                       "n=2: (1,1')(2,2')")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_mul_degree_mismatch_is_domain_error(capsys):
     code, _, err = run(capsys, "mul", "--n", "3", "n=3: (1,1')(2,2')(3,3')", "n=2: (1,1')(2,2')")
     assert code == 1

@@ -12,19 +12,15 @@ from twisted_brauer import (
     DiagramError,
     DuplicateVertexError,
     MissingVertexError,
-    NotationError,
     VertexRangeError,
     all_diagrams,
     diagram_from_json,
-    from_notation,
+    diagram_from_json_obj,
     identity,
     make_diagram,
     multiply,
     parse_diagram,
     permutation_diagram,
-    star_involution,
-    tau,
-    to_notation,
     transposition,
 )
 from conftest import product_oracle
@@ -146,8 +142,8 @@ def test_units_never_twist():
     units = [permutation_diagram(4, p) for p in itertools.permutations((1, 2, 3, 4))]
     for sigma in units:
         for a in all_diagrams(4):
-            assert tau(sigma, a) == 0
-            assert tau(a, sigma) == 0
+            assert multiply(sigma, a)[1] == 0
+            assert multiply(a, sigma)[1] == 0
 
 
 def test_ker_coker_monotone_under_product():
@@ -161,10 +157,10 @@ def test_ker_coker_monotone_under_product():
 
 
 def test_star_involution_golden(alpha6):
-    assert star_involution(alpha6) == make_diagram(
+    assert alpha6.star() == make_diagram(
         6, [(1, -4), (2, 6), (3, -2), (4, 5), (-1, -3), (-5, -6)]
     )
-    assert star_involution(identity(5)) == identity(5)
+    assert identity(5).star() == identity(5)
 
 
 def test_star_antiautomorphism():
@@ -180,7 +176,7 @@ def test_star_antiautomorphism():
 def test_tau_flips_under_star():
     for n in range(5):
         for a, b in itertools.product(list(all_diagrams(n)), repeat=2):
-            assert tau(a, b) == tau(b.star(), a.star())
+            assert multiply(a, b)[1] == multiply(b.star(), a.star())[1]
 
 
 def test_plain_monoid_is_star_regular():
@@ -190,27 +186,25 @@ def test_plain_monoid_is_star_regular():
             assert (a * a.star()) * a == a
 
 
+def _from_notation(n, transversals, upper_hooks, lower_hooks):
+    blocks = [(i, -j) for i, j in transversals] + list(upper_hooks)
+    return make_diagram(n, blocks + [(-c, -d) for c, d in lower_hooks])
+
+
 def test_notation_golden(alpha6):
-    note = to_notation(alpha6)
-    assert note.transversals == ((2, 3), (4, 1))
-    assert note.upper_hooks == ((1, 3), (5, 6))
-    assert note.lower_hooks == ((2, 6), (4, 5))
-    assert note.rank == 2 and note.degree == 6
-    assert from_notation(note) == alpha6
+    assert alpha6.transversal_pairs() == [(2, 3), (4, 1)]
+    assert alpha6.top_hooks() == [(1, 3), (5, 6)]
+    assert alpha6.bottom_hooks() == [(2, 6), (4, 5)]
+    assert _from_notation(
+        6, alpha6.transversal_pairs(), alpha6.top_hooks(), alpha6.bottom_hooks()
+    ) == alpha6
 
 
 def test_notation_identity_and_roundtrip():
-    note = to_notation(identity(4))
-    assert note.rank == 4 and not note.upper_hooks
+    one = identity(4)
+    assert len(one.transversal_pairs()) == 4 and not one.top_hooks()
     for a in all_diagrams(4):
-        assert from_notation(to_notation(a)) == a
-
-
-def test_notation_rejects_bad_tables():
-    note = to_notation(identity(2))
-    bad = type(note)(note.transversals, ((1, 2),), ())
-    with pytest.raises(NotationError):
-        from_notation(bad)
+        assert _from_notation(4, a.transversal_pairs(), a.top_hooks(), a.bottom_hooks()) == a
 
 
 def test_total_order_and_hashing():
@@ -227,6 +221,27 @@ def test_text_roundtrip_and_noncanonical_order(alpha6):
     with pytest.raises(DiagramError):
         parse_diagram("(1,2)")  # no degree anywhere
     assert parse_diagram("(1,2)(1',2')", degree=2) == make_diagram(2, [(1, 2), (-1, -2)])
+
+
+def test_parse_whitespace_and_junk():
+    assert parse_diagram("n=1: (1, 1')") == identity(1)
+    assert parse_diagram("n=2: (1,2)\n(1' , 2' )\n") == make_diagram(2, [(1, 2), (-1, -2)])
+    for junk in ("n=2: (1, 2)x(1',2')", "n=2: (1,2)(1',2'),", "n=2: (1,2) (1',2')x"):
+        with pytest.raises(DiagramError):
+            parse_diagram(junk)
+
+
+def test_non_integers_rejected():
+    for blocks in ([(True, -1)], [(1.0, -1)], [("1", -1)]):
+        with pytest.raises(DiagramError):
+            make_diagram(1, blocks)
+    for degree in (True, "1", 1.0):
+        with pytest.raises(DiagramError):
+            make_diagram(degree, [(1, -1)])
+    for obj in ({"n": "2", "blocks": [[1, 2], [-1, -2]]}, {"n": True, "blocks": [[1, -1]]},
+                {"n": 1, "blocks": [1, -1]}, [1]):
+        with pytest.raises(DiagramError):
+            diagram_from_json_obj(obj)
 
 
 def test_json_roundtrip(alpha6):

@@ -6,22 +6,24 @@ import random
 
 import pytest
 
+from conftest import closure_oracle
 from twisted_brauer import (
     ClosureResult,
     DiagramError,
+    DivisibilityOracle,
     TwistedElement,
     all_diagrams,
     as_twisted,
     bounded_closure,
     d_class,
     delta,
-    divisibility_oracle,
     idempotents,
     identity,
     index_set,
     is_idempotent_plain,
     is_idempotent_twisted,
     make_diagram,
+    multiply,
     plain_closure,
     star,
 )
@@ -150,15 +152,30 @@ def test_plain_closure_b2():
     assert plain_closure([identity(2), hook]) == {identity(2), hook}
 
 
-def test_oracle_one_shot_agrees_n3():
-    from twisted_brauer import leq_J, leq_L, leq_R
+def test_closures_match_all_pairs_worklist():
+    rng = random.Random(3)
+    flags = set()
+    for n in (2, 3, 4):
+        pool = list(all_diagrams(n))
+        for _ in range(15):
+            gens = [TwistedElement(rng.randrange(2), rng.choice(pool))
+                    for _ in range(rng.randint(1, 3))]
+            for bound in range(max(g.twist for g in gens), 4):
+                result = bounded_closure(gens, bound)
+                want = closure_oracle(gens, star, lambda p: p.twist <= bound)
+                assert (result.elements, result.saturated_within_bound) == want
+                flags.add(result.saturated_within_bound)
+            plain = [g.diagram for g in gens]
+            want, _ = closure_oracle(plain, lambda x, y: multiply(x, y)[0])
+            assert plain_closure(plain) == want
+    assert flags == {True, False}
 
-    pool = list(all_diagrams(3))
-    rng = random.Random(2)
-    for _ in range(60):
-        a, b = rng.choice(pool), rng.choice(pool)
-        assert divisibility_oracle("R", a, b) == leq_R(a, b)
-        assert divisibility_oracle("L", a, b) == leq_L(a, b)
-        assert divisibility_oracle("J", a, b) == leq_J(a, b)
+
+def test_oracle_reaches_every_diagram():
+    for n in range(7):
+        oracle = DivisibilityOracle(n)
+        assert len(oracle.diagrams) == math.prod(range(2 * n - 1, 0, -2))
+        if n <= 4:
+            assert sorted(oracle.diagrams) == list(all_diagrams(n))
     with pytest.raises(DiagramError):
-        divisibility_oracle("H", pool[0], pool[1])
+        DivisibilityOracle(11)

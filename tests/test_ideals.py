@@ -38,7 +38,7 @@ from twisted_brauer import (
     transposition,
 )
 from twisted_brauer.enumeration import random_diagram
-from twisted_brauer.ideals import ideal_from_json_obj, minimal_generating_size
+from twisted_brauer.ideals import minimal_generating_size
 
 
 def test_rho_delta_golden_values():
@@ -156,7 +156,6 @@ def test_ideal_serialization():
     spec = ideal_normalize(7, [(3, 2), (5, 4)])
     assert spec.to_text() == "I(5;4) + I(3;2)"
     assert parse_ideal("I(3;2) + I(5;4)", 7) == spec
-    assert ideal_from_json_obj({"n": 7, "terms": [[5, 4], [3, 2]]}) == spec
     assert spec.to_json_obj() == {"n": 7, "terms": [[5, 4], [3, 2]]}
 
 
