@@ -89,6 +89,7 @@ from .structure import (
     ig_subsemigroup_rank,
     in_idempotent_generated,
     perfect_matching,
+    rank_idrank_report,
     singular_generating_set,
     singular_rank,
     strong_hall_check,

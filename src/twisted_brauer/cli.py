@@ -179,7 +179,7 @@ def _cmd_gh_graph(args) -> int:
     if args.dot or args.format == "dot":
         print(graph.to_dot())
         return 0
-    report = structure.verify_rank_idrank(args.n, args.r)
+    report = structure.rank_idrank_report(graph)
     print(json.dumps(report.to_json_obj()))
     return 0 if report.certified else 1
 

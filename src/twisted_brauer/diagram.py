@@ -306,63 +306,42 @@ def permutation_diagram(n: int, images) -> BrauerDiagram:
 def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Product diagram together with its floating-component count.
 
-    Union-find over the 3n points of the stacked graph: points 0..n-1 are
-    the top row, n..2n-1 the glued middle row, 2n..3n-1 the bottom row.
-    Components holding a top or bottom point yield blocks of the product;
-    middle-only components are floating and only contribute to the twist.
-    Parallel edges collapse harmlessly under union.
+    A path walk over the stacked graph: alpha's bottom row is glued to
+    beta's top row, so every glued middle point meets one edge of each
+    diagram and every component is a path or a cycle.  A walk from each
+    outer endpoint, alternating alpha's and beta's edges through the
+    middle row, ends at the other endpoint of its block.  The middle
+    points no walk visits lie on cycles; each cycle is one floating
+    component and only contributes to the twist.
     """
     n = alpha.degree
     if beta.degree != n:
         raise DegreeMismatchError(f"degrees differ: {n} vs {beta.degree}")
     pa, pb = alpha.pairing, beta.pairing
-    n2, n3 = 2 * n, 3 * n
-    parent = list(range(n3))
-    for p in range(n2):
-        q = pa[p]
-        if q > p:
-            x = p
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = q
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            parent[y] = x
-        q = pb[p]
-        if q > p:
-            x = p + n
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = q + n
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            parent[y] = x
-
-    roots = [0] * n3
-    for x in range(n3):
-        r = x
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        roots[x] = r
-
-    out = [-1] * n2
-    open_end: dict[int, int] = {}
-    for prod in range(n2):
-        root = roots[prod] if prod < n else roots[prod + n]
-        mate = open_end.pop(root, None)
-        if mate is None:
-            open_end[root] = prod
-        else:
-            out[mate], out[prod] = prod, mate
-    floating = set(roots[n:n2])
-    floating.difference_update(roots[:n])
-    floating.difference_update(roots[n2:])
-    return _raw_diagram(n, tuple(out)), len(floating)
+    out = [-1] * (2 * n)
+    seen = [False] * n  # middle points, by their index in beta's top row
+    for start in range(2 * n):
+        if out[start] >= 0:
+            continue
+        # top points leave by an alpha edge, bottom points by a beta edge
+        via_alpha = start < n
+        end = pa[start] if via_alpha else pb[start]
+        while (end >= n) == via_alpha:  # landed in the middle row
+            m = end - n if via_alpha else end
+            seen[m] = True
+            via_alpha = not via_alpha
+            end = pa[m + n] if via_alpha else pb[m]
+        out[start], out[end] = end, start
+    floating = 0
+    for m in range(n):
+        if not seen[m]:
+            floating += 1
+            while not seen[m]:
+                seen[m] = True
+                m = pb[m]
+                seen[m] = True
+                m = pa[m + n] - n
+    return _raw_diagram(n, tuple(out)), floating
 
 
 _BLOCK = re.compile(r"\s*\(\s*(\d+)\s*('?)\s*,\s*(\d+)\s*('?)\s*\)")

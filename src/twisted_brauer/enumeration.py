@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .diagram import (
     BrauerDiagram,
     DiagramError,
+    _raw_diagram,
     identity,
     make_diagram,
     permutation_diagram,
@@ -114,21 +115,23 @@ def hook_patterns(n: int, r: int):
 
 def d_class(n: int, r: int, allow_large: bool = False):
     """All delta(n, r) diagrams of rank r: every choice of upper hooks,
-    lower hooks and transversal bijection."""
+    lower hooks and transversal bijection.  Each pairing is an involution
+    by construction, so the diagrams skip validation."""
     _check_degree(n, allow_large)
     lower = list(hook_patterns(n, r))
     for upper_hooks, dom in hook_patterns(n, r):
+        tops = [i - 1 for i in dom]
         for lower_hooks, codom in lower:
-            for image in itertools.permutations(codom):
-                blocks = [(a, b) for a, b in upper_hooks]
-                blocks += [(-c, -d) for c, d in lower_hooks]
-                blocks += [(i, -v) for i, v in zip(dom, image)]
-                pairing = [0] * (2 * n)
-                for x, y in blocks:
-                    xi = x - 1 if x > 0 else n - x - 1
-                    yi = y - 1 if y > 0 else n - y - 1
-                    pairing[xi], pairing[yi] = yi, xi
-                yield BrauerDiagram(n, tuple(pairing))
+            hooked = [0] * (2 * n)
+            for a, b in upper_hooks:
+                hooked[a - 1], hooked[b - 1] = b - 1, a - 1
+            for c, d in lower_hooks:
+                hooked[n + c - 1], hooked[n + d - 1] = n + d - 1, n + c - 1
+            for image in itertools.permutations([n + v - 1 for v in codom]):
+                pairing = hooked[:]
+                for x, y in zip(tops, image):
+                    pairing[x], pairing[y] = y, x
+                yield _raw_diagram(n, tuple(pairing))
 
 
 def idempotents(n: int, twisted: bool = True, allow_large: bool = False):

@@ -141,14 +141,21 @@ def ideal_equal(left: IdealSpec, right: IdealSpec) -> bool:
     return left.degree == right.degree and left.terms == right.terms
 
 
-_IDEAL_TERM = re.compile(r"I\(\s*(\d+)\s*;\s*(\d+)\s*\)")
+_IDEAL_TERM = re.compile(r"\s*I\s*\(\s*(\d+)\s*;\s*(\d+)\s*\)\s*")
+_IDEAL_EMPTY = re.compile(r"\s*(I\s*\(\s*\))?\s*")
 
 
 def parse_ideal(text: str, degree: int) -> IdealSpec:
-    """Parse the text form ``I(5;2) + I(3;4)`` (terms in any order)."""
-    terms = [(int(r), int(k)) for r, k in _IDEAL_TERM.findall(text)]
-    if not terms and text.replace(" ", "") not in ("", "I()"):
-        raise DiagramError(f"unparsable ideal: {text!r}")
+    """Parse the text form ``I(5;2) + I(3;4)`` (terms in any order), or
+    ``I()`` or nothing for the empty ideal.  Any whitespace may pad the
+    tokens; anything else in the text is an error."""
+    terms = []
+    if not _IDEAL_EMPTY.fullmatch(text):
+        for part in text.split("+"):
+            m = _IDEAL_TERM.fullmatch(part)
+            if m is None:
+                raise DiagramError(f"unparsable ideal: {text!r}")
+            terms.append((int(m.group(1)), int(m.group(2))))
     return ideal_normalize(degree, terms)
 
 

@@ -16,6 +16,7 @@ components at all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,9 +31,13 @@ from .diagram import (
     transposition,
 )
 from .green import PreconditionError, canonical_idempotent
-from .ideals import idempotent_factor_sigma, index_set, lemma_rank_drop, rho
+from .ideals import delta, idempotent_factor_sigma, index_set, lemma_rank_drop, rho
 from .twisted import TwistedElement, as_twisted, is_idempotent_twisted, star
 from . import enumeration
+
+# delta(8, 4) = 1,058,400 is the largest D-class of degree <= 8;
+# delta(9, 3) = 9,525,600 is refused.
+GH_CANDIDATE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,8 @@ class GHGraph:
     ``left`` and ``right`` list the kernel and cokernel signatures;
     ``edges`` holds (left index, right index) pairs, and ``witnesses``
     the unique twisted idempotent sitting in each edge's H-class.
+    Adjacency lists and the witness lookup are derived from these once,
+    on first use.
     """
 
     degree: int
@@ -51,14 +58,23 @@ class GHGraph:
     edges: frozenset[tuple[int, int]]
     witnesses: tuple[tuple[int, int, BrauerDiagram], ...]
 
+    @functools.cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[list[int]] = [[] for _ in self.left]
+        for l, r in self.edges:
+            adj[l].append(r)
+        return tuple(tuple(sorted(rs)) for rs in adj)
+
+    @functools.cached_property
+    def _witness_of(self) -> dict[tuple[int, int], BrauerDiagram]:
+        return {(l, r): d for l, r, d in self.witnesses}
+
     def neighbors(self, li: int) -> tuple[int, ...]:
-        return tuple(sorted(r for l, r in self.edges if l == li))
+        """Right neighbours of left vertex ``li``, in increasing order."""
+        return self._adjacency[li]
 
     def left_degrees(self) -> list[int]:
-        counts = [0] * len(self.left)
-        for l, _ in self.edges:
-            counts[l] += 1
-        return counts
+        return [len(rs) for rs in self._adjacency]
 
     def right_degrees(self) -> list[int]:
         counts = [0] * len(self.right)
@@ -77,10 +93,9 @@ class GHGraph:
     def is_connected(self) -> bool:
         if not self.left:
             return True
-        adj_l: dict[int, list[int]] = {i: [] for i in range(len(self.left))}
-        adj_r: dict[int, list[int]] = {i: [] for i in range(len(self.right))}
+        adj_l = self._adjacency
+        adj_r: list[list[int]] = [[] for _ in self.right]
         for l, r in self.edges:
-            adj_l[l].append(r)
             adj_r[r].append(l)
         seen_l, seen_r = {0}, set()
         stack = [("L", 0)]
@@ -99,10 +114,10 @@ class GHGraph:
         return len(seen_l) == len(self.left) and len(seen_r) == len(self.right)
 
     def witness(self, li: int, ri: int) -> BrauerDiagram:
-        for l, r, d in self.witnesses:
-            if (l, r) == (li, ri):
-                return d
-        raise DiagramError(f"no idempotent witness on edge ({li}, {ri})")
+        d = self._witness_of.get((li, ri))
+        if d is None:
+            raise DiagramError(f"no idempotent witness on edge ({li}, {ri})")
+        return d
 
     def to_dot(self) -> str:
         """DOT rendering; vertices carry their canonical signature strings."""
@@ -119,12 +134,19 @@ class GHGraph:
 
 def build_gh_graph(n: int, r: int) -> GHGraph:
     """Enumerate the twisted idempotents of the rank-r D-class and bucket
-    them by (kernel, cokernel).  Requires n >= 3 and 0 < r < n."""
+    them by (kernel, cokernel).  Requires n >= 3 and 0 < r < n, and
+    refuses D-classes of more than GH_CANDIDATE_LIMIT diagrams."""
     if n < 3:
         raise PreconditionError("Graham-Houghton analysis needs degree >= 3")
     if r not in index_set(n) or r in (0, n):
         raise PreconditionError(
             f"rank {r} must lie strictly between 0 and {n} in I({n})"
+        )
+    candidates = delta(n, r)
+    if candidates > GH_CANDIDATE_LIMIT:
+        raise DiagramError(
+            f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
+            f"{candidates} diagrams, more than {GH_CANDIDATE_LIMIT}"
         )
     left = tuple(
         KernelSignature(n, frozenset(hooks))
@@ -147,22 +169,31 @@ def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
     """A perfect matching left -> right via augmenting paths, or None.
 
     Deterministic: left vertices and neighbor lists are scanned in
-    canonical signature order.
+    canonical signature order.  Each search is a depth-first search on an
+    explicit stack, so path length is not bounded by the recursion limit.
     """
     match_right: dict[int, int] = {}
-
-    def augment(l: int, banned: set[int]) -> bool:
-        for r in graph.neighbors(l):
-            if r in banned:
+    for root in range(len(graph.left)):
+        banned: set[int] = set()
+        stack = [(root, iter(graph.neighbors(root)))]
+        path: list[int] = []  # the right vertex taken from each stack frame
+        while stack:
+            r = next((r for r in stack[-1][1] if r not in banned), None)
+            if r is None:  # this frame is exhausted: back up one step
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             banned.add(r)
-            if r not in match_right or augment(match_right[r], banned):
+            path.append(r)
+            if r in match_right:
+                l = match_right[r]
+                stack.append((l, iter(graph.neighbors(l))))
+                continue
+            for (l, _), r in zip(stack, path):  # flip the augmenting path
                 match_right[r] = l
-                return True
-        return False
-
-    for l in range(len(graph.left)):
-        if not augment(l, set()):
+            break
+        else:
             return None
     return {l: r for r, l in match_right.items()}
 
@@ -257,10 +288,10 @@ class GHReport:
         }
 
 
-def verify_rank_idrank(n: int, r: int) -> GHReport:
+def rank_idrank_report(graph: GHGraph) -> GHReport:
     """Check the sufficient conditions (balanced, connected, Strong Hall,
-    degree >= 2) on the Graham-Houghton graph and certify rho(n, r)."""
-    graph = build_gh_graph(n, r)
+    degree >= 2) on a built Graham-Houghton graph and certify rho(n, r)."""
+    n, r = graph.degree, graph.rank
     expected = rho(n, r)
     balanced = graph.is_balanced() and len(graph.left) == expected
     b = graph.common_degree()
@@ -271,6 +302,11 @@ def verify_rank_idrank(n: int, r: int) -> GHReport:
         n, r, len(graph.left), expected, balanced, b, connected, hall,
         expected if good else None,
     )
+
+
+def verify_rank_idrank(n: int, r: int) -> GHReport:
+    """Build the Graham-Houghton graph of D_r and certify rho(n, r)."""
+    return rank_idrank_report(build_gh_graph(n, r))
 
 
 def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:

@@ -93,7 +93,9 @@ def is_idempotent_plain(alpha: BrauerDiagram) -> bool:
 
 def is_idempotent_twisted(x) -> bool:
     """Idempotent under the star product: twist 0, a^2 = a and tau(a, a) = 0."""
-    x = as_twisted(x)
-    if x.twist != 0:
-        return False
-    return multiply(x.diagram, x.diagram) == (x.diagram, 0)
+    if not isinstance(x, BrauerDiagram):
+        x = as_twisted(x)
+        if x.twist != 0:
+            return False
+        x = x.diagram
+    return multiply(x, x) == (x, 0)

@@ -390,8 +390,8 @@ def check_gh_conditions(n: int = 4, r: int = 2) -> VerificationReport:
     for the Graham-Houghton graph; SCC decision against the subset oracle
     when the side is small enough."""
     report = VerificationReport("gh-conditions", {"n": n, "r": r})
-    gh_report = structure.verify_rank_idrank(n, r)
     graph = structure.build_gh_graph(n, r)
+    gh_report = structure.rank_idrank_report(graph)
     report.counts = {
         "side": gh_report.side_size,
         "b": gh_report.common_degree,

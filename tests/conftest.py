@@ -1,5 +1,6 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
-multiplication example, plus an independent product oracle."""
+multiplication example, plus independent oracles for the product, the
+closures and the perfect matching."""
 
 import pytest
 
@@ -69,6 +70,60 @@ def product_oracle(a: BrauerDiagram, b: BrauerDiagram):
                  w + 1 if w < n else -(w - 2 * n + 1))
             )
     return make_diagram(n, blocks), floating
+
+
+def union_find_product(a: BrauerDiagram, b: BrauerDiagram):
+    """Reference product: union-find over the 3n points of the stacked
+    graph (top row, glued middle row, bottom row).  Components holding a
+    top or bottom point yield blocks; middle-only components float."""
+    n = a.degree
+    pa, pb = a.pairing, b.pairing
+    n2, n3 = 2 * n, 3 * n
+    parent = list(range(n3))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in range(n2):
+        for offset, q in ((0, pa[p]), (n, pb[p])):
+            if q > p:
+                parent[find(q + offset)] = find(p + offset)
+    roots = [find(x) for x in range(n3)]
+    out = [-1] * n2
+    open_end = {}
+    for prod in range(n2):
+        root = roots[prod] if prod < n else roots[prod + n]
+        mate = open_end.pop(root, None)
+        if mate is None:
+            open_end[root] = prod
+        else:
+            out[mate], out[prod] = prod, mate
+    floating = set(roots[n:n2]) - set(roots[:n]) - set(roots[n2:])
+    return BrauerDiagram(n, tuple(out)), len(floating)
+
+
+def recursive_matching(graph):
+    """Reference matcher: recursive augmenting paths, scanning left
+    vertices and neighbour lists in increasing order."""
+    match_right = {}
+
+    def augment(l, banned):
+        for r in sorted(r for k, r in graph.edges if k == l):
+            if r in banned:
+                continue
+            banned.add(r)
+            if r not in match_right or augment(match_right[r], banned):
+                match_right[r] = l
+                return True
+        return False
+
+    for l in range(len(graph.left)):
+        if not augment(l, set()):
+            return None
+    return {l: r for r, l in match_right.items()}
 
 
 def closure_oracle(generators, product, keep=lambda p: True):

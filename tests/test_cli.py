@@ -155,6 +155,19 @@ def test_gh_graph_report_and_dot(capsys):
     assert code == 0 and out2 == out
 
 
+def test_gh_graph_guard(capsys):
+    for extra in ((), ("--dot",)):
+        code, out, err = run(capsys, "gh-graph", "--n", "9", "--r", "3", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "refused" in err
+
+
+def test_ideal_spec_junk_is_domain_error(capsys):
+    for spec in ("I(3;2) + junk", "I(3;2) x I(1;0)"):
+        code, out, err = run(capsys, "ideal", "normalize", "--n", "5", "--spec", spec)
+        assert (code, out) == (1, "") and err.startswith("error:")
+
+
 def test_factor_idempotents_cli(capsys):
     alpha = "n=3: (1,2)(3,1')(2',3')"
     code, out, _ = run(capsys, "factor", "--idempotents", "--n", "3", alpha)

@@ -2,6 +2,7 @@
 notation and serialization."""
 
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,8 @@ from twisted_brauer import (
     permutation_diagram,
     transposition,
 )
-from conftest import product_oracle
+from twisted_brauer.enumeration import random_diagram
+from conftest import product_oracle, union_find_product
 
 
 def test_make_diagram_golden(alpha6):
@@ -106,6 +108,23 @@ def test_multiply_against_path_closure_oracle():
     for n in (0, 1, 2, 3):
         for a, b in itertools.product(list(all_diagrams(n)), repeat=2):
             assert multiply(a, b) == product_oracle(a, b)
+
+
+def test_multiply_matches_union_find_exhaustive():
+    for n in range(5):
+        for a, b in itertools.product(list(all_diagrams(n)), repeat=2):
+            assert multiply(a, b) == union_find_product(a, b)
+
+
+def test_multiply_matches_union_find_random():
+    rng = random.Random(11)
+    taus = set()
+    for n in list(range(65)) * 40:
+        a, b = random_diagram(n, rng), random_diagram(n, rng)
+        result = multiply(a, b)
+        assert result == union_find_product(a, b)
+        taus.add(result[1])
+    assert {0, 1, 2} <= taus  # products with several floating cycles are covered
 
 
 def test_multiply_degree_mismatch():

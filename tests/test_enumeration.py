@@ -8,6 +8,7 @@ import pytest
 
 from conftest import closure_oracle
 from twisted_brauer import (
+    BrauerDiagram,
     ClosureResult,
     DiagramError,
     DivisibilityOracle,
@@ -87,6 +88,14 @@ def test_d_class_counts():
             assert len(members) == delta(n, r)
             assert len(set(members)) == len(members)
             assert all(m.rank == r for m in members)
+
+
+def test_d_class_is_the_rank_slice_of_all_diagrams():
+    # d_class skips validation, so rebuild each member through the checks
+    for n in range(6):
+        for r in index_set(n):
+            members = [BrauerDiagram(n, d.pairing) for d in d_class(n, r)]
+            assert set(members) == {d for d in all_diagrams(n) if d.rank == r}
 
 
 def test_top_d_class_is_symmetric_group():

@@ -159,6 +159,18 @@ def test_ideal_serialization():
     assert spec.to_json_obj() == {"n": 7, "terms": [[5, 4], [3, 2]]}
 
 
+def test_parse_ideal_whitespace_and_junk():
+    spec = ideal_normalize(7, [(3, 2), (5, 4)])
+    assert parse_ideal(" I( 3 ;2 )\t+\n I(5; 4)  ", 7) == spec
+    assert parse_ideal("I(5;4)+I(3;2)", 7) == spec
+    for empty in ("", "  ", "I()", " I( ) "):
+        assert parse_ideal(empty, 7) == ideal_normalize(7, [])
+    for junk in ("I(3;2) + junk", "I(3;2) x I(1;0)", "I(3;2) +", "+ I(3;2)",
+                 "I(3;2) I(5;4)", "I(3;2) + I()", "I(3;-2)"):
+        with pytest.raises(DiagramError, match="unparsable"):
+            parse_ideal(junk, 7)
+
+
 # -- lemmas -----------------------------------------------------------------
 
 

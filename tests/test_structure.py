@@ -17,6 +17,7 @@ from twisted_brauer import (
     bounded_closure,
     build_gh_graph,
     d_class,
+    delta,
     factor_into_idempotents,
     idempotent_generating_set,
     idempotents,
@@ -38,7 +39,12 @@ from twisted_brauer import (
     verify_rank_idrank,
 )
 from twisted_brauer.enumeration import random_diagram
-from twisted_brauer.structure import _transposition_factors, all_units
+from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _transposition_factors, all_units
+from conftest import recursive_matching
+
+
+def _gh_cases(max_n):
+    return [(n, r) for n in range(3, max_n + 1) for r in range(1, n) if (n - r) % 2 == 0]
 
 
 def test_gh_graph_shape_n4_r2():
@@ -135,6 +141,47 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
         )
         graph = GHGraph(4, 2, sigs[:size], sigs[:size], edges, ())
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
+        assert _same_matching(perfect_matching(graph), recursive_matching(graph))
+
+
+def _same_matching(got, expected):
+    # the same pairs, inserted in the same order
+    return got == expected and (got is None or list(got.items()) == list(expected.items()))
+
+
+def test_matching_adjacency_and_witnesses_on_built_graphs():
+    for n, r in _gh_cases(7):
+        graph = build_gh_graph(n, r)
+        assert _same_matching(perfect_matching(graph), recursive_matching(graph)), (n, r)
+        for l in range(len(graph.left)):
+            assert graph.neighbors(l) == tuple(sorted(k for j, k in graph.edges if j == l))
+        for l, r_, d in graph.witnesses:
+            assert graph.witness(l, r_) is d
+    graph = build_gh_graph(4, 2)
+    absent = min(set(range(6)) - set(graph.neighbors(0)))
+    with pytest.raises(DiagramError):
+        graph.witness(0, absent)
+
+
+def test_perfect_matching_follows_a_long_augmenting_path():
+    # left i meets {i, i+1}; the last left vertex meets only right 0, so its
+    # one augmenting path runs through every vertex: far past the
+    # interpreter's recursion limit for a recursive search
+    size = 1500
+    edges = frozenset((i, j) for i in range(size - 1) for j in (i, i + 1)) | {(size - 1, 0)}
+    sig = KernelSignature(4, frozenset({(1, 2)}))
+    graph = GHGraph(4, 2, (sig,) * size, (sig,) * size, edges, ())
+    matching = perfect_matching(graph)
+    assert matching == {i: (i + 1) % size for i in range(size)}
+
+
+def test_gh_graph_size_guard():
+    largest_to_8 = max(delta(n, r) for n, r in _gh_cases(8))
+    assert largest_to_8 == delta(8, 4) == 1_058_400 <= GH_CANDIDATE_LIMIT < delta(9, 3)
+    with pytest.raises(DiagramError, match="refused"):
+        build_gh_graph(9, 3)
+    with pytest.raises(DiagramError, match="refused"):
+        verify_rank_idrank(11, 5)
 
 
 def test_verify_rank_idrank_certifies():

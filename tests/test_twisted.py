@@ -123,6 +123,13 @@ def test_positive_twist_never_idempotent():
             assert not is_idempotent_twisted(TwistedElement(i, d))
 
 
+def test_idempotent_test_takes_plain_and_twisted_alike():
+    for d in all_diagrams(4):
+        assert is_idempotent_twisted(d) == is_idempotent_twisted(TwistedElement(0, d))
+    with pytest.raises(TypeError):
+        is_idempotent_twisted("n=1: (1,1')")
+
+
 def test_text_and_json_forms():
     x = TwistedElement(2, make_diagram(2, [(1, 2), (-1, -2)]))
     assert x.to_text() == "2 * n=2: (1,2)(1',2')"
