@@ -34,6 +34,9 @@ from .diagram import (
 from .twisted import TwistedElement, as_twisted, star, star_chain
 
 EXHAUSTIVE_DEGREE_LIMIT = 6
+# verify checks whose whole enumeration --samples bounds: only these may
+# sample above the degree guard
+SAMPLE_BOUNDED_CHECKS = frozenset({"tau-identity"})
 
 _TWIST_PREFIX = re.compile(r"^\s*(\d+)\s*\*\s*")
 
@@ -200,7 +203,9 @@ def _cmd_verify(args) -> int:
         print(f"unknown theorem id {args.theorem!r}; known: {', '.join(sorted(verify.CHECKS))}",
               file=sys.stderr)
         return 2
-    if args.n is not None and args.n > EXHAUSTIVE_DEGREE_LIMIT and not args.force and args.samples is None:
+    sampled = (args.samples is not None and not args.exhaustive
+               and args.theorem in SAMPLE_BOUNDED_CHECKS)
+    if args.n is not None and args.n > EXHAUSTIVE_DEGREE_LIMIT and not args.force and not sampled:
         print(
             f"exhaustive sweeps refuse n = {args.n} > {EXHAUSTIVE_DEGREE_LIMIT}; "
             "pass --force or use --samples",

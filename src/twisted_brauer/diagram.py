@@ -100,7 +100,7 @@ class BrauerDiagram:
         hooks = frozenset(
             (i + 1, p[i] + 1) for i in range(n) if i < p[i] < n
         )
-        return KernelSignature(n, hooks)
+        return _raw_kernel(n, hooks)
 
     @property
     def coker(self) -> KernelSignature:
@@ -109,7 +109,7 @@ class BrauerDiagram:
         hooks = frozenset(
             (i - n + 1, p[i] - n + 1) for i in range(n, 2 * n) if i < p[i]
         )
-        return KernelSignature(n, hooks)
+        return _raw_kernel(n, hooks)
 
     def top_hooks(self) -> list[tuple[int, int]]:
         """Upper hooks in canonical order (sorted, smaller vertex first)."""
@@ -224,6 +224,15 @@ def _raw_diagram(degree: int, pairing: tuple[int, ...]) -> BrauerDiagram:
     object.__setattr__(d, "degree", degree)
     object.__setattr__(d, "pairing", pairing)
     return d
+
+
+def _raw_kernel(degree: int, hooks: frozenset[tuple[int, int]]) -> KernelSignature:
+    # construction bypass for hooks read off a valid pairing: they are
+    # disjoint, in range and ordered by construction
+    k = object.__new__(KernelSignature)
+    object.__setattr__(k, "degree", degree)
+    object.__setattr__(k, "hooks", hooks)
+    return k
 
 
 def _index_to_token(x: int, n: int) -> int:

@@ -66,16 +66,11 @@ def all_diagrams(n: int, allow_large: bool = False):
         yield BrauerDiagram(n, pairing)
 
 
-def split_prefixes(n: int) -> list[int]:
-    """Partners of point 0 splitting the enumeration into 2n-1 disjoint parts."""
-    return list(range(1, 2 * n))
-
-
 def all_diagrams_split(n: int, first_partner: int, allow_large: bool = False):
     """The slice of all_diagrams(n) where point 0 pairs with ``first_partner``.
 
-    The slices over split_prefixes(n) partition the full stream and each is
-    independently restartable, so they can be consumed in parallel.
+    The slices over first partners 1..2n-1 partition the full stream and
+    each is independently restartable, so they can be consumed in parallel.
     """
     _check_degree(n, allow_large)
     if not 1 <= first_partner < 2 * n:

@@ -242,16 +242,12 @@ def strong_hall_subset_oracle(graph: GHGraph) -> bool:
     masks = [0] * size
     for l, r in graph.edges:
         masks[l] |= 1 << r
+    # nbhd[S] = nbhd[S minus its lowest member] | masks[lowest member]
+    nbhd = [0] * ((1 << size) - 1)
     for subset in range(1, (1 << size) - 1):
-        nbhd = 0
-        h = subset
-        count = 0
-        while h:
-            low = (h & -h).bit_length() - 1
-            nbhd |= masks[low]
-            h &= h - 1
-            count += 1
-        if bin(nbhd).count("1") <= count:
+        low = subset & -subset
+        nbhd[subset] = nbhd[subset ^ low] | masks[low.bit_length() - 1]
+        if nbhd[subset].bit_count() <= subset.bit_count():
             return False
     return True
 

@@ -405,8 +405,10 @@ def check_gh_conditions(n: int = 4, r: int = 2) -> VerificationReport:
             report.fail(reason="SCC method disagrees with subset oracle")
             return report
         report.counts["oracle"] = "agrees"
+    # recounted from the product definition, independently of the build's
+    # idempotent test
     idempotent_count = sum(
-        1 for d in enumeration.d_class(n, r) if is_idempotent_twisted(d)
+        1 for d in enumeration.d_class(n, r) if multiply(d, d) == (d, 0)
     )
     if idempotent_count != len(graph.edges) or idempotent_count != gh_report.common_degree * gh_report.side_size:
         report.fail(reason="edge count differs from idempotent count",

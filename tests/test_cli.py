@@ -204,6 +204,21 @@ def test_verify_refuses_large_exhaustive(capsys):
     assert code == 1 and "refuse" in err
 
 
+def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
+    # green-relations ignores --samples and green-pre-orders enumerates all
+    # of B_n for its oracle, so at n = 9 both would start a 34M-diagram sweep
+    for theorem in ("green-relations", "green-pre-orders"):
+        code, out, err = run(capsys, "verify", theorem, "--n", "9", "--samples", "3")
+        assert code == 1 and out == "" and "exhaustive sweeps refuse" in err
+    code, _, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
+                       "--samples", "3")
+    assert code == 1 and "exhaustive sweeps refuse" in err
+    code, out, _ = run(capsys, "verify", "tau-identity", "--n", "50", "--samples", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass" and report["counts"]["triples"] == 10
+
+
 def test_verify_n2_anomaly(capsys):
     code, out, _ = run(capsys, "verify", "ig-subsemigroup", "--n", "2")
     assert code == 0

@@ -12,6 +12,7 @@ from twisted_brauer import (
     DegreeMismatchError,
     DiagramError,
     DuplicateVertexError,
+    KernelSignature,
     MissingVertexError,
     VertexRangeError,
     all_diagrams,
@@ -173,6 +174,19 @@ def test_ker_coker_monotone_under_product():
         assert ab.coker.contains(b.coker)
         assert set(ab.dom) <= set(a.dom)
         assert set(ab.codom) <= set(b.codom)
+
+
+def test_ker_coker_equal_validated_signatures():
+    for n in range(6):
+        for d in all_diagrams(n):
+            assert d.ker == KernelSignature(n, frozenset(d.top_hooks()))
+            assert d.coker == KernelSignature(n, frozenset(d.bottom_hooks()))
+
+
+def test_kernel_signature_validates_direct_construction():
+    for hooks in ({(1, 2), (2, 3)}, {(2, 1)}, {(0, 1)}, {(3, 5)}):
+        with pytest.raises(DiagramError):
+            KernelSignature(4, frozenset(hooks))
 
 
 def test_star_involution_golden(alpha6):

@@ -15,11 +15,13 @@ from twisted_brauer import (
     is_idempotent_plain,
     is_idempotent_twisted,
     make_diagram,
+    multiply,
     permutation_diagram,
     star,
     star_chain,
 )
 from twisted_brauer.enumeration import random_diagram
+from twisted_brauer.structure import factor_into_idempotents
 
 
 def test_star_figure1(figure1):
@@ -115,6 +117,44 @@ def test_twisted_idempotents_inside_plain_strictly():
         plain = {d for d in all_diagrams(n) if is_idempotent_plain(d)}
         twisted = {d for d in all_diagrams(n) if is_idempotent_twisted(d)}
         assert twisted < plain
+
+
+def _idempotent_by_product(d):
+    prod, tau = multiply(d, d)
+    return prod == d, prod == d and tau == 0
+
+
+def test_idempotent_walk_matches_product_exhaustive():
+    plain_counts, twisted_counts = [], []
+    for n in range(7):
+        plain = twisted = 0
+        for d in all_diagrams(n):
+            expected = _idempotent_by_product(d)
+            assert (is_idempotent_plain(d), is_idempotent_twisted(d)) == expected, d
+            plain += expected[0]
+            twisted += expected[1]
+        plain_counts.append(plain)
+        twisted_counts.append(twisted)
+    assert twisted_counts == [1, 1, 1, 7, 25, 181, 1201]
+    assert plain_counts == [1, 1, 2, 10, 40, 296, 1936]
+
+
+def test_idempotent_walk_matches_product_random():
+    # idempotent chains supply twisted idempotents, and a a* supplies plain
+    # idempotents that mostly carry floating loops
+    rng = random.Random(11)
+    seen = {(False, False): 0, (True, False): 0, (True, True): 0}
+    for _ in range(200):
+        n = rng.randrange(3, 65)
+        alpha = random_diagram(n, rng)
+        pool = [alpha, multiply(alpha, alpha.star())[0]]
+        if alpha.rank < n:
+            pool += factor_into_idempotents(alpha)
+        for d in pool:
+            expected = _idempotent_by_product(d)
+            assert (is_idempotent_plain(d), is_idempotent_twisted(d)) == expected, d
+            seen[expected] += 1
+    assert min(seen.values()) > 100
 
 
 def test_positive_twist_never_idempotent():
