@@ -142,13 +142,11 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.rank is not None:
-        stream = enumeration.d_class(args.n, args.rank, allow_large=args.force)
+        stream = enumeration.d_class(args.n, args.rank)
     elif args.idempotents:
-        stream = enumeration.idempotents(
-            args.n, twisted=args.idempotents == "twisted", allow_large=args.force
-        )
+        stream = enumeration.idempotents(args.n, twisted=args.idempotents == "twisted")
     else:
-        stream = enumeration.all_diagrams(args.n, allow_large=args.force)
+        stream = enumeration.all_diagrams(args.n)
     count = 0
     for d in stream:
         count += 1
@@ -203,12 +201,12 @@ def _cmd_verify(args) -> int:
         print(f"unknown theorem id {args.theorem!r}; known: {', '.join(sorted(verify.CHECKS))}",
               file=sys.stderr)
         return 2
-    sampled = (args.samples is not None and not args.exhaustive
-               and args.theorem in SAMPLE_BOUNDED_CHECKS)
+    bounded = args.theorem in SAMPLE_BOUNDED_CHECKS
+    sampled = bounded and args.samples is not None and not args.exhaustive
     if args.n is not None and args.n > EXHAUSTIVE_DEGREE_LIMIT and not args.force and not sampled:
         print(
             f"exhaustive sweeps refuse n = {args.n} > {EXHAUSTIVE_DEGREE_LIMIT}; "
-            "pass --force or use --samples",
+            "pass --force" + (" or use --samples" if bounded else ""),
             file=sys.stderr,
         )
         return 1
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int)
     p.add_argument("--idempotents", choices=("plain", "twisted"))
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--force", action="store_true", help="lift the degree guard")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("closure", help="twist-bounded closure of generators (JSONL)")

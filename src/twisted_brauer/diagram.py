@@ -134,10 +134,6 @@ class BrauerDiagram:
             raise DiagramError(f"top vertex {i} is not in the domain")
         return q - n + 1
 
-    def is_unit(self) -> bool:
-        """True iff the diagram is a permutation (rank n)."""
-        return self.rank == self.degree
-
     # -- involution and operators ---------------------------------------
 
     def star(self) -> BrauerDiagram:

@@ -11,7 +11,6 @@ Green's pre-orders can be checked against plain products.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -24,18 +23,34 @@ from .diagram import (
     permutation_diagram,
     transposition,
 )
+from .ideals import delta, double_factorial
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
-ENUMERATION_DEGREE_LIMIT = 10
+# |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
+# of degree 10 (the largest is delta(10, 6) = 285,768,000)
+ENUMERATION_LIMIT = 654_729_075
 
 
-def _check_degree(n: int, allow_large: bool) -> None:
+def _check_rank(n: int, r: int) -> None:
+    if (n - r) % 2 or not 0 <= r <= n:
+        raise DiagramError(f"rank {r} is not attainable in degree {n}")
+
+
+def _check_size(n: int, r: int | None = None) -> None:
+    """Refuse a negative degree, or a stream of more than ENUMERATION_LIMIT
+    diagrams: all (2n-1)!! of degree n, or the delta(n, r) of rank r, which
+    is computed from the formula before anything is enumerated."""
     if n < 0:
         raise DiagramError("degree must be non-negative")
-    if n > ENUMERATION_DEGREE_LIMIT and not allow_large:
+    if r is None:
+        size = double_factorial(2 * n - 1)
+    else:
+        _check_rank(n, r)
+        size = delta(n, r)
+    if size > ENUMERATION_LIMIT:
         raise DiagramError(
-            f"enumeration of degree {n} > {ENUMERATION_DEGREE_LIMIT} refused; "
-            "pass allow_large=True to override"
+            f"enumeration of {size} diagrams of degree {n} refused: "
+            f"more than {ENUMERATION_LIMIT}"
         )
 
 
@@ -51,7 +66,7 @@ def _complete_pairings(pairing: list[int], free: list[int]):
     # entries for first/partner are overwritten by the next branch
 
 
-def all_diagrams(n: int, allow_large: bool = False):
+def all_diagrams(n: int):
     """All (2n-1)!! diagrams of degree n, in canonical (sorted) order.
 
     The smallest unpaired point is repeatedly joined to each larger
@@ -61,18 +76,18 @@ def all_diagrams(n: int, allow_large: bool = False):
     >>> [sum(1 for _ in all_diagrams(n)) for n in range(5)]
     [1, 1, 3, 15, 105]
     """
-    _check_degree(n, allow_large)
+    _check_size(n)
     for pairing in _complete_pairings([0] * (2 * n), list(range(2 * n))):
         yield BrauerDiagram(n, pairing)
 
 
-def all_diagrams_split(n: int, first_partner: int, allow_large: bool = False):
+def all_diagrams_split(n: int, first_partner: int):
     """The slice of all_diagrams(n) where point 0 pairs with ``first_partner``.
 
     The slices over first partners 1..2n-1 partition the full stream and
     each is independently restartable, so they can be consumed in parallel.
     """
-    _check_degree(n, allow_large)
+    _check_size(n)
     if not 1 <= first_partner < 2 * n:
         raise DiagramError(f"first partner {first_partner} out of range")
     pairing = [0] * (2 * n)
@@ -100,19 +115,18 @@ def _partial_matchings(points: list[int]):
 def hook_patterns(n: int, r: int):
     """All rho(n, r) ways to choose (n-r)/2 disjoint hooks on [n],
     as (hooks, leftover) with both parts sorted."""
-    if (n - r) % 2 or not 0 <= r <= n:
-        raise DiagramError(f"rank {r} is not attainable in degree {n}")
+    _check_rank(n, r)
     s = (n - r) // 2
     for pairs, unmatched in _partial_matchings(list(range(1, n + 1))):
         if len(pairs) == s:
             yield pairs, unmatched
 
 
-def d_class(n: int, r: int, allow_large: bool = False):
+def d_class(n: int, r: int):
     """All delta(n, r) diagrams of rank r: every choice of upper hooks,
     lower hooks and transversal bijection.  Each pairing is an involution
     by construction, so the diagrams skip validation."""
-    _check_degree(n, allow_large)
+    _check_size(n, r)
     lower = list(hook_patterns(n, r))
     for upper_hooks, dom in hook_patterns(n, r):
         tops = [i - 1 for i in dom]
@@ -129,11 +143,11 @@ def d_class(n: int, r: int, allow_large: bool = False):
                 yield _raw_diagram(n, tuple(pairing))
 
 
-def idempotents(n: int, twisted: bool = True, allow_large: bool = False):
+def idempotents(n: int, twisted: bool = True):
     """Stream of idempotent diagrams; the twisted ones are those whose
     square also creates no floating component."""
     test = is_idempotent_twisted if twisted else is_idempotent_plain
-    for d in all_diagrams(n, allow_large):
+    for d in all_diagrams(n):
         if test(d):
             yield d
 
@@ -245,8 +259,7 @@ class DivisibilityOracle:
     """
 
     def __init__(self, n: int):
-        if n > ENUMERATION_DEGREE_LIMIT:
-            raise DiagramError(f"oracle of degree {n} > {ENUMERATION_DEGREE_LIMIT} refused")
+        _check_size(n)
         gens = [identity(n)]
         if n >= 2:
             gens += [
@@ -257,7 +270,7 @@ class DivisibilityOracle:
         graph = CayleyGraph(gens, BrauerDiagram.__mul__)
         self.n = n
         self.diagrams = graph.elements
-        expected = math.prod(range(2 * n - 1, 0, -2))
+        expected = double_factorial(2 * n - 1)
         if len(self.diagrams) != expected:
             raise DiagramError(f"reached {len(self.diagrams)} of {expected} diagrams")
         self._index = graph.index

@@ -192,18 +192,7 @@ def same_class(relation: str, x, y) -> bool:
     x, y = as_twisted(x), as_twisted(y)
     if x.degree != y.degree:
         raise DegreeMismatchError(f"degrees differ: {x.degree} vs {y.degree}")
-    if x.twist != y.twist:
-        return False
-    a, b = x.diagram, y.diagram
-    if relation == "R":
-        return a.ker == b.ker
-    if relation == "L":
-        return a.coker == b.coker
-    if relation == "H":
-        return a.ker == b.ker and a.coker == b.coker
-    if relation in ("D", "J"):
-        return a.rank == b.rank
-    raise DiagramError(f"relation must be one of {RELATIONS}, not {relation!r}")
+    return green_class(relation, x) == green_class(relation, y)
 
 
 def is_regular(x) -> bool:

@@ -17,7 +17,6 @@ components at all.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ from .diagram import (
     KernelSignature,
     identity,
     multiply,
-    permutation_diagram,
     transposition,
 )
 from .green import PreconditionError, canonical_idempotent
@@ -44,23 +42,22 @@ GH_CANDIDATE_LIMIT = 2_000_000
 class GHGraph:
     """Bipartite Graham-Houghton graph of the rank-r D-class in degree n.
 
-    ``left`` and ``right`` list the kernel and cokernel signatures;
-    ``edges`` holds (left index, right index) pairs, and ``witnesses``
-    the unique twisted idempotent sitting in each edge's H-class.
-    Adjacency lists and the witness lookup are derived from these once,
-    on first use.
+    Kernels and cokernels of a D-class range over the same signatures, so
+    ``signatures`` indexes both sides: ``edges`` holds (kernel index,
+    cokernel index) pairs, and ``witnesses`` the unique twisted idempotent
+    sitting in each edge's H-class.  Adjacency lists and the witness
+    lookup are derived from these once, on first use.
     """
 
     degree: int
     rank: int
-    left: tuple[KernelSignature, ...]
-    right: tuple[KernelSignature, ...]
+    signatures: tuple[KernelSignature, ...]
     edges: frozenset[tuple[int, int]]
     witnesses: tuple[tuple[int, int, BrauerDiagram], ...]
 
     @functools.cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in self.left]
+        adj: list[list[int]] = [[] for _ in self.signatures]
         for l, r in self.edges:
             adj[l].append(r)
         return tuple(tuple(sorted(rs)) for rs in adj)
@@ -70,48 +67,26 @@ class GHGraph:
         return {(l, r): d for l, r, d in self.witnesses}
 
     def neighbors(self, li: int) -> tuple[int, ...]:
-        """Right neighbours of left vertex ``li``, in increasing order."""
+        """Cokernel neighbours of kernel vertex ``li``, in increasing order."""
         return self._adjacency[li]
-
-    def left_degrees(self) -> list[int]:
-        return [len(rs) for rs in self._adjacency]
-
-    def right_degrees(self) -> list[int]:
-        counts = [0] * len(self.right)
-        for _, r in self.edges:
-            counts[r] += 1
-        return counts
-
-    def is_balanced(self) -> bool:
-        return len(self.left) == len(self.right)
 
     def common_degree(self) -> int | None:
         """The shared vertex degree if the graph is regular, else None."""
-        degrees = set(self.left_degrees()) | set(self.right_degrees())
+        size = len(self.signatures)
+        counts = [0] * (2 * size)  # kernel vertices, then cokernel vertices
+        for l, r in self.edges:
+            counts[l] += 1
+            counts[size + r] += 1
+        degrees = set(counts)
         return degrees.pop() if len(degrees) == 1 else None
 
     def is_connected(self) -> bool:
-        if not self.left:
-            return True
-        adj_l = self._adjacency
-        adj_r: list[list[int]] = [[] for _ in self.right]
+        size = len(self.signatures)
+        adj: list[list[int]] = [[] for _ in range(2 * size)]
         for l, r in self.edges:
-            adj_r[r].append(l)
-        seen_l, seen_r = {0}, set()
-        stack = [("L", 0)]
-        while stack:
-            side, v = stack.pop()
-            if side == "L":
-                for r in adj_l[v]:
-                    if r not in seen_r:
-                        seen_r.add(r)
-                        stack.append(("R", r))
-            else:
-                for l in adj_r[v]:
-                    if l not in seen_l:
-                        seen_l.add(l)
-                        stack.append(("L", l))
-        return len(seen_l) == len(self.left) and len(seen_r) == len(self.right)
+            adj[l].append(size + r)
+            adj[size + r].append(l)
+        return _reaches_all(adj)
 
     def witness(self, li: int, ri: int) -> BrauerDiagram:
         d = self._witness_of.get((li, ri))
@@ -122,14 +97,27 @@ class GHGraph:
     def to_dot(self) -> str:
         """DOT rendering; vertices carry their canonical signature strings."""
         lines = ["graph graham_houghton {", "  rankdir=LR;"]
-        for i, sig in enumerate(self.left):
+        for i, sig in enumerate(self.signatures):
             lines.append(f'  L{i} [label="ker {sig}" shape=box];')
-        for i, sig in enumerate(self.right):
+        for i, sig in enumerate(self.signatures):
             lines.append(f'  R{i} [label="coker {sig}" shape=ellipse];')
         for l, r in sorted(self.edges):
             lines.append(f"  L{l} -- R{r};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """Whether a depth-first search from vertex 0 reaches every vertex."""
+    if not adj:
+        return True
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def build_gh_graph(n: int, r: int) -> GHGraph:
@@ -148,13 +136,11 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
             f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
             f"{candidates} diagrams, more than {GH_CANDIDATE_LIMIT}"
         )
-    left = tuple(
-        KernelSignature(n, frozenset(hooks))
-        for hooks, _ in enumeration.hook_patterns(n, r)
-    )
-    left = tuple(sorted(left, key=lambda s: s.sorted_hooks()))
-    right = left  # same signature universe for kernels and cokernels
-    index = {sig.hooks: i for i, sig in enumerate(left)}
+    signatures = tuple(sorted(
+        (KernelSignature(n, frozenset(hooks)) for hooks, _ in enumeration.hook_patterns(n, r)),
+        key=KernelSignature.sorted_hooks,
+    ))
+    index = {sig.hooks: i for i, sig in enumerate(signatures)}
     witnesses = []
     for d in enumeration.d_class(n, r):
         if is_idempotent_twisted(d):
@@ -162,7 +148,7 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     edges = frozenset((l, r_) for l, r_, _ in witnesses)
     if len(edges) != len(witnesses):
         raise DiagramError("an H-class contained two idempotents")
-    return GHGraph(n, r, left, right, edges, tuple(sorted(witnesses, key=lambda w: w[:2])))
+    return GHGraph(n, r, signatures, edges, tuple(sorted(witnesses, key=lambda w: w[:2])))
 
 
 def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
@@ -173,7 +159,7 @@ def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
     explicit stack, so path length is not bounded by the recursion limit.
     """
     match_right: dict[int, int] = {}
-    for root in range(len(graph.left)):
+    for root in range(len(graph.signatures)):
         banned: set[int] = set()
         stack = [(root, iter(graph.neighbors(root)))]
         path: list[int] = []  # the right vertex taken from each stack frame
@@ -206,11 +192,9 @@ def strong_hall_check(graph: GHGraph) -> bool:
     when the digraph "l to matched partner of each neighbour" is not
     strongly connected.
     """
-    size = len(graph.left)
+    size = len(graph.signatures)
     if size <= 1:
         return True  # no proper nonempty subsets; vacuously Strong Hall
-    if not graph.is_balanced():
-        return False
     matching = perfect_matching(graph)
     if matching is None:
         return False
@@ -220,23 +204,12 @@ def strong_hall_check(graph: GHGraph) -> bool:
     for l, outs in enumerate(succ):
         for m in outs:
             pred[m].append(l)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == size
-
-    return reaches_all(succ) and reaches_all(pred)
+    return _reaches_all(succ) and _reaches_all(pred)
 
 
 def strong_hall_subset_oracle(graph: GHGraph) -> bool:
     """The 2^|J| definition, kept as an independent check for |J| <= 16."""
-    size = len(graph.left)
+    size = len(graph.signatures)
     if size > 16:
         raise DiagramError(f"subset oracle refused for |J| = {size} > 16")
     masks = [0] * size
@@ -289,13 +262,13 @@ def rank_idrank_report(graph: GHGraph) -> GHReport:
     degree >= 2) on a built Graham-Houghton graph and certify rho(n, r)."""
     n, r = graph.degree, graph.rank
     expected = rho(n, r)
-    balanced = graph.is_balanced() and len(graph.left) == expected
+    balanced = len(graph.signatures) == expected
     b = graph.common_degree()
     connected = graph.is_connected()
     hall = strong_hall_check(graph)
     good = balanced and connected and hall and b is not None and b >= 2
     return GHReport(
-        n, r, len(graph.left), expected, balanced, b, connected, hall,
+        n, r, len(graph.signatures), expected, balanced, b, connected, hall,
         expected if good else None,
     )
 
@@ -319,12 +292,6 @@ def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:
     return [as_twisted(graph.witness(l, r_)) for l, r_ in sorted(matching.items())]
 
 
-def all_units(n: int):
-    """The unit group: all n! permutation diagrams."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield permutation_diagram(n, images)
-
-
 def singular_rank(n: int) -> int:
     """Smallest generating set size of the singular ideal: C(n, 2) + n!."""
     if n < 3:
@@ -338,7 +305,7 @@ def singular_generating_set(n: int) -> list[TwistedElement]:
     if n < 3:
         raise DiagramError("the singular generating set is stated for degree >= 3")
     gens = idempotent_generating_set(n, n - 2)
-    gens += [TwistedElement(1, u) for u in all_units(n)]
+    gens += [TwistedElement(1, u) for u in enumeration.d_class(n, n)]
     return gens
 
 

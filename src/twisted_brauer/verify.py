@@ -26,7 +26,6 @@ from .diagram import BrauerDiagram, identity, multiply, transposition
 from .twisted import (
     TwistedElement,
     as_twisted,
-    is_idempotent_plain,
     is_idempotent_twisted,
     star,
     star_chain,
@@ -110,6 +109,13 @@ def check_tau_identity(
             break
     report.counts["triples"] = total
     return report
+
+
+def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElement]:
+    """The elements (i, d) with i in ``twists`` and d of degree n and rank at
+    most ``max_rank``, twist by twist in canonical diagram order."""
+    pool = [d for d in enumeration.all_diagrams(n) if max_rank is None or d.rank <= max_rank]
+    return [TwistedElement(i, d) for i in twists for d in pool]
 
 
 def _pairs(n: int, samples: int | None, seed: int):
@@ -209,10 +215,7 @@ def check_green_relations(n: int = 4) -> VerificationReport:
 def check_regularity(n: int = 3, twist_bound: int = 1) -> VerificationReport:
     """is_regular against brute-force search for y with x*y*x = x."""
     report = VerificationReport("regularity", {"n": n, "twist_bound": twist_bound})
-    pool = list(enumeration.all_diagrams(n))
-    candidates = [
-        TwistedElement(i, d) for i in range(twist_bound + 1) for d in pool
-    ]
+    candidates = _truncation(n, range(twist_bound + 1))
     checked = 0
     for x in candidates:
         found = any(star(star(x, y), x) == x for y in candidates)
@@ -261,12 +264,8 @@ def check_ideal_classification(
             return report
     # closure of a principal ideal truncation under both-sided products
     spec = ideals.ideal_normalize(n, [(ranks[0], 1)])
-    pool = list(enumeration.all_diagrams(n))
-    inside = [
-        TwistedElement(i, d) for i in range(1, 3) for d in pool
-        if ideals.ideal_contains(spec, TwistedElement(i, d))
-    ]
-    outside = [TwistedElement(i, d) for i in range(2) for d in pool]
+    inside = [x for x in _truncation(n, range(1, 3)) if ideals.ideal_contains(spec, x)]
+    outside = _truncation(n, range(2))
     closure_checked = 0
     for x in inside[:: max(1, len(inside) // 40)]:
         for y in outside[:: max(1, len(outside) // 40)]:
@@ -363,15 +362,10 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2) -> Verifica
     """Bounded closure of the twisted idempotents of D_r covers the
     twist-bounded truncation of I(r;0)."""
     report = VerificationReport("idempotent-closure", {"n": n, "r": r, "bound": bound})
-    gens = [d for d in enumeration.d_class(n, r) if is_idempotent_twisted(d)]
+    gens = [d for d in enumeration.idempotents(n) if d.rank == r]
     closure = enumeration.bounded_closure(gens, bound).elements
     spec = ideals.ideal_normalize(n, [(r, 0)])
-    expected = {
-        TwistedElement(i, d)
-        for i in range(bound + 1)
-        for d in enumeration.all_diagrams(n)
-        if d.rank <= r
-    }
+    expected = set(_truncation(n, range(bound + 1), r))
     if not expected <= closure:
         missing = next(iter(expected - closure))
         report.fail(missing=missing.to_text())
@@ -400,7 +394,7 @@ def check_gh_conditions(n: int = 4, r: int = 2) -> VerificationReport:
     if not gh_report.certified:
         report.fail(**gh_report.to_json_obj())
         return report
-    if len(graph.left) <= 16:
+    if len(graph.signatures) <= 16:
         if structure.strong_hall_check(graph) != structure.strong_hall_subset_oracle(graph):
             report.fail(reason="SCC method disagrees with subset oracle")
             return report
@@ -455,24 +449,14 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1) -> VerificationReport
     spec = ideals.ideal_normalize(n, [(r, k)])
     gens = ideals.generating_set(spec).elements
     gen_set = set(gens)
-    pool = [
-        TwistedElement(i, d)
-        for i in range(k, 2 * k + 1)
-        for d in enumeration.all_diagrams(n)
-        if d.rank <= r
-    ]
+    pool = _truncation(n, range(k, 2 * k + 1), r)
     for x, y in itertools.product(pool, repeat=2):
         if star(x, y) in gen_set:
             report.fail(x=x.to_text(), y=y.to_text())
             return report
     bound = 2 * k + 2
     closure = enumeration.bounded_closure(gens, bound).elements
-    expected = {
-        TwistedElement(i, d)
-        for i in range(k, bound + 1)
-        for d in enumeration.all_diagrams(n)
-        if d.rank <= r
-    }
+    expected = set(_truncation(n, range(k, bound + 1), r))
     if closure != expected:
         report.fail(
             missing=[x.to_text() for x in list(expected - closure)[:3]],
@@ -499,12 +483,7 @@ def check_singular_rank(n: int = 3, closure_bound: int = 2) -> VerificationRepor
     report.counts = {"rank": value, "generators": len(gens)}
     if n <= 3:
         closure = enumeration.bounded_closure(gens, closure_bound).elements
-        expected = {
-            TwistedElement(i, d)
-            for i in range(2)
-            for d in enumeration.all_diagrams(n)
-            if i >= 1 or d.rank < n
-        }
+        expected = set(_truncation(n, [0], n - 2) + _truncation(n, [1]))
         if not expected <= closure:
             report.fail(missing=next(iter(expected - closure)).to_text())
             return report
@@ -517,23 +496,21 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2) -> VerificationReport:
     """The idempotent-generated subsemigroup is {1} u I(n-2;0) (degree >= 3);
     at degree 2 the twisted idempotents generate only {1}."""
     report = VerificationReport("ig-subsemigroup", {"n": n, "bound": bound})
-    pool = list(enumeration.all_diagrams(n))
-    twisted_idems = [d for d in pool if is_idempotent_twisted(d)]
+    twisted_idems = list(enumeration.idempotents(n))
     closure = enumeration.bounded_closure(twisted_idems, bound).elements
     if n == 2:
         if closure != {as_twisted(identity(2))}:
             report.fail(closure_size=len(closure))
             return report
-        plain_idems = [d for d in pool if is_idempotent_plain(d)]
-        plain = enumeration.plain_closure(plain_idems)
-        if plain != {d for d in pool if d.rank < 2 or d == identity(2)}:
+        plain = enumeration.plain_closure(enumeration.idempotents(2, twisted=False))
+        if plain != {d for d in enumeration.all_diagrams(2) if d.rank < 2 or d == identity(2)}:
             report.fail(reason="untwisted closure at degree 2")
             return report
         report.counts = {"twisted_closure": len(closure), "plain_closure": len(plain)}
         return report
-    truncation = [TwistedElement(i, d) for i in range(bound + 1) for d in pool]
     mismatch = [
-        x for x in truncation if structure.in_idempotent_generated(x) != (x in closure)
+        x for x in _truncation(n, range(bound + 1))
+        if structure.in_idempotent_generated(x) != (x in closure)
     ]
     if mismatch:
         report.fail(element=mismatch[0].to_text())
@@ -565,10 +542,9 @@ def check_maltcev_mazorchuk(n: int = 3) -> VerificationReport:
         factored += 1
     report.counts = {"singular_diagrams": factored}
     if n <= 4:
-        pool = list(enumeration.all_diagrams(n))
-        plain = enumeration.plain_closure([d for d in pool if is_idempotent_plain(d)])
-        twisted = enumeration.plain_closure([d for d in pool if is_idempotent_twisted(d)])
-        expected = {d for d in pool if d.rank < n or d == identity(n)}
+        plain = enumeration.plain_closure(enumeration.idempotents(n, twisted=False))
+        twisted = enumeration.plain_closure(enumeration.idempotents(n))
+        expected = {d for d in enumeration.all_diagrams(n) if d.rank < n or d == identity(n)}
         if plain != expected or twisted != expected:
             report.fail(reason="generated submonoids differ from {1} u singular")
             return report

@@ -120,7 +120,7 @@ def recursive_matching(graph):
                 return True
         return False
 
-    for l in range(len(graph.left)):
+    for l in range(len(graph.signatures)):
         if not augment(l, set()):
             return None
     return {l: r for r, l in match_right.items()}

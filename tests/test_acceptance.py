@@ -149,7 +149,7 @@ def test_criterion_10_graham_houghton():
         assert report.side_size == rho(n, r)
         assert report.common_degree >= 2
         graph = build_gh_graph(n, r)
-        if len(graph.left) <= 16:
+        if len(graph.signatures) <= 16:
             assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

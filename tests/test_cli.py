@@ -219,6 +219,13 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     assert report["status"] == "pass" and report["counts"]["triples"] == 10
 
 
+def test_verify_guard_names_samples_only_where_they_bound_the_sweep(capsys):
+    code, _, err = run(capsys, "verify", "green-relations", "--n", "9", "--samples", "3")
+    assert code == 1 and "--force" in err and "--samples" not in err
+    code, _, err = run(capsys, "verify", "tau-identity", "--n", "9")
+    assert code == 1 and "--samples" in err
+
+
 def test_verify_n2_anomaly(capsys):
     code, out, _ = run(capsys, "verify", "ig-subsemigroup", "--n", "2")
     assert code == 0

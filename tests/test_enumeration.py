@@ -29,10 +29,12 @@ from twisted_brauer import (
     star,
 )
 from twisted_brauer.enumeration import (
+    ENUMERATION_LIMIT,
     all_diagrams_split,
     hook_patterns,
     random_diagram,
 )
+from twisted_brauer.ideals import double_factorial
 
 
 def test_counts_match_double_factorial():
@@ -55,9 +57,17 @@ def test_stream_restartable():
 
 
 def test_degree_guard():
-    with pytest.raises(DiagramError):
+    # refused by size, (2n-1)!! or delta(n, r), before anything is enumerated
+    assert double_factorial(19) == ENUMERATION_LIMIT < double_factorial(21)
+    assert max(delta(10, r) for r in index_set(10)) == delta(10, 6) <= ENUMERATION_LIMIT
+    with pytest.raises(DiagramError, match="refused"):
         next(all_diagrams(11))
-    assert sum(1 for _ in all_diagrams(2, allow_large=True)) == 3
+    with pytest.raises(DiagramError, match="refused"):
+        next(d_class(11, 5))
+    with pytest.raises(DiagramError, match="refused"):
+        next(idempotents(11))
+    assert next(d_class(11, 11)) == identity(11)
+    assert next(d_class(11, 1)).rank == 1
 
 
 def test_split_prefixes_partition():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from twisted_brauer import (
+    DiagramError,
     DivisibilityOracle,
     PreconditionError,
     TwistedElement,
@@ -187,7 +188,7 @@ def test_d_class_order_is_product_of_chains():
 
 def test_same_class_semantics():
     pool = list(all_diagrams(3))
-    for a, b in itertools.product(pool[:8], repeat=2):
+    for a, b in itertools.product(pool, repeat=2):
         for rel, plain in (
             ("R", a.ker == b.ker),
             ("L", a.coker == b.coker),
@@ -198,6 +199,10 @@ def test_same_class_semantics():
             assert same_class(rel, as_twisted(a), as_twisted(b)) == plain
             assert not same_class(rel, TwistedElement(1, a), TwistedElement(0, b))
             assert same_class(rel, TwistedElement(2, a), TwistedElement(2, b)) == plain
+    # an unknown relation is refused even when the twists already differ
+    a = pool[0]
+    with pytest.raises(DiagramError):
+        same_class("X", TwistedElement(0, a), TwistedElement(1, a))
 
 
 def test_green_class_description():

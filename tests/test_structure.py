@@ -1,6 +1,7 @@
 """Graham-Houghton graphs, Strong Hall, singular ideal, idempotent
 generation end to end."""
 
+import itertools
 import math
 import random
 
@@ -29,6 +30,7 @@ from twisted_brauer import (
     is_idempotent_twisted,
     make_diagram,
     perfect_matching,
+    permutation_diagram,
     plain_closure,
     rho,
     singular_generating_set,
@@ -39,7 +41,7 @@ from twisted_brauer import (
     verify_rank_idrank,
 )
 from twisted_brauer.enumeration import random_diagram
-from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _transposition_factors, all_units
+from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _transposition_factors
 from conftest import recursive_matching
 
 
@@ -49,13 +51,13 @@ def _gh_cases(max_n):
 
 def test_gh_graph_shape_n4_r2():
     graph = build_gh_graph(4, 2)
-    assert len(graph.left) == len(graph.right) == rho(4, 2) == 6
+    assert len(graph.signatures) == rho(4, 2) == 6
     assert graph.common_degree() == 4
     assert len(graph.edges) == 24
     assert graph.is_connected()
     # per-vertex counts match bucketing the idempotents by kernel
     idems = [d for d in d_class(4, 2) if is_idempotent_twisted(d)]
-    for li, sig in enumerate(graph.left):
+    for li, sig in enumerate(graph.signatures):
         in_r_class = sum(1 for d in idems if d.ker == sig)
         assert in_r_class == len(graph.neighbors(li)) == 4
 
@@ -96,7 +98,7 @@ def test_h_class_idempotent_is_unique():
 def _synthetic_graph(edges, size=2):
     hooks = [((1, 2),), ((3, 4),)]
     sigs = tuple(KernelSignature(4, frozenset(h)) for h in hooks[:size])
-    return GHGraph(4, 2, sigs, sigs, frozenset(edges), ())
+    return GHGraph(4, 2, sigs, frozenset(edges), ())
 
 
 def test_strong_hall_path_graph_fails():
@@ -122,13 +124,14 @@ def test_strong_hall_no_matching_fails():
 def test_strong_hall_scc_matches_subset_oracle_on_built_graphs():
     for n, r in ((3, 1), (4, 2), (5, 1), (5, 3), (6, 4)):
         graph = build_gh_graph(n, r)
-        if len(graph.left) > 16:
+        if len(graph.signatures) > 16:
             continue
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
 
 
 def test_strong_hall_scc_matches_oracle_on_random_bipartite():
     rng = random.Random(4)
+    outcomes = set()
     hooks = [((1, 2),), ((1, 3),), ((1, 4),), ((2, 3),), ((2, 4),), ((3, 4),)]
     sigs = tuple(KernelSignature(4, frozenset(h)) for h in hooks)
     for _ in range(300):
@@ -139,9 +142,27 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
             for r in range(size)
             if rng.random() < 0.45
         )
-        graph = GHGraph(4, 2, sigs[:size], sigs[:size], edges, ())
+        graph = GHGraph(4, 2, sigs[:size], edges, ())
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
         assert _same_matching(perfect_matching(graph), recursive_matching(graph))
+        # connectivity by union-find over kernel vertices 0..size-1 and
+        # cokernel vertices size..2*size-1
+        parent = list(range(2 * size))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for l, r in edges:
+            parent[find(l)] = find(size + r)
+        connected = len({find(v) for v in range(2 * size)}) == 1
+        assert graph.is_connected() == connected
+        degrees = {sum(1 for e in edges if e[side] == v) for side in (0, 1) for v in range(size)}
+        regular = next(iter(degrees)) if len(degrees) == 1 else None
+        assert graph.common_degree() == regular
+        outcomes.add((connected, regular is None))
+    assert outcomes == {(c, irregular) for c in (True, False) for irregular in (True, False)}
 
 
 def _same_matching(got, expected):
@@ -153,7 +174,7 @@ def test_matching_adjacency_and_witnesses_on_built_graphs():
     for n, r in _gh_cases(7):
         graph = build_gh_graph(n, r)
         assert _same_matching(perfect_matching(graph), recursive_matching(graph)), (n, r)
-        for l in range(len(graph.left)):
+        for l in range(len(graph.signatures)):
             assert graph.neighbors(l) == tuple(sorted(k for j, k in graph.edges if j == l))
         for l, r_, d in graph.witnesses:
             assert graph.witness(l, r_) is d
@@ -170,7 +191,7 @@ def test_perfect_matching_follows_a_long_augmenting_path():
     size = 1500
     edges = frozenset((i, j) for i in range(size - 1) for j in (i, i + 1)) | {(size - 1, 0)}
     sig = KernelSignature(4, frozenset({(1, 2)}))
-    graph = GHGraph(4, 2, (sig,) * size, (sig,) * size, edges, ())
+    graph = GHGraph(4, 2, (sig,) * size, edges, ())
     matching = perfect_matching(graph)
     assert matching == {i: (i + 1) % size for i in range(size)}
 
@@ -360,5 +381,10 @@ def test_degree2_anomaly():
     assert tw_closure == {as_twisted(identity(2))}
 
 
-def test_all_units_count():
-    assert sum(1 for _ in all_units(4)) == 24
+def test_units_are_the_rank_n_d_class():
+    # singular_generating_set takes its units from d_class(n, n)
+    for n in range(7):
+        units = [permutation_diagram(n, p) for p in itertools.permutations(range(1, n + 1))]
+        assert list(d_class(n, n)) == units
+    units_at_one = [g.diagram for g in singular_generating_set(4) if g.twist == 1]
+    assert units_at_one == list(d_class(4, 4))
