@@ -18,6 +18,7 @@ failed verification), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import re
@@ -227,7 +228,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="twisted-brauer",
         description="Exact computations in the Brauer monoid and its twisted cover.",
@@ -334,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DiagramError as exc:

@@ -140,11 +140,8 @@ class BrauerDiagram:
         """Reflect top-to-bottom: the * anti-automorphism."""
         n = self.degree
         p = self.pairing
-        flip = lambda x: x + n if x < n else x - n
-        out = [0] * (2 * n)
-        for x in range(2 * n):
-            out[flip(x)] = flip(p[x])
-        return _raw_diagram(n, tuple(out))
+        # the new point y is the old point y +- n, and so is its partner
+        return _raw_diagram(n, tuple(x + n if x < n else x - n for x in p[n:] + p[:n]))
 
     def __mul__(self, other: BrauerDiagram) -> BrauerDiagram:
         """Plain product in the Brauer monoid (twist discarded)."""
@@ -154,11 +151,12 @@ class BrauerDiagram:
 
     def blocks(self) -> list[tuple[int, int]]:
         """Blocks as signed 1-based pairs (negative = bottom), canonical order."""
-        out = []
-        for x, y in enumerate(self.pairing):
-            if x < y:
-                out.append((_index_to_token(x, self.degree), _index_to_token(y, self.degree)))
-        return out
+        n = self.degree
+        return [
+            (x + 1 if x < n else n - x - 1, y + 1 if y < n else n - y - 1)
+            for x, y in enumerate(self.pairing)
+            if x < y
+        ]
 
     def to_text(self) -> str:
         """Canonical human-readable form, e.g. ``n=2: (1,2)(1',2')``."""
@@ -255,28 +253,40 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
 
     Raises a distinct error for each failure mode: a block without exactly
     two distinct vertices, an out-of-range vertex, a vertex used twice, or
-    a vertex left uncovered.
+    a vertex left uncovered.  A pairing of plain ints that passes these
+    checks is a fixed-point-free involution, so it is not validated again;
+    tokens of an int subclass keep the full validation.
 
     >>> make_diagram(2, [(1, -1), (2, -2)]) == identity(2)
     True
     """
     if not is_int(degree) or degree < 0:
         raise DiagramError(f"degree must be a non-negative integer, got {degree!r}")
-    pairing = [-1] * (2 * degree)
+    n = degree
+    pairing = [-1] * (2 * n)
+    plain = True
     for block in blocks:
         block = tuple(block)
         if len(block) != 2 or block[0] == block[1]:
             raise BlockSizeError(f"block {block!r} does not have size 2")
-        x, y = (_token_to_index(t, degree) for t in block)
+        s, t = block
+        if type(s) is int and type(t) is int and 0 < abs(s) <= n and 0 < abs(t) <= n:
+            x = s - 1 if s > 0 else n - s - 1
+            y = t - 1 if t > 0 else n - t - 1
+        else:  # raises on the first bad token, in block order
+            x, y = _token_to_index(s, n), _token_to_index(t, n)
+            plain = False
         if pairing[x] != -1 or pairing[y] != -1:
             raise DuplicateVertexError(f"vertex repeated in block {block!r}")
         pairing[x], pairing[y] = y, x
     for x, y in enumerate(pairing):
         if y == -1:
             raise MissingVertexError(
-                f"vertex {_token_str(_index_to_token(x, degree))} is not covered"
+                f"vertex {_token_str(_index_to_token(x, n))} is not covered"
             )
-    return BrauerDiagram(degree, tuple(pairing))
+    if plain:
+        return _raw_diagram(n, tuple(pairing))
+    return BrauerDiagram(n, tuple(pairing))
 
 
 def identity(n: int) -> BrauerDiagram:

@@ -29,6 +29,10 @@ from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempot
 # |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
 # of degree 10 (the largest is delta(10, 6) = 285,768,000)
 ENUMERATION_LIMIT = 654_729_075
+# |B_7| = 13!!: the divisibility oracle holds every diagram with its three
+# Cayley graphs, about 0.8 KB each (117 MB measured at degree 7; degree 8
+# would need about 1.6 GB)
+ORACLE_LIMIT = 135_135
 
 
 def _check_rank(n: int, r: int) -> None:
@@ -78,7 +82,7 @@ def all_diagrams(n: int):
     """
     _check_size(n)
     for pairing in _complete_pairings([0] * (2 * n), list(range(2 * n))):
-        yield BrauerDiagram(n, pairing)
+        yield _raw_diagram(n, pairing)
 
 
 def all_diagrams_split(n: int, first_partner: int):
@@ -94,7 +98,7 @@ def all_diagrams_split(n: int, first_partner: int):
     pairing[0], pairing[first_partner] = first_partner, 0
     free = [p for p in range(1, 2 * n) if p != first_partner]
     for full in _complete_pairings(pairing, free):
-        yield BrauerDiagram(n, full)
+        yield _raw_diagram(n, full)
 
 
 def _partial_matchings(points: list[int]):
@@ -255,11 +259,17 @@ class DivisibilityOracle:
     Cayley graph, <=_L in the left one and <=_J in their union.  It never
     consults kernels or ranks: this is the independent route the
     characterisations are verified against.  It checks itself by reaching
-    all (2n-1)!! diagrams.
+    all (2n-1)!! diagrams, and refuses more than ORACLE_LIMIT of them.
     """
 
     def __init__(self, n: int):
         _check_size(n)
+        size = double_factorial(2 * n - 1)
+        if size > ORACLE_LIMIT:
+            raise DiagramError(
+                f"divisibility oracle over {size} diagrams of degree {n} refused: "
+                f"more than {ORACLE_LIMIT}, since it keeps every diagram in memory"
+            )
         gens = [identity(n)]
         if n >= 2:
             gens += [

@@ -24,9 +24,8 @@ from .diagram import (
     BrauerDiagram,
     DiagramError,
     KernelSignature,
+    _raw_diagram,
     identity,
-    multiply,
-    transposition,
 )
 from .green import PreconditionError, canonical_idempotent
 from .ideals import delta, idempotent_factor_sigma, index_set, lemma_rank_drop, rho
@@ -356,6 +355,22 @@ def _transposition_factors(images: list[int]) -> list[tuple[int, int]]:
     return factors
 
 
+def _swap_points(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
+    """``d`` with point indices a and b relabelled into each other.
+
+    Swapping top points i and j is the product ``transposition(n, i, j) * d``;
+    swapping bottom points i' and j' is ``d * transposition(n, i, j)``.  Two
+    points joined by one block give d back."""
+    p = d.pairing
+    pa, pb = p[a], p[b]
+    if pa == b:
+        return d
+    out = list(p)
+    out[a], out[b] = pb, pa
+    out[pa], out[pb] = b, a
+    return _raw_diagram(d.degree, tuple(out))
+
+
 def _sandwich_units(alpha: BrauerDiagram) -> tuple[list[int], list[int]]:
     """Units (lam, rho) with alpha = lam * eps * rho for the canonical
     idempotent eps of alpha's rank, returned as image lists."""
@@ -385,7 +400,8 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     Requires degree >= 3 and alpha outside the unit group (no unit other
     than the identity is a product of idempotents).  Positive-rank
     diagrams are written as unit * canonical idempotent * unit and the
-    units are absorbed transposition by transposition; rank-0 diagrams
+    units are absorbed transposition by transposition, each one a swap
+    of two points rather than a product; rank-0 diagrams
     are first split into two rank-2 factors with no floating component.
     """
     n, r = alpha.degree, alpha.rank
@@ -406,11 +422,11 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     current = eps
     for i, j in _transposition_factors(rho_images):
         chain.extend(idempotent_factor_sigma(current, i, j))
-        current = multiply(current, transposition(n, i, j))[0]
+        current = _swap_points(current, n + i - 1, n + j - 1)
     for i, j in reversed(_transposition_factors(lam)):
         absorbed = idempotent_factor_sigma(current.star(), i, j)
         chain = [b.star() for b in reversed(absorbed)] + chain
-        current = multiply(transposition(n, i, j), current)[0]
+        current = _swap_points(current, i - 1, j - 1)
     return chain
 
 

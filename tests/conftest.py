@@ -1,10 +1,22 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
-multiplication example, plus independent oracles for the product, the
-closures and the perfect matching."""
+multiplication example, plus independent oracles for diagram construction,
+the product, the closures, the perfect matching and the idempotent chain."""
 
 import pytest
 
-from twisted_brauer import BrauerDiagram, make_diagram
+from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
+from twisted_brauer.diagram import (
+    BlockSizeError,
+    DiagramError,
+    DuplicateVertexError,
+    MissingVertexError,
+    VertexRangeError,
+    is_int,
+)
+from twisted_brauer.green import canonical_idempotent
+from twisted_brauer.ideals import idempotent_factor_sigma, lemma_rank_drop
+from twisted_brauer.structure import _sandwich_units, _transposition_factors
+from twisted_brauer.twisted import is_idempotent_twisted
 
 
 @pytest.fixture(scope="session")
@@ -145,3 +157,55 @@ def closure_oracle(generators, product, keep=lambda p: True):
                         fresh.append(p)
         frontier = fresh
     return frozenset(elements), complete
+
+
+def token_by_token_make_diagram(degree, blocks) -> BrauerDiagram:
+    """Reference constructor: converts each token through one checked
+    helper and hands the pairing to the validating ``BrauerDiagram``."""
+
+    def token_to_index(t):
+        if not is_int(t) or t == 0 or abs(t) > degree:
+            raise VertexRangeError(f"vertex token {t!r} out of range for degree {degree}")
+        return t - 1 if t > 0 else degree - t - 1
+
+    def index_to_text(x):
+        return str(x + 1) if x < degree else f"{x - degree + 1}'"
+
+    if not is_int(degree) or degree < 0:
+        raise DiagramError(f"degree must be a non-negative integer, got {degree!r}")
+    pairing = [-1] * (2 * degree)
+    for block in blocks:
+        block = tuple(block)
+        if len(block) != 2 or block[0] == block[1]:
+            raise BlockSizeError(f"block {block!r} does not have size 2")
+        x, y = (token_to_index(t) for t in block)
+        if pairing[x] != -1 or pairing[y] != -1:
+            raise DuplicateVertexError(f"vertex repeated in block {block!r}")
+        pairing[x], pairing[y] = y, x
+    for x, y in enumerate(pairing):
+        if y == -1:
+            raise MissingVertexError(f"vertex {index_to_text(x)} is not covered")
+    return BrauerDiagram(degree, tuple(pairing))
+
+
+def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
+    """Reference idempotent chain: the constructive pipeline of
+    ``factor_into_idempotents`` with each transposition absorbed by
+    multiplying by the transposition diagram."""
+    n, r = alpha.degree, alpha.rank
+    if is_idempotent_twisted(alpha):
+        return [alpha]
+    if r == 0:
+        beta, gamma = lemma_rank_drop(alpha)
+        return product_absorption_chain(beta) + product_absorption_chain(gamma)
+    current = canonical_idempotent(n, r)
+    chain = [current]
+    lam, rho_images = _sandwich_units(alpha)
+    for i, j in _transposition_factors(rho_images):
+        chain.extend(idempotent_factor_sigma(current, i, j))
+        current = multiply(current, transposition(n, i, j))[0]
+    for i, j in reversed(_transposition_factors(lam)):
+        absorbed = idempotent_factor_sigma(current.star(), i, j)
+        chain = [b.star() for b in reversed(absorbed)] + chain
+        current = multiply(transposition(n, i, j), current)[0]
+    return chain

@@ -1,8 +1,14 @@
 """Command-line interface: formats, exit codes, verification reports."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import twisted_brauer
 
 from twisted_brauer import TwistedElement, identity, make_diagram, parse_diagram, star_chain
 from twisted_brauer.cli import main, parse_element
@@ -250,3 +256,46 @@ def test_commands_are_deterministic(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+def _strip_seconds(argv, out):
+    # a verify report's elapsed time is the one field that differs per run
+    if argv[0] != "verify":
+        return out
+    report = json.loads(out)
+    del report["seconds"]
+    return report
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    calls = {
+        "mul": ["mul", "--n", "3", "n=3: (1,2)(3,1')(2',3')", "n=3: (1,1')(2,2')(3,3')"],
+        "usage": ["green", "factor", "--mode", "sideways", "--n", "3", "x", "y"],
+        "factor": ["factor", "--idempotents", "--n", "3", "n=3: (1,2)(3,1')(2',3')"],
+        "domain": ["mul", "--n", "3", "n=3: (1,2)", "n=3: (1,1')(2,2')(3,3')"],
+        "verify": ["verify", "tau-identity"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twisted_brauer.__file__)))
+    alone = {}
+    for name, argv in calls.items():
+        proc = subprocess.run([sys.executable, "-m", "twisted_brauer.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        alone[name] = (proc.returncode, _strip_seconds(argv, proc.stdout), proc.stderr)
+    assert [alone[k][0] for k in calls] == [0, 2, 0, 1, 0]
+    for name in ("mul", "usage", "factor", "domain", "verify",
+                 "usage", "mul", "verify", "domain", "factor"):
+        argv = calls[name]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, _strip_seconds(argv, out.out), out.err) == alone[name], name
+
+
+def test_verify_oracle_refusal_is_immediate(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8", "--force")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.startswith("error:") and "2027025" in err

@@ -26,7 +26,7 @@ from twisted_brauer import (
     transposition,
 )
 from twisted_brauer.enumeration import random_diagram
-from conftest import product_oracle, union_find_product
+from conftest import product_oracle, token_by_token_make_diagram, union_find_product
 
 
 def test_make_diagram_golden(alpha6):
@@ -275,6 +275,82 @@ def test_non_integers_rejected():
                 {"n": 1, "blocks": [1, -1]}, [1]):
         with pytest.raises(DiagramError):
             diagram_from_json_obj(obj)
+
+
+class _Token(int):
+    """An int subclass: accepted as a vertex token, like any int but bool."""
+
+
+_MALFORMED = ("size1", "size3", "equal", "zero", "above", "below", "bool", "float",
+              "str", "repeat", "missing")
+
+
+def _block_corpus(rng: random.Random):
+    """Seeded (kinds, degree, blocks): valid block lists in random order and
+    orientation, the same with int-subclass tokens, and one to three
+    malformations drawn from _MALFORMED, so that the order in which errors
+    are found matters."""
+    for _ in range(4000):
+        kinds = [rng.choice(("valid", "subclass") + _MALFORMED)]
+        if kinds[0] in _MALFORMED:
+            kinds += rng.choices(_MALFORMED, k=rng.choice((0, 0, 1, 2)))
+        n = rng.randrange(2, 9)
+        blocks = [list(b) for b in random_diagram(n, rng).blocks()]
+        rng.shuffle(blocks)
+        for b in blocks:
+            rng.shuffle(b)
+        for kind in kinds:
+            k = rng.randrange(len(blocks))
+            side = rng.randrange(len(blocks[k]))
+            if kind == "subclass":
+                blocks[k] = [_Token(t) for t in blocks[k]]
+            elif kind == "size1":
+                blocks[k] = blocks[k][:1]
+            elif kind == "size3":
+                blocks[k] = blocks[k] + [rng.choice(blocks[k])]
+            elif kind == "equal":
+                blocks[k] = [blocks[k][side]] * 2
+            elif kind in ("zero", "above", "below", "bool", "float", "str"):
+                t = blocks[k][side]
+                blocks[k][side] = {"zero": 0, "above": n + 1, "below": -(n + 1),
+                                   "bool": True, "float": float(t), "str": str(t)}[kind]
+            elif kind == "repeat" and len(blocks) > 1:
+                blocks[k][side] = rng.choice(rng.choice(blocks[:k] + blocks[k + 1:]))
+            elif kind == "missing" and len(blocks) > 1:
+                del blocks[k]
+        yield kinds, n, [tuple(b) for b in blocks]
+
+
+def test_make_diagram_matches_token_by_token_oracle():
+    accepted, raised = set(), set()
+    for kinds, n, blocks in _block_corpus(random.Random(2015)):
+        try:
+            want = token_by_token_make_diagram(n, blocks)
+        except DiagramError as exc:
+            with pytest.raises(DiagramError) as got:
+                make_diagram(n, blocks)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc), (n, blocks)
+            raised.add(type(exc))
+            continue
+        got = make_diagram(n, blocks)
+        assert got == want and BrauerDiagram(n, got.pairing) == got, (n, blocks)
+        accepted.update(kinds)
+    assert accepted == {"valid", "subclass"}
+    assert raised == {BlockSizeError, VertexRangeError, DuplicateVertexError,
+                      MissingVertexError}
+
+
+def test_make_diagram_validates_int_subclass_tokens():
+    class Liar(int):
+        def __eq__(self, other):
+            return False
+
+        __hash__ = int.__hash__
+
+    # unequal to itself, so (1, 1) passes the block check and makes a
+    # fixed point, which only the full validation catches
+    with pytest.raises(DiagramError, match="fixed-point-free"):
+        make_diagram(1, [(Liar(1), Liar(1)), (Liar(-1), Liar(-1))])
 
 
 def test_json_roundtrip(alpha6):

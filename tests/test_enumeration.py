@@ -30,6 +30,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.enumeration import (
     ENUMERATION_LIMIT,
+    ORACLE_LIMIT,
     all_diagrams_split,
     hook_patterns,
     random_diagram,
@@ -136,6 +137,21 @@ def test_random_diagram_uniform_support():
     assert seen == set(all_diagrams(3))
 
 
+def test_streams_yield_what_validation_accepts():
+    # the streams build their pairings as involutions and skip validation
+    for n in range(7):
+        streams = [all_diagrams(n)]
+        streams += [all_diagrams_split(n, p) for p in range(1, 2 * n)]
+        streams += [d_class(n, r) for r in index_set(n)]
+        for d in itertools.chain(*streams):
+            assert BrauerDiagram(n, d.pairing) == d
+    rng = random.Random(64)
+    for _ in range(500):
+        n = rng.randrange(65)
+        d = random_diagram(n, rng)
+        assert BrauerDiagram(n, d.pairing) == d
+
+
 def test_bounded_closure_identity_only():
     result = bounded_closure([identity(3)], 2)
     assert result.elements == {as_twisted(identity(3))}
@@ -197,3 +213,11 @@ def test_oracle_reaches_every_diagram():
             assert sorted(oracle.diagrams) == list(all_diagrams(n))
     with pytest.raises(DiagramError):
         DivisibilityOracle(11)
+
+
+def test_oracle_refuses_by_its_memory_size():
+    # it holds every diagram with three Cayley graphs: |B_7| is the most
+    assert double_factorial(13) == ORACLE_LIMIT
+    for n in (8, 10):
+        with pytest.raises(DiagramError, match=f"{double_factorial(2 * n - 1)} diagrams"):
+            DivisibilityOracle(n)

@@ -41,8 +41,8 @@ from twisted_brauer import (
     verify_rank_idrank,
 )
 from twisted_brauer.enumeration import random_diagram
-from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _transposition_factors
-from conftest import recursive_matching
+from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _swap_points, _transposition_factors
+from conftest import product_absorption_chain, recursive_matching
 
 
 def _gh_cases(max_n):
@@ -293,6 +293,32 @@ def test_transposition_factors_compose():
         for i, j in factors:
             acc = acc * transposition(5, i, j)
         assert acc == permutation_diagram(5, images)
+
+
+def test_swap_points_is_a_transposition_product():
+    from twisted_brauer import multiply, transposition
+
+    hooked = 0
+    for n in range(2, 6):
+        for d in all_diagrams(n):
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                t = transposition(n, i, j)
+                assert _swap_points(d, n + i - 1, n + j - 1) == multiply(d, t)[0]
+                assert _swap_points(d, i - 1, j - 1) == multiply(t, d)[0]
+                hooked += d.pairing[i - 1] == j - 1
+    assert hooked > 0  # i and j joined by an upper hook: d comes back unchanged
+
+
+def test_factor_into_idempotents_matches_product_absorption():
+    alphas = [a for n in (3, 4, 5) for a in all_diagrams(n) if a.rank < n]
+    total = len(alphas) + 300
+    rng = random.Random(40)
+    while len(alphas) < total:
+        alpha = random_diagram(rng.randrange(3, 41), rng)
+        if alpha.rank < alpha.degree:
+            alphas.append(alpha)
+    for alpha in alphas:
+        assert factor_into_idempotents(alpha) == product_absorption_chain(alpha)
 
 
 def test_factor_into_idempotents_exhaustive_n3():
