@@ -48,7 +48,7 @@ def parse_element(text: str, degree: int | None = None) -> TwistedElement:
     if text.startswith("{"):
         obj = json.loads(text)
         twist = obj.pop("twist", 0)
-        return TwistedElement(twist, diagram_from_json_obj(obj))
+        return TwistedElement(twist, diagram_from_json_obj(obj, degree))
     twist = 0
     m = _TWIST_PREFIX.match(text)
     if m:
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,12 +114,12 @@ class BrauerDiagram:
     def top_hooks(self) -> list[tuple[int, int]]:
         """Upper hooks in canonical order (sorted, smaller vertex first)."""
         n, p = self.degree, self.pairing
-        return sorted((i + 1, p[i] + 1) for i in range(n) if i < p[i] < n)
+        return [(i + 1, p[i] + 1) for i in range(n) if i < p[i] < n]
 
     def bottom_hooks(self) -> list[tuple[int, int]]:
         """Lower hooks in canonical order."""
         n, p = self.degree, self.pairing
-        return sorted((i - n + 1, p[i] - n + 1) for i in range(n, 2 * n) if i < p[i])
+        return [(i - n + 1, p[i] - n + 1) for i in range(n, 2 * n) if i < p[i]]
 
     def transversal_pairs(self) -> list[tuple[int, int]]:
         """Transversals as (top, bottom) 1-based pairs, sorted by top."""
@@ -141,7 +141,7 @@ class BrauerDiagram:
         n = self.degree
         p = self.pairing
         # the new point y is the old point y +- n, and so is its partner
-        return _raw_diagram(n, tuple(x + n if x < n else x - n for x in p[n:] + p[:n]))
+        return _raw_diagram(n, tuple([x + n if x < n else x - n for x in p[n:] + p[:n]]))
 
     def __mul__(self, other: BrauerDiagram) -> BrauerDiagram:
         """Plain product in the Brauer monoid (twist discarded)."""
@@ -164,7 +164,13 @@ class BrauerDiagram:
         return f"n={self.degree}: {body}"
 
     def to_json_obj(self) -> dict:
-        return {"n": self.degree, "blocks": [list(b) for b in self.blocks()]}
+        n = self.degree
+        blocks = [
+            [x + 1 if x < n else n - x - 1, y + 1 if y < n else n - y - 1]
+            for x, y in enumerate(self.pairing)
+            if x < y
+        ]
+        return {"n": n, "blocks": blocks}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -374,10 +380,7 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
     body = text
     if m:
         stated = int(m.group(1))
-        if degree is not None and degree != stated:
-            raise DegreeMismatchError(
-                f"text declares degree {stated} but degree {degree} was requested"
-            )
+        _check_declared_degree(stated, degree)
         degree = stated
         body = text[m.end():]
     if degree is None:
@@ -396,10 +399,22 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
     return make_diagram(degree, blocks)
 
 
-def diagram_from_json_obj(obj: dict) -> BrauerDiagram:
-    """Read the machine format ``{"n": ..., "blocks": [[..], ..]}``."""
+def _check_declared_degree(stated, degree: int | None) -> None:
+    if degree is not None and degree != stated:
+        raise DegreeMismatchError(
+            f"text declares degree {stated} but degree {degree} was requested"
+        )
+
+
+def diagram_from_json_obj(obj: dict, degree: int | None = None) -> BrauerDiagram:
+    """Read the machine format ``{"n": ..., "blocks": [[..], ..]}``.
+
+    A given ``degree`` must agree with ``n``, as in :func:`parse_diagram`.
+    """
     if not isinstance(obj, dict) or "n" not in obj or "blocks" not in obj:
         raise DiagramError(f"JSON object needs 'n' and 'blocks': {obj!r}")
+    if is_int(obj["n"]):  # any other n is refused by make_diagram
+        _check_declared_degree(obj["n"], degree)
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise DiagramError(f"'blocks' must be a list of vertex lists: {blocks!r}")

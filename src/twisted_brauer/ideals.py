@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .diagram import (
     BrauerDiagram,
     DiagramError,
+    _raw_diagram,
     identity,
     make_diagram,
     permutation_diagram,
@@ -260,91 +261,74 @@ def idempotent_factor_sigma(
     need two idempotents, mixed or split hook vertices need one, and a
     cokernel hook is absorbed outright (empty list).  Requires
     0 < rank(alpha) < n.
+
+    Each idempotent is written straight into a pairing array from one
+    read of alpha's pairing: its transversal bottoms in top order, its
+    lower hooks in canonical order, and whether i' and j' lie in the
+    codomain.  The lower hooks, with the one or two holding i or j moved
+    to the front, are strung into a chain of upper hooks d_m - c_{m+1};
+    a few blocks at i, j and the chain's ends close it up, and every
+    other transversal bottom v stays a through-line v - v'.  Each output
+    is a perfect matching by construction, so none is validated again.
     """
-    n, r = alpha.degree, alpha.rank
+    n, p = alpha.degree, alpha.pairing
+    # 0-based vertices from here on: top v is index v, bottom v' is n + v
+    bottoms = [q - n for q in p[:n] if q >= n]
+    r = len(bottoms)
     if not 0 < r < n:
         raise PreconditionError(f"need 0 < rank < degree, got rank {r} in degree {n}")
     if not 1 <= i < j <= n:
         raise PreconditionError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    codom = set(alpha.codom)
-    hooks = alpha.bottom_hooks()
-    hook_of = {v: (c, d) for c, d in hooks for v in (c, d)}
+    i, j = i - 1, j - 1
+    hooks = [(x - n, p[x] - n) for x in range(n, 2 * n) if x < p[x]]
+    i_codom, j_codom = p[n + i] < n, p[n + j] < n
 
-    if i in codom and j in codom:
-        return _sigma_case_two_codom(alpha, i, j)
-    if i in codom or j in codom:
-        u, v = (i, j) if i in codom else (j, i)
-        return _sigma_case_mixed(alpha, u, v)
-    if hook_of[i] == hook_of[j]:
+    if i_codom and j_codom:  # two idempotents are needed
+        keep = [v for v in bottoms if v != i and v != j]
+        (c0, _), (cl, dl) = hooks[0], hooks[-1]
+        return [
+            _pairing(n, keep, hooks, hooks[:-1],
+                     [(i, n + j), (dl, n + dl), (j, c0), (n + i, n + cl)]),
+            _pairing(n, keep, hooks, hooks, [(j, n + j), (c0, n + i), (i, dl)]),
+        ]
+    if i_codom or j_codom:  # u is in the codomain, v sits in a lower hook
+        u, v = (i, j) if i_codom else (j, i)
+        w = p[n + v] - n
+        rest = [h for h in hooks if v not in h]
+        chain = [(v, w)] + rest
+        keep = [b for b in bottoms if b != u]
+        return [_pairing(n, keep, chain, rest,
+                         [(chain[-1][1], n + v), (u, v), (n + u, n + w)])]
+    if p[n + i] == n + j:
         return []  # sigma_ij permutes a lower hook of alpha: alpha sigma_ij = alpha
-    return _sigma_case_two_hooks(alpha, i, j)
-
-
-def _relabel(alpha, last_bottoms, first_hooks):
-    """Transversal bottoms with ``last_bottoms`` moved last, and lower hooks
-    with the oriented pairs ``first_hooks`` moved first."""
-    jm = [b for _, b in alpha.transversal_pairs() if b not in last_bottoms]
-    jm += list(last_bottoms)
-    first_keys = {frozenset(h) for h in first_hooks}
-    cd = list(first_hooks)
-    cd += [h for h in alpha.bottom_hooks() if frozenset(h) not in first_keys]
-    return jm, cd
-
-
-def _shifted_hooks(cd):
-    return [(cd[m][1], cd[m + 1][0]) for m in range(len(cd) - 1)]
-
-
-def _sigma_case_two_codom(alpha, i, j):
-    # both i and j are codomain vertices; two idempotents are needed
-    n = alpha.degree
-    jm, cd = _relabel(alpha, [i, j], [])
-    s = len(cd)
-    b1 = [(v, -v) for v in jm[:-2]]
-    b1 += [(jm[-2], -jm[-1]), (cd[-1][1], -cd[-1][1])]
-    b1.append((jm[-1], cd[0][0]))
-    b1 += _shifted_hooks(cd)
-    b1 += [(-c, -d) for c, d in cd[: s - 1]]
-    b1.append((-jm[-2], -cd[-1][0]))
-    b2 = [(v, -v) for v in jm[:-2]]
-    b2 += [(jm[-1], -jm[-1]), (cd[0][0], -jm[-2])]
-    b2.append((jm[-2], cd[-1][1]))
-    b2 += _shifted_hooks(cd)
-    b2 += [(-c, -d) for c, d in cd]
-    return [make_diagram(n, b1), make_diagram(n, b2)]
-
-
-def _sigma_case_mixed(alpha, u, v):
-    # u is in the codomain, v sits in a lower hook
-    n = alpha.degree
-    partner = next(w for c, d in alpha.bottom_hooks() for w in (c, d)
-                   if v in (c, d) and w != v)
-    jm, cd = _relabel(alpha, [u], [(v, partner)])
-    blocks = [(w, -w) for w in jm[:-1]]
-    blocks.append((cd[-1][1], -cd[0][0]))
-    blocks.append((jm[-1], cd[0][0]))
-    blocks += _shifted_hooks(cd)
-    blocks.append((-jm[-1], -cd[0][1]))
-    blocks += [(-c, -d) for c, d in cd[1:]]
-    return [make_diagram(n, blocks)]
-
-
-def _sigma_case_two_hooks(alpha, i, j):
     # i and j sit in two different lower hooks
-    n = alpha.degree
-    hook_of = {v: (c, d) for c, d in alpha.bottom_hooks() for v in (c, d)}
-    ci, di = hook_of[i]
-    first = (ci if di == i else di, i)
-    cj, dj = hook_of[j]
-    second = (j, dj if cj == j else cj)
-    jm, cd = _relabel(alpha, [], [first, second])
-    blocks = [(w, -w) for w in jm[:-1]]
-    blocks.append((cd[-1][1], -jm[-1]))
-    blocks.append((jm[-1], cd[0][0]))
-    blocks += _shifted_hooks(cd)
-    blocks += [(-cd[0][0], -cd[1][0]), (-cd[0][1], -cd[1][1])]
-    blocks += [(-c, -d) for c, d in cd[2:]]
-    return [make_diagram(n, blocks)]
+    oi, oj = p[n + i] - n, p[n + j] - n
+    rest = [h for h in hooks if i not in h and j not in h]
+    chain = [(oi, i), (j, oj)] + rest
+    last = bottoms[-1]
+    return [_pairing(n, bottoms[:-1], chain, rest,
+                     [(chain[-1][1], n + last), (last, oi), (n + oi, n + j), (n + i, n + oj)])]
+
+
+def _pairing(n, through, chain, lower, blocks):
+    """The diagram with through-lines v - v' for v in ``through``, upper
+    hooks d_m - c_{m+1} along consecutive hooks of ``chain``, the lower
+    hooks ``lower`` and the point-index pairs ``blocks``; all vertices
+    0-based.  The caller covers each point exactly once."""
+    out = [0] * (2 * n)
+    for v in through:
+        out[v] = n + v
+        out[n + v] = v
+    for (_, d), (c, _) in zip(chain, chain[1:]):
+        out[d] = c
+        out[c] = d
+    for c, d in lower:
+        out[n + c] = n + d
+        out[n + d] = n + c
+    for x, y in blocks:
+        out[x] = y
+        out[y] = x
+    return _raw_diagram(n, tuple(out))
 
 
 # ---------------------------------------------------------------------------

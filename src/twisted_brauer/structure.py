@@ -29,7 +29,7 @@ from .diagram import (
 )
 from .green import PreconditionError, canonical_idempotent
 from .ideals import delta, idempotent_factor_sigma, index_set, lemma_rank_drop, rho
-from .twisted import TwistedElement, as_twisted, is_idempotent_twisted, star
+from .twisted import TwistedElement, as_twisted, is_idempotent_twisted
 from . import enumeration
 
 # delta(8, 4) = 1,058,400 is the largest D-class of degree <= 8;
@@ -400,9 +400,13 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     Requires degree >= 3 and alpha outside the unit group (no unit other
     than the identity is a product of idempotents).  Positive-rank
     diagrams are written as unit * canonical idempotent * unit and the
-    units are absorbed transposition by transposition, each one a swap
-    of two points rather than a product; rank-0 diagrams
-    are first split into two rank-2 factors with no floating component.
+    units are absorbed transposition by transposition: each absorption
+    writes its idempotents straight into pairing arrays, and the partial
+    product moves on by a swap of two points rather than a product.  The
+    left unit is absorbed on one star of the partial product, and its
+    idempotents are starred back together at the end.
+    Rank-0 diagrams are first split into two rank-2 factors with no
+    floating component.
     """
     n, r = alpha.degree, alpha.rank
     if n < 3:
@@ -418,30 +422,17 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     eps = canonical_idempotent(n, r)
     lam, rho_images = _sandwich_units(alpha)
 
-    chain: list[BrauerDiagram] = [eps]
+    right: list[BrauerDiagram] = [eps]
     current = eps
     for i, j in _transposition_factors(rho_images):
-        chain.extend(idempotent_factor_sigma(current, i, j))
+        right.extend(idempotent_factor_sigma(current, i, j))
         current = _swap_points(current, n + i - 1, n + j - 1)
+    # the left unit is absorbed on the mirror image: swapping top points
+    # of current is swapping bottom points of its star
+    left: list[BrauerDiagram] = []
+    mirror = current.star()
     for i, j in reversed(_transposition_factors(lam)):
-        absorbed = idempotent_factor_sigma(current.star(), i, j)
-        chain = [b.star() for b in reversed(absorbed)] + chain
-        current = _swap_points(current, i - 1, j - 1)
-    return chain
+        left.extend(idempotent_factor_sigma(mirror, i, j))
+        mirror = _swap_points(mirror, n + i - 1, n + j - 1)
+    return [b.star() for b in reversed(left)] + right
 
-
-def factor_into_idempotents_bfs(alpha: BrauerDiagram) -> list[BrauerDiagram] | None:
-    """Search fallback for :func:`factor_into_idempotents` at small degree.
-
-    Reads a shortest chain off the zero-twist closure of the twisted
-    idempotents; independent of the constructive pipeline, so the two can
-    be played against each other.  Returns None if alpha is not in that
-    closure.  Enumerates the whole closure; intended for degree <= 4
-    cross-validation only.
-    """
-    idems = [as_twisted(e) for e in enumeration.idempotents(alpha.degree)]
-    graph = enumeration.CayleyGraph(idems, star, keep=lambda p: p.twist == 0)
-    target = as_twisted(alpha)
-    if target not in graph.index:
-        return None
-    return [idems[j].diagram for j in graph.word(target)]

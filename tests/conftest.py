@@ -1,10 +1,12 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
 multiplication example, plus independent oracles for diagram construction,
-the product, the closures, the perfect matching and the idempotent chain."""
+the product, the closures, the perfect matching, the absorption of a
+transposition and the idempotent chain."""
 
 import pytest
 
 from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
+from twisted_brauer import enumeration
 from twisted_brauer.diagram import (
     BlockSizeError,
     DiagramError,
@@ -13,10 +15,10 @@ from twisted_brauer.diagram import (
     VertexRangeError,
     is_int,
 )
-from twisted_brauer.green import canonical_idempotent
-from twisted_brauer.ideals import idempotent_factor_sigma, lemma_rank_drop
+from twisted_brauer.green import PreconditionError, canonical_idempotent
+from twisted_brauer.ideals import lemma_rank_drop
 from twisted_brauer.structure import _sandwich_units, _transposition_factors
-from twisted_brauer.twisted import is_idempotent_twisted
+from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
 
 
 @pytest.fixture(scope="session")
@@ -188,10 +190,78 @@ def token_by_token_make_diagram(degree, blocks) -> BrauerDiagram:
     return BrauerDiagram(degree, tuple(pairing))
 
 
+def block_list_sigma(alpha: BrauerDiagram, i: int, j: int) -> list[BrauerDiagram]:
+    """Reference absorption of sigma_ij: each idempotent is written as a
+    list of signed blocks over relabelled transversal bottoms and lower
+    hooks, and built through the validating ``make_diagram``.  It sorts
+    the lower hooks itself rather than trust their order."""
+    n, r = alpha.degree, alpha.rank
+    if not 0 < r < n:
+        raise PreconditionError(f"need 0 < rank < degree, got rank {r} in degree {n}")
+    if not 1 <= i < j <= n:
+        raise PreconditionError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    hook_of = {v: (c, d) for c, d in sorted(alpha.bottom_hooks()) for v in (c, d)}
+
+    def relabel(last_bottoms, first_hooks):
+        # transversal bottoms with last_bottoms moved last, lower hooks
+        # with the oriented pairs first_hooks moved first
+        jm = [b for _, b in alpha.transversal_pairs() if b not in last_bottoms]
+        jm += list(last_bottoms)
+        first_keys = {frozenset(h) for h in first_hooks}
+        cd = list(first_hooks)
+        cd += [h for h in sorted(alpha.bottom_hooks()) if frozenset(h) not in first_keys]
+        return jm, cd
+
+    def shifted(cd):
+        return [(cd[m][1], cd[m + 1][0]) for m in range(len(cd) - 1)]
+
+    codom = set(alpha.codom)
+    if i in codom and j in codom:
+        jm, cd = relabel([i, j], [])
+        s = len(cd)
+        b1 = [(v, -v) for v in jm[:-2]]
+        b1 += [(jm[-2], -jm[-1]), (cd[-1][1], -cd[-1][1])]
+        b1.append((jm[-1], cd[0][0]))
+        b1 += shifted(cd)
+        b1 += [(-c, -d) for c, d in cd[: s - 1]]
+        b1.append((-jm[-2], -cd[-1][0]))
+        b2 = [(v, -v) for v in jm[:-2]]
+        b2 += [(jm[-1], -jm[-1]), (cd[0][0], -jm[-2])]
+        b2.append((jm[-2], cd[-1][1]))
+        b2 += shifted(cd)
+        b2 += [(-c, -d) for c, d in cd]
+        return [make_diagram(n, b1), make_diagram(n, b2)]
+    if i in codom or j in codom:
+        u, v = (i, j) if i in codom else (j, i)
+        partner = next(w for w in hook_of[v] if w != v)
+        jm, cd = relabel([u], [(v, partner)])
+        blocks = [(w, -w) for w in jm[:-1]]
+        blocks.append((cd[-1][1], -cd[0][0]))
+        blocks.append((jm[-1], cd[0][0]))
+        blocks += shifted(cd)
+        blocks.append((-jm[-1], -cd[0][1]))
+        blocks += [(-c, -d) for c, d in cd[1:]]
+        return [make_diagram(n, blocks)]
+    if hook_of[i] == hook_of[j]:
+        return []
+    ci, di = hook_of[i]
+    cj, dj = hook_of[j]
+    jm, cd = relabel([], [(ci if di == i else di, i), (j, dj if cj == j else cj)])
+    blocks = [(w, -w) for w in jm[:-1]]
+    blocks.append((cd[-1][1], -jm[-1]))
+    blocks.append((jm[-1], cd[0][0]))
+    blocks += shifted(cd)
+    blocks += [(-cd[0][0], -cd[1][0]), (-cd[0][1], -cd[1][1])]
+    blocks += [(-c, -d) for c, d in cd[2:]]
+    return [make_diagram(n, blocks)]
+
+
 def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     """Reference idempotent chain: the constructive pipeline of
     ``factor_into_idempotents`` with each transposition absorbed by
-    multiplying by the transposition diagram."""
+    ``block_list_sigma`` and the partial product moved on by multiplying
+    by the transposition diagram; the left unit is absorbed on a fresh
+    star of the partial product at each step."""
     n, r = alpha.degree, alpha.rank
     if is_idempotent_twisted(alpha):
         return [alpha]
@@ -202,10 +272,23 @@ def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     chain = [current]
     lam, rho_images = _sandwich_units(alpha)
     for i, j in _transposition_factors(rho_images):
-        chain.extend(idempotent_factor_sigma(current, i, j))
+        chain.extend(block_list_sigma(current, i, j))
         current = multiply(current, transposition(n, i, j))[0]
     for i, j in reversed(_transposition_factors(lam)):
-        absorbed = idempotent_factor_sigma(current.star(), i, j)
+        absorbed = block_list_sigma(current.star(), i, j)
         chain = [b.star() for b in reversed(absorbed)] + chain
         current = multiply(transposition(n, i, j), current)[0]
     return chain
+
+
+def factor_into_idempotents_bfs(alpha: BrauerDiagram) -> list[BrauerDiagram] | None:
+    """Reference idempotent chain by search: a shortest chain read off the
+    zero-twist closure of the twisted idempotents, independent of the
+    constructive pipeline.  Returns None if alpha is not in that closure.
+    Enumerates the whole closure; meant for degree <= 4."""
+    idems = [as_twisted(e) for e in enumeration.idempotents(alpha.degree)]
+    graph = enumeration.CayleyGraph(idems, star, keep=lambda p: p.twist == 0)
+    target = as_twisted(alpha)
+    if target not in graph.index:
+        return None
+    return [idems[j].diagram for j in graph.word(target)]

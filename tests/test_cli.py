@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, verification reports."""
 
+import io
 import json
 import os
 import subprocess
@@ -64,6 +65,19 @@ def test_explicit_degree_must_agree_with_text():
 
     with pytest.raises(DegreeMismatchError):
         parse_diagram("n=2: (1,1')(2,2')", degree=3)
+
+
+def test_json_input_must_agree_with_n(capsys):
+    as_json = '{"n":3,"blocks":[[1,2],[3,-1],[-2,-3]]}'
+    as_text = "n=3: (1,2)(3,1')(2',3')"
+    for argv in (("star",), ("green", "class", "--rel", "R"), ("factor", "--idempotents")):
+        code, out, err = run(capsys, *argv, "--n", "7", as_json)
+        assert (code, out) == (1, "")
+        assert err == "error: text declares degree 3 but degree 7 was requested\n"
+        assert run(capsys, *argv, "--n", "7", as_text) == (code, out, err)
+        code, out, err = run(capsys, *argv, "--n", "3", as_json)
+        assert code == 0 and out and not err
+        assert run(capsys, *argv, "--n", "3", as_text) == (code, out, err)
 
 
 def test_usage_error_exit_code(capsys):
@@ -148,6 +162,17 @@ def test_closure_from_stdin(capsys, monkeypatch, tmp_path):
     elements = [json.loads(line) for line in out.strip().splitlines()]
     assert {e.get("twist", 0) for e in elements} <= {0, 1}
     assert "elements=" in err
+
+
+def test_closure_non_utf8_generators_are_domain_errors(capsys, monkeypatch, tmp_path):
+    junk = b"\xff\xfe\x00junk\n"
+    gens = tmp_path / "gens.jsonl"
+    gens.write_bytes(junk)
+    code, out, err = run(capsys, "closure", "--n", "3", "--gens", str(gens), "--bound", "1")
+    assert (code, out) == (1, "") and err.startswith("error:")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(junk), encoding="utf-8"))
+    code, out, err = run(capsys, "closure", "--n", "3", "--gens", "-", "--bound", "1")
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 def test_gh_graph_report_and_dot(capsys):

@@ -359,3 +359,16 @@ def test_json_roundtrip(alpha6):
     )
     assert diagram_from_json(alpha6.to_json()) == alpha6
     assert diagram_from_json('{"n": 6, "blocks": [[-4, -5], [3, 1], [2, -3], [4, -1], [6, 5], [-2, -6]]}') == alpha6
+
+
+def test_hook_lists_are_already_sorted():
+    for n in range(7):
+        for d in all_diagrams(n):
+            assert d.top_hooks() == sorted(d.top_hooks())
+            assert d.bottom_hooks() == sorted(d.bottom_hooks())
+
+
+def test_json_blocks_follow_the_block_list():
+    for n in range(6):
+        for d in all_diagrams(n):
+            assert d.to_json_obj() == {"n": n, "blocks": [list(b) for b in d.blocks()]}

@@ -1,6 +1,7 @@
 """Ideal lattice: counting formulas, canonical forms, membership, the
 constructive lemmas and minimal generating sets."""
 
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 
 from twisted_brauer import (
+    BrauerDiagram,
     DiagramError,
     IdealSpec,
     PreconditionError,
@@ -39,6 +41,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.ideals import minimal_generating_size
+from conftest import block_list_sigma
 
 
 def test_rho_delta_golden_values():
@@ -306,6 +309,44 @@ def test_sigma_precondition():
     rank0 = next(iter(d_class(4, 0)))
     with pytest.raises(PreconditionError):
         idempotent_factor_sigma(rank0, 1, 2)
+
+
+def _sigma_agrees_with_block_lists(alpha, rank, i, j):
+    """Compare with the block-list oracle; re-validate every output and
+    check it is a twisted idempotent of alpha's rank.  Returns the size."""
+    factors = idempotent_factor_sigma(alpha, i, j)
+    assert factors == block_list_sigma(alpha, i, j)
+    for e in factors:
+        assert BrauerDiagram(alpha.degree, e.pairing) == e
+        assert is_idempotent_twisted(e) and e.rank == rank
+    return len(factors)
+
+
+def test_sigma_matches_block_lists_exhaustive():
+    # every diagram with 0 < rank < n, n <= 6, and every i < j
+    sizes = collections.Counter()
+    for n in range(2, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for alpha in all_diagrams(n):
+            rank = alpha.rank
+            if 0 < rank < n:
+                for i, j in pairs:
+                    sizes[_sigma_agrees_with_block_lists(alpha, rank, i, j)] += 1
+    assert sum(sizes.values()) == 150_459
+    assert set(sizes) == {0, 1, 2}  # cokernel hook, one idempotent, two
+
+
+def test_sigma_matches_block_lists_random():
+    rng = random.Random(64)
+    sizes = collections.Counter()
+    while sum(sizes.values()) < 3000:
+        n = rng.randrange(3, 65)
+        alpha = random_diagram(n, rng)
+        if 0 < alpha.rank < n:
+            i = rng.randrange(1, n)
+            j = rng.randrange(i + 1, n + 1)
+            sizes[_sigma_agrees_with_block_lists(alpha, alpha.rank, i, j)] += 1
+    assert set(sizes) == {0, 1, 2}
 
 
 # -- generating sets and the rank table --------------------------------------

@@ -42,7 +42,11 @@ from twisted_brauer import (
 )
 from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _swap_points, _transposition_factors
-from conftest import product_absorption_chain, recursive_matching
+from conftest import (
+    factor_into_idempotents_bfs,
+    product_absorption_chain,
+    recursive_matching,
+)
 
 
 def _gh_cases(max_n):
@@ -367,8 +371,6 @@ def test_factor_into_idempotents_rejects_units():
 
 
 def test_bfs_fallback_cross_validates_pipeline_n3():
-    from twisted_brauer.structure import factor_into_idempotents_bfs
-
     for alpha in all_diagrams(3):
         if alpha.rank == 3:
             continue
@@ -381,8 +383,6 @@ def test_bfs_fallback_cross_validates_pipeline_n3():
 
 
 def test_bfs_fallback_rejects_units():
-    from twisted_brauer.structure import factor_into_idempotents_bfs
-
     sigma = make_diagram(3, [(1, -2), (2, -1), (3, -3)])
     assert factor_into_idempotents_bfs(sigma) is None
 
