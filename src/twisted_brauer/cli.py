@@ -43,7 +43,10 @@ _TWIST_PREFIX = re.compile(r"^\s*(\d+)\s*\*\s*")
 
 
 def parse_element(text: str, degree: int | None = None) -> TwistedElement:
-    """Parse a twisted element from text or JSON (twist defaults to 0)."""
+    """Parse a twisted element from text or JSON (twist defaults to 0).
+
+    JSON takes the keys of a diagram plus ``twist``; any other is refused.
+    """
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)

@@ -50,13 +50,14 @@ class DegreeMismatchError(DiagramError):
     """Operands of a product have different degrees."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BrauerDiagram:
     """A perfect matching on [n] u [n]', immutable and totally ordered.
 
     ``degree`` is n; ``pairing`` is the involution on point indices
     (top i at index i-1, bottom i' at index n+i-1).  Equality, hashing
     and the total order are structural (degree, then pairing array).
+    The two fields are slots, so a diagram carries no instance dict.
     """
 
     degree: int
@@ -218,11 +219,17 @@ class KernelSignature:
         return "".join(f"({a},{b})" for a, b in self.sorted_hooks()) or "()"
 
 
+_new_instance = object.__new__
+_set_degree = BrauerDiagram.degree.__set__
+_set_pairing = BrauerDiagram.pairing.__set__
+
+
 def _raw_diagram(degree: int, pairing: tuple[int, ...]) -> BrauerDiagram:
-    # construction bypass for outputs that are involutions by construction
-    d = object.__new__(BrauerDiagram)
-    object.__setattr__(d, "degree", degree)
-    object.__setattr__(d, "pairing", pairing)
+    # construction bypass for outputs that are involutions by construction:
+    # the slot setters skip both the frozen __setattr__ and __post_init__
+    d = _new_instance(BrauerDiagram)
+    _set_degree(d, degree)
+    _set_pairing(d, pairing)
     return d
 
 
@@ -331,9 +338,11 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     beta's top row, so every glued middle point meets one edge of each
     diagram and every component is a path or a cycle.  A walk from each
     outer endpoint, alternating alpha's and beta's edges through the
-    middle row, ends at the other endpoint of its block.  The middle
-    points no walk visits lie on cycles; each cycle is one floating
-    component and only contributes to the twist.
+    middle row, ends at the other endpoint of its block.  The walks from
+    the top row run first; the bottom points they leave over lie on paths
+    that never reach the top row.  The middle points no walk visits lie
+    on cycles; each cycle is one floating component and only contributes
+    to the twist.
     """
     n = alpha.degree
     if beta.degree != n:
@@ -341,17 +350,30 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     pa, pb = alpha.pairing, beta.pairing
     out = [-1] * (2 * n)
     seen = [False] * n  # middle points, by their index in beta's top row
-    for start in range(2 * n):
+    for start in range(n):  # top points leave by an alpha edge
         if out[start] >= 0:
             continue
-        # top points leave by an alpha edge, bottom points by a beta edge
-        via_alpha = start < n
-        end = pa[start] if via_alpha else pb[start]
-        while (end >= n) == via_alpha:  # landed in the middle row
-            m = end - n if via_alpha else end
-            seen[m] = True
-            via_alpha = not via_alpha
-            end = pa[m + n] if via_alpha else pb[m]
+        end = pa[start]
+        while end >= n:  # alpha edge into the middle row
+            end -= n
+            seen[end] = True
+            end = pb[end]
+            if end >= n:  # beta edge down to the bottom row
+                break
+            seen[end] = True
+            end = pa[end + n]
+        out[start], out[end] = end, start
+    for start in range(n, 2 * n):  # bottom points leave by a beta edge
+        if out[start] >= 0:
+            continue
+        # paths that meet the top row were all walked above, so every alpha
+        # edge on this one joins two middle points
+        end = pb[start]
+        while end < n:  # beta edge into the middle row
+            seen[end] = True
+            end = pa[end + n] - n
+            seen[end] = True
+            end = pb[end]
         out[start], out[end] = end, start
     floating = 0
     for m in range(n):
@@ -410,9 +432,13 @@ def diagram_from_json_obj(obj: dict, degree: int | None = None) -> BrauerDiagram
     """Read the machine format ``{"n": ..., "blocks": [[..], ..]}``.
 
     A given ``degree`` must agree with ``n``, as in :func:`parse_diagram`.
+    Any other key is refused, so a misspelt key is never ignored.
     """
     if not isinstance(obj, dict) or "n" not in obj or "blocks" not in obj:
         raise DiagramError(f"JSON object needs 'n' and 'blocks': {obj!r}")
+    unknown = sorted(set(obj) - {"n", "blocks"})
+    if unknown:
+        raise DiagramError(f"unknown keys in JSON diagram: {', '.join(map(repr, unknown))}")
     if is_int(obj["n"]):  # any other n is refused by make_diagram
         _check_declared_degree(obj["n"], degree)
     blocks = obj["blocks"]

@@ -10,6 +10,7 @@ Green's pre-orders can be checked against plain products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -156,14 +157,49 @@ def idempotents(n: int, twisted: bool = True):
             yield d
 
 
+# one rng.randrange call draws the digits of a whole run; below 2**62 the
+# index fits two 32-bit words and decodes with small-int divmod
+_RUN_LIMIT = 1 << 62
+
+
+@functools.lru_cache(maxsize=64)
+def _digit_runs(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The radices 2n-1, 2n-3, ..., 3 of a degree-n matching, cut in order
+    into runs whose product stays below _RUN_LIMIT, as (product, radices)."""
+    runs = []
+    product, radices = 1, []
+    for radix in range(2 * n - 1, 2, -2):
+        if product * radix >= _RUN_LIMIT:
+            runs.append((product, tuple(radices)))
+            product, radices = 1, []
+        product *= radix
+        radices.append(radix)
+    if radices:
+        runs.append((product, tuple(radices)))
+    return tuple(runs)
+
+
 def random_diagram(n: int, rng: random.Random) -> BrauerDiagram:
-    """A uniformly random diagram: pair up a shuffled list of the 2n points."""
-    points = list(range(2 * n))
-    rng.shuffle(points)
+    """A uniformly random diagram, drawn as its mixed-radix digits.
+
+    A perfect matching on 2n points is a sequence of digits in the radices
+    2n-1, 2n-3, ..., 3, 1: each digit picks, among the points still free,
+    the partner of the last free point.  The digits of each run of
+    _digit_runs come from one rng.randrange call over the run's product,
+    so every one of the (2n-1)!! diagrams is equally likely.
+    """
+    free = list(range(2 * n))
     pairing = [0] * (2 * n)
-    for idx in range(0, 2 * n, 2):
-        x, y = points[idx], points[idx + 1]
-        pairing[x], pairing[y] = y, x
+    for product, radices in _digit_runs(n):
+        k = rng.randrange(product)
+        for radix in radices:  # radix + 1 points are free
+            k, d = divmod(k, radix)
+            p, q = free[radix], free[d]
+            free[d] = free[radix - 1]  # the last point still free fills q's slot
+            pairing[p], pairing[q] = q, p
+    if n > 0:  # radix 1: the two points left pair up
+        p, q = free[1], free[0]
+        pairing[p], pairing[q] = q, p
     return BrauerDiagram(n, tuple(pairing))
 
 

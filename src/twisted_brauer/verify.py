@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import enumeration, green, ideals, structure
-from .diagram import BrauerDiagram, identity, multiply, transposition
+from .diagram import BrauerDiagram, DiagramError, identity, multiply, transposition
 from .twisted import (
     TwistedElement,
     as_twisted,
@@ -74,7 +74,14 @@ def _timed(check):
     return wrapper
 
 
+def _check_count(name: str, count: int) -> None:
+    # a sweep over fewer than one sample would pass without checking anything
+    if count < 1:
+        raise DiagramError(f"{name} must be at least 1, got {count}")
+
+
 def _triples(n: int, exhaustive: bool, samples: int, seed: int):
+    _check_count("samples", samples)
     if exhaustive:
         pool = list(enumeration.all_diagrams(n))
         return itertools.product(pool, repeat=3), len(pool) ** 3
@@ -119,6 +126,8 @@ def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElem
 
 
 def _pairs(n: int, samples: int | None, seed: int):
+    if samples is not None:
+        _check_count("samples", samples)
     pool = list(enumeration.all_diagrams(n))
     if samples is None:
         return itertools.product(pool, repeat=2), len(pool) ** 2
@@ -237,6 +246,7 @@ def check_ideal_classification(
         "ideal-classification",
         {"n": n, "twist_bound": twist_bound, "cases": cases, "seed": seed},
     )
+    _check_count("cases", cases)
     rng = random.Random(seed)
     ranks = ideals.index_set(n)
     grid = [(r, i) for r in ranks for i in range(twist_bound + 1)]

@@ -97,6 +97,19 @@ def test_parse_element_json_twist():
     assert x.twist == 4 and x.degree == 2
 
 
+def test_json_input_refuses_unknown_keys(capsys):
+    misspelt = '{"n":3,"blocks":[[1,2],[3,-1],[-2,-3]],"twsit":2}'
+    code, out, err = run(capsys, "star", "--n", "3", misspelt)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown keys in JSON diagram: 'twsit'\n"
+    code, out, err = run(capsys, "mul", "--n", "3", misspelt, identity(3).to_text())
+    assert (code, out) == (1, "") and err.startswith("error: unknown keys")
+    # what --format jsonl emits reads back as the same element
+    code, out, _ = run(capsys, "star", "--n", "3", "--format", "jsonl", f"2 * {identity(3).to_text()}")
+    assert code == 0
+    assert run(capsys, "star", "--n", "3", "--format", "jsonl", out.strip()) == (0, out, "")
+
+
 def test_green_leq_and_class(capsys):
     hook = "n=3: (1,2)(3,3')(1',2')"
     one = identity(3).to_text()
@@ -317,6 +330,16 @@ def test_cached_parser_carries_no_state_between_calls(capsys, monkeypatch):
             code = exc.code
         out = capsys.readouterr()
         assert (code, _strip_seconds(argv, out.out), out.err) == alone[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau-identity", "--n", "7", "--samples", "-3"),
+    ("green-pre-orders", "--n", "5", "--samples", "0"),
+])
+def test_verify_refuses_sample_counts_below_one(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: samples must be at least 1")
 
 
 def test_verify_oracle_refusal_is_immediate(capsys):

@@ -28,6 +28,7 @@ from twisted_brauer import (
     plain_closure,
     star,
 )
+from twisted_brauer import enumeration
 from twisted_brauer.enumeration import (
     ENUMERATION_LIMIT,
     ORACLE_LIMIT,
@@ -133,8 +134,42 @@ def test_idempotent_counts_golden():
 
 def test_random_diagram_uniform_support():
     rng = random.Random(0)
-    seen = {random_diagram(3, rng) for _ in range(2000)}
-    assert seen == set(all_diagrams(3))
+    counts = {}
+    for _ in range(15_000):
+        d = random_diagram(3, rng)
+        counts[d] = counts.get(d, 0) + 1
+    assert set(counts) == set(all_diagrams(3))
+    assert all(800 <= c <= 1200 for c in counts.values()), counts
+
+
+class _FixedIndex:
+    """An rng stub whose randrange returns one chosen index."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def randrange(self, stop):
+        assert 0 <= self.k < stop
+        return self.k
+
+
+def test_random_diagram_digits_are_a_bijection():
+    # below degree 6 the digits form one run, so one index picks the diagram
+    for n in range(6):
+        size = double_factorial(2 * n - 1)
+        drawn = [random_diagram(n, _FixedIndex(k)) for k in range(size)]
+        assert sorted(drawn) == list(all_diagrams(n))
+    assert random_diagram(0, random.Random(0)) == BrauerDiagram(0, ())
+
+
+def test_random_diagram_digit_runs():
+    for n in (0, 1, 40, 200):
+        runs = enumeration._digit_runs(n)
+        assert all(product < 2**62 for product, _ in runs)
+        assert math.prod(product for product, _ in runs) == double_factorial(2 * n - 1)
+        radices = [r for _, rs in runs for r in rs]
+        assert radices == list(range(2 * n - 1, 2, -2))
+        assert all(product == math.prod(rs) for product, rs in runs)
 
 
 def test_streams_yield_what_validation_accepts():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from twisted_brauer import verify
+from twisted_brauer import DiagramError, verify
 
 EXPECTED_IDS = {
     "tau-identity",
@@ -57,3 +57,19 @@ def test_fail_reports_carry_counterexamples():
     assert report.counterexample == {"alpha": "n=1: (1,1')"}
     report.fail(alpha="other")  # first witness is kept
     assert report.counterexample == {"alpha": "n=1: (1,1')"}
+
+
+def test_sampled_triples_refuse_fewer_than_one_sample():
+    for samples in (0, -3):
+        with pytest.raises(DiagramError):
+            verify.check_tau_identity(n=7, samples=samples)
+
+
+def test_sampled_pairs_refuse_fewer_than_one_sample():
+    with pytest.raises(DiagramError):
+        verify.check_green_preorders(n=5, samples=0)
+
+
+def test_ideal_classification_refuses_fewer_than_one_case():
+    with pytest.raises(DiagramError):
+        verify.check_ideal_classification(cases=0)
