@@ -126,8 +126,6 @@ def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElem
 
 
 def _pairs(n: int, samples: int | None, seed: int):
-    if samples is not None:
-        _check_count("samples", samples)
     pool = list(enumeration.all_diagrams(n))
     if samples is None:
         return itertools.product(pool, repeat=2), len(pool) ** 2
@@ -145,6 +143,8 @@ def check_green_preorders(
     report = VerificationReport(
         "green-pre-orders", {"n": n, "samples": samples, "seed": seed if samples else None}
     )
+    if samples is not None:  # before the oracle, which takes seconds at degree 7
+        _check_count("samples", samples)
     oracle = enumeration.DivisibilityOracle(n)
     pairs, total = _pairs(n, samples, seed)
     factored = {"right": 0, "left": 0, "two_sided": 0}

@@ -28,10 +28,10 @@ from twisted_brauer import (
     plain_closure,
     star,
 )
-from twisted_brauer import enumeration
 from twisted_brauer.enumeration import (
     ENUMERATION_LIMIT,
     ORACLE_LIMIT,
+    _digit_runs,
     all_diagrams_split,
     hook_patterns,
     random_diagram,
@@ -164,7 +164,7 @@ def test_random_diagram_digits_are_a_bijection():
 
 def test_random_diagram_digit_runs():
     for n in (0, 1, 40, 200):
-        runs = enumeration._digit_runs(n)
+        runs = _digit_runs(n)
         assert all(product < 2**62 for product, _ in runs)
         assert math.prod(product for product, _ in runs) == double_factorial(2 * n - 1)
         radices = [r for _, rs in runs for r in rs]
