@@ -38,6 +38,9 @@ EXHAUSTIVE_DEGREE_LIMIT = 6
 # verify checks whose whole enumeration --samples bounds: only these may
 # sample above the degree guard
 SAMPLE_BOUNDED_CHECKS = frozenset({"tau-identity"})
+# verify checks that refuse their own work by its real size, with no
+# override: the degree guard does not apply to them
+SIZE_GUARDED_CHECKS = frozenset({"gh-conditions"})
 
 _TWIST_PREFIX = re.compile(r"^\s*(\d+)\s*\*\s*")
 
@@ -207,7 +210,8 @@ def _cmd_verify(args) -> int:
         return 2
     bounded = args.theorem in SAMPLE_BOUNDED_CHECKS
     sampled = bounded and args.samples is not None and not args.exhaustive
-    if args.n is not None and args.n > EXHAUSTIVE_DEGREE_LIMIT and not args.force and not sampled:
+    guarded = args.theorem not in SIZE_GUARDED_CHECKS and not args.force and not sampled
+    if guarded and args.n is not None and args.n > EXHAUSTIVE_DEGREE_LIMIT:
         print(
             f"exhaustive sweeps refuse n = {args.n} > {EXHAUSTIVE_DEGREE_LIMIT}; "
             "pass --force" + (" or use --samples" if bounded else ""),

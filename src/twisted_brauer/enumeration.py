@@ -130,19 +130,33 @@ def hook_patterns(n: int, r: int):
 def d_class(n: int, r: int):
     """All delta(n, r) diagrams of rank r: every choice of upper hooks,
     lower hooks and transversal bijection.  Each pairing is an involution
-    by construction, so the diagrams skip validation."""
+    by construction, so the diagrams skip validation.
+
+    The order is part of the contract: the stream runs through the pairs
+    of hook_patterns(n, r), upper hooks in the outer loop and lower hooks
+    in the inner one, and yields a block of r! bijections for each pair.
+    So diagram k has the upper hooks (kernel) of pattern
+    (k // r!) // rho(n, r) and the lower hooks (cokernel) of pattern
+    (k // r!) % rho(n, r).
+
+    >>> [hooks for hooks, _ in hook_patterns(3, 1)]
+    [[(2, 3)], [(1, 2)], [(1, 3)]]
+    >>> [(d.top_hooks(), d.bottom_hooks()) for d in d_class(3, 1)][:4]
+    [([(2, 3)], [(2, 3)]), ([(2, 3)], [(1, 2)]), ([(2, 3)], [(1, 3)]), ([(1, 2)], [(2, 3)])]
+    """
     _check_size(n, r)
     lower = list(hook_patterns(n, r))
     for upper_hooks, dom in hook_patterns(n, r):
         tops = [i - 1 for i in dom]
         for lower_hooks, codom in lower:
-            hooked = [0] * (2 * n)
+            # one list per block: every bijection rewrites all 2r
+            # transversal slots, so the hook slots are written once
+            pairing = [0] * (2 * n)
             for a, b in upper_hooks:
-                hooked[a - 1], hooked[b - 1] = b - 1, a - 1
+                pairing[a - 1], pairing[b - 1] = b - 1, a - 1
             for c, d in lower_hooks:
-                hooked[n + c - 1], hooked[n + d - 1] = n + d - 1, n + c - 1
+                pairing[n + c - 1], pairing[n + d - 1] = n + d - 1, n + c - 1
             for image in itertools.permutations([n + v - 1 for v in codom]):
-                pairing = hooked[:]
                 for x, y in zip(tops, image):
                     pairing[x], pairing[y] = y, x
                 yield _raw_diagram(n, tuple(pairing))

@@ -29,7 +29,7 @@ from .diagram import (
 )
 from .green import PreconditionError, canonical_idempotent
 from .ideals import delta, idempotent_factor_sigma, index_set, lemma_rank_drop, rho
-from .twisted import TwistedElement, as_twisted, is_idempotent_twisted
+from .twisted import TwistedElement, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
 # delta(8, 4) = 1,058,400 is the largest D-class of degree <= 8;
@@ -122,7 +122,11 @@ def _reaches_all(adj: list[list[int]]) -> bool:
 def build_gh_graph(n: int, r: int) -> GHGraph:
     """Enumerate the twisted idempotents of the rank-r D-class and bucket
     them by (kernel, cokernel).  Requires n >= 3 and 0 < r < n, and
-    refuses D-classes of more than GH_CANDIDATE_LIMIT diagrams."""
+    refuses D-classes of more than GH_CANDIDATE_LIMIT diagrams.
+
+    Each candidate's H-class is read off its place in the d_class stream
+    (whose docstring fixes the block order), so no kernel is computed from
+    a diagram."""
     if n < 3:
         raise PreconditionError("Graham-Houghton analysis needs degree >= 3")
     if r not in index_set(n) or r in (0, n):
@@ -135,15 +139,18 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
             f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
             f"{candidates} diagrams, more than {GH_CANDIDATE_LIMIT}"
         )
+    patterns = [frozenset(hooks) for hooks, _ in enumeration.hook_patterns(n, r)]
     signatures = tuple(sorted(
-        (KernelSignature(n, frozenset(hooks)) for hooks, _ in enumeration.hook_patterns(n, r)),
-        key=KernelSignature.sorted_hooks,
+        (KernelSignature(n, hooks) for hooks in patterns), key=KernelSignature.sorted_hooks
     ))
     index = {sig.hooks: i for i, sig in enumerate(signatures)}
+    position = [index[hooks] for hooks in patterns]  # pattern -> signature index
+    block, side = math.factorial(r), len(patterns)
     witnesses = []
-    for d in enumeration.d_class(n, r):
-        if is_idempotent_twisted(d):
-            witnesses.append((index[d.ker.hooks], index[d.coker.hooks], d))
+    for k, d in enumerate(enumeration.d_class(n, r)):
+        if _square_walk(d) == n:  # a twisted idempotent
+            upper, lower = divmod(k // block, side)
+            witnesses.append((position[upper], position[lower], d))
     edges = frozenset((l, r_) for l, r_, _ in witnesses)
     if len(edges) != len(witnesses):
         raise DiagramError("an H-class contained two idempotents")

@@ -19,6 +19,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import enumeration, green, ideals, structure
@@ -184,30 +185,38 @@ def check_green_relations(n: int = 4) -> VerificationReport:
     """D-class sizes, R/L-class counts and H-class sizes against the
     delta, rho and r! formulas, and the twisted class semantics."""
     report = VerificationReport("green-relations", {"n": n})
-    by_rank: dict[int, list[BrauerDiagram]] = {}
+    # one pass over B_n, keeping per rank only the H-class sizes, keyed by
+    # (kernel, cokernel), and the first six diagrams: memory grows with
+    # the sum of rho^2, not with |B_n|
+    h_sizes: dict[int, Counter] = {}
+    first: dict[int, list[BrauerDiagram]] = {}
     for d in enumeration.all_diagrams(n):
-        by_rank.setdefault(d.rank, []).append(d)
-    if sorted(by_rank) != list(ideals.index_set(n)):
-        report.fail(reason="rank support differs from I(n)", found=sorted(by_rank))
+        r = d.rank
+        if r not in h_sizes:
+            h_sizes[r], first[r] = Counter(), []
+        h_sizes[r][d.ker, d.coker] += 1
+        if len(first[r]) < 6:
+            first[r].append(d)
+    if sorted(h_sizes) != list(ideals.index_set(n)):
+        report.fail(reason="rank support differs from I(n)", found=sorted(h_sizes))
         return report
-    for r, members in sorted(by_rank.items()):
-        kernels = {d.ker for d in members}
-        cokernels = {d.coker for d in members}
-        h_sizes = {}
-        for d in members:
-            key = (d.ker, d.coker)
-            h_sizes[key] = h_sizes.get(key, 0) + 1
+    total = 0
+    for r, sizes in sorted(h_sizes.items()):
+        d_size = sum(sizes.values())
+        total += d_size
+        kernels = {ker for ker, _ in sizes}
+        cokernels = {coker for _, coker in sizes}
         expected_rho, expected_delta = ideals.rho(n, r), ideals.delta(n, r)
         if (
-            len(members) != expected_delta
+            d_size != expected_delta
             or len(kernels) != expected_rho
             or len(cokernels) != expected_rho
-            or set(h_sizes.values()) != {math.factorial(r)}
+            or set(sizes.values()) != {math.factorial(r)}
         ):
-            report.fail(rank=r, d_size=len(members), r_classes=len(kernels))
+            report.fail(rank=r, d_size=d_size, r_classes=len(kernels))
             return report
     # twisted semantics: classes are {i} x K_alpha
-    pool = by_rank[min(by_rank)] + by_rank[max(by_rank)]
+    pool = first[min(first)] + first[max(first)]
     for a, b in itertools.product(pool[:6], repeat=2):
         for i, j in ((0, 0), (0, 1), (2, 2)):
             x, y = TwistedElement(i, a), TwistedElement(j, b)
@@ -216,7 +225,7 @@ def check_green_relations(n: int = 4) -> VerificationReport:
                 if green.same_class(rel, x, y) != (i == j and plain):
                     report.fail(relation=rel, twists=(i, j))
                     return report
-    report.counts = {"diagrams": sum(map(len, by_rank.values())), "ranks": len(by_rank)}
+    report.counts = {"diagrams": total, "ranks": len(h_sizes)}
     return report
 
 

@@ -1,11 +1,14 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
 multiplication example, plus independent oracles for diagram construction,
-the product, the closures, the perfect matching, the absorption of a
-transposition and the idempotent chain."""
+the product, the closures, the D-class stream, the Graham-Houghton graph,
+the perfect matching, the absorption of a transposition and the
+idempotent chain."""
+
+import itertools
 
 import pytest
 
-from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
+from twisted_brauer import BrauerDiagram, KernelSignature, make_diagram, multiply, transposition
 from twisted_brauer import enumeration
 from twisted_brauer.diagram import (
     BlockSizeError,
@@ -17,7 +20,7 @@ from twisted_brauer.diagram import (
 )
 from twisted_brauer.green import PreconditionError, canonical_idempotent
 from twisted_brauer.ideals import lemma_rank_drop
-from twisted_brauer.structure import _sandwich_units, _transposition_factors
+from twisted_brauer.structure import GHGraph, _sandwich_units, _transposition_factors
 from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
 
 
@@ -117,6 +120,45 @@ def union_find_product(a: BrauerDiagram, b: BrauerDiagram):
             out[mate], out[prod] = prod, mate
     floating = set(roots[n:n2]) - set(roots[:n]) - set(roots[n2:])
     return BrauerDiagram(n, tuple(out)), len(floating)
+
+
+def copy_per_candidate_d_class(n: int, r: int):
+    """Reference D-class stream: the hook slots of each (upper, lower)
+    pattern pair are written once into a template, and every bijection
+    fills a fresh copy of it through the validating ``BrauerDiagram``."""
+    lower = list(enumeration.hook_patterns(n, r))
+    for upper_hooks, dom in enumeration.hook_patterns(n, r):
+        tops = [i - 1 for i in dom]
+        for lower_hooks, codom in lower:
+            hooked = [0] * (2 * n)
+            for a, b in upper_hooks:
+                hooked[a - 1], hooked[b - 1] = b - 1, a - 1
+            for c, d in lower_hooks:
+                hooked[n + c - 1], hooked[n + d - 1] = n + d - 1, n + c - 1
+            for image in itertools.permutations([n + v - 1 for v in codom]):
+                pairing = hooked[:]
+                for x, y in zip(tops, image):
+                    pairing[x], pairing[y] = y, x
+                yield BrauerDiagram(n, tuple(pairing))
+
+
+def kernel_keyed_gh_graph(n: int, r: int) -> GHGraph:
+    """Reference Graham-Houghton graph: every twisted idempotent of the
+    D-class, bucketed by the ``ker`` and ``coker`` computed from the
+    diagram itself rather than read off its place in the stream."""
+    signatures = tuple(sorted(
+        (KernelSignature(n, frozenset(hooks)) for hooks, _ in enumeration.hook_patterns(n, r)),
+        key=KernelSignature.sorted_hooks,
+    ))
+    index = {sig: i for i, sig in enumerate(signatures)}
+    witnesses = [
+        (index[d.ker], index[d.coker], d)
+        for d in enumeration.d_class(n, r)
+        if is_idempotent_twisted(d)
+    ]
+    edges = frozenset((l, r_) for l, r_, _ in witnesses)
+    assert len(edges) == len(witnesses), "an H-class contained two idempotents"
+    return GHGraph(n, r, signatures, edges, tuple(sorted(witnesses, key=lambda w: w[:2])))
 
 
 def recursive_matching(graph):

@@ -13,6 +13,7 @@ import twisted_brauer
 
 from twisted_brauer import TwistedElement, identity, make_diagram, parse_diagram, star_chain
 from twisted_brauer.cli import main, parse_element
+from twisted_brauer.structure import GH_CANDIDATE_LIMIT
 
 ALPHA10 = "n=10: (1,2)(5,8)(9,10)(3,3')(4,6')(6,7')(7,8')(1',2')(4',5')(9',10')"
 BETA10 = "n=10: (2,4)(6,7)(8,10)(1,5)(3,2')(9,9')(1',3')(4',5')(7',8')(6',10')"
@@ -347,3 +348,17 @@ def test_verify_oracle_refusal_is_immediate(capsys):
     code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8", "--force")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith("error:") and "2027025" in err
+
+
+def test_verify_gh_conditions_is_refused_by_its_real_size(capsys):
+    # no degree guard: build_gh_graph refuses a D-class of more than
+    # GH_CANDIDATE_LIMIT diagrams, and --force does not lift that
+    code, out, err = run(capsys, "verify", "gh-conditions", "--n", "7", "--r", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+    for force in ((), ("--force",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "gh-conditions", "--n", "9", "--r", "3", *force)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and f"more than {GH_CANDIDATE_LIMIT}" in err

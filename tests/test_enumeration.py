@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from conftest import closure_oracle
+from conftest import closure_oracle, copy_per_candidate_d_class
 from twisted_brauer import (
     BrauerDiagram,
     ClosureResult,
     DiagramError,
     DivisibilityOracle,
+    KernelSignature,
     TwistedElement,
     all_diagrams,
     as_twisted,
@@ -107,6 +108,28 @@ def test_d_class_is_the_rank_slice_of_all_diagrams():
         for r in index_set(n):
             members = [BrauerDiagram(n, d.pairing) for d in d_class(n, r)]
             assert set(members) == {d for d in all_diagrams(n) if d.rank == r}
+
+
+def _attainable(max_n):
+    return [(n, r) for n in range(max_n + 1) for r in index_set(n)]
+
+
+def test_d_class_matches_copy_per_candidate_stream():
+    # the in-place stream yields what a fresh copy per candidate yields,
+    # in the same order, and every pairing passes validation
+    for n, r in _attainable(6):
+        assert list(d_class(n, r)) == list(copy_per_candidate_d_class(n, r))
+
+
+def test_d_class_block_order():
+    # diagram k has the kernel of pattern (k // r!) // rho and the cokernel
+    # of pattern (k // r!) % rho: the order build_gh_graph relies on
+    for n, r in _attainable(6):
+        patterns = [KernelSignature(n, frozenset(h)) for h, _ in hook_patterns(n, r)]
+        block, side = math.factorial(r), len(patterns)
+        for k, d in enumerate(d_class(n, r)):
+            upper, lower = divmod(k // block, side)
+            assert (d.ker, d.coker) == (patterns[upper], patterns[lower]), (n, r, k)
 
 
 def test_top_d_class_is_symmetric_group():

@@ -44,6 +44,7 @@ from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _swap_points, _transposition_factors
 from conftest import (
     factor_into_idempotents_bfs,
+    kernel_keyed_gh_graph,
     product_absorption_chain,
     recursive_matching,
 )
@@ -77,6 +78,15 @@ def test_gh_graph_regular_degrees_up_to_6():
             assert len(graph.edges) == b * rho(n, r)
             idem_count = sum(1 for d in d_class(n, r) if is_idempotent_twisted(d))
             assert idem_count == len(graph.edges)
+
+
+@pytest.mark.parametrize("n, r", _gh_cases(7) + [(8, 6)])
+def test_gh_graph_matches_kernel_keyed_oracle(n, r):
+    # H-classes read off the stream position agree with ker and coker
+    graph = build_gh_graph(n, r)
+    assert graph == kernel_keyed_gh_graph(n, r)
+    for l, r_, w in graph.witnesses:
+        assert graph.signatures[l] == w.ker and graph.signatures[r_] == w.coker
 
 
 def test_gh_graph_rejects_extreme_ranks():
