@@ -34,14 +34,6 @@ from .diagram import (
 )
 from .twisted import TwistedElement, as_twisted, star, star_chain
 
-EXHAUSTIVE_DEGREE_LIMIT = 6
-# verify checks whose whole enumeration --samples bounds: only these may
-# sample above the degree guard
-SAMPLE_BOUNDED_CHECKS = frozenset({"tau-identity"})
-# verify checks that refuse their own work by its real size, with no
-# override: the degree guard does not apply to them
-SIZE_GUARDED_CHECKS = frozenset({"gh-conditions"})
-
 _TWIST_PREFIX = re.compile(r"^\s*(\d+)\s*\*\s*")
 
 
@@ -184,7 +176,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_gh_graph(args) -> int:
     graph = structure.build_gh_graph(args.n, args.r)
-    if args.dot or args.format == "dot":
+    if args.format == "dot":
         print(graph.to_dot())
         return 0
     report = structure.rank_idrank_report(graph)
@@ -208,16 +200,6 @@ def _cmd_verify(args) -> int:
         print(f"unknown theorem id {args.theorem!r}; known: {', '.join(sorted(verify.CHECKS))}",
               file=sys.stderr)
         return 2
-    bounded = args.theorem in SAMPLE_BOUNDED_CHECKS
-    sampled = bounded and args.samples is not None and not args.exhaustive
-    guarded = args.theorem not in SIZE_GUARDED_CHECKS and not args.force and not sampled
-    if guarded and args.n is not None and args.n > EXHAUSTIVE_DEGREE_LIMIT:
-        print(
-            f"exhaustive sweeps refuse n = {args.n} > {EXHAUSTIVE_DEGREE_LIMIT}; "
-            "pass --force" + (" or use --samples" if bounded else ""),
-            file=sys.stderr,
-        )
-        return 1
     accepted = inspect.signature(check).parameters
     provided = {
         "n": args.n,
@@ -320,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="degree (always explicit)")
     p.add_argument("--format", choices=("text", "jsonl", "dot"), default="text")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of the report")
     p.set_defaults(func=_cmd_gh_graph)
 
     p = sub.add_parser("factor", help="factor a singular diagram into idempotents")
@@ -338,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     return parser

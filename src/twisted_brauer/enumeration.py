@@ -24,7 +24,7 @@ from .diagram import (
     permutation_diagram,
     transposition,
 )
-from .ideals import delta, double_factorial
+from .ideals import _check_rank_param, delta, double_factorial
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
 # |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
@@ -36,22 +36,13 @@ ENUMERATION_LIMIT = 654_729_075
 ORACLE_LIMIT = 135_135
 
 
-def _check_rank(n: int, r: int) -> None:
-    if (n - r) % 2 or not 0 <= r <= n:
-        raise DiagramError(f"rank {r} is not attainable in degree {n}")
-
-
 def _check_size(n: int, r: int | None = None) -> None:
     """Refuse a negative degree, or a stream of more than ENUMERATION_LIMIT
     diagrams: all (2n-1)!! of degree n, or the delta(n, r) of rank r, which
     is computed from the formula before anything is enumerated."""
     if n < 0:
         raise DiagramError("degree must be non-negative")
-    if r is None:
-        size = double_factorial(2 * n - 1)
-    else:
-        _check_rank(n, r)
-        size = delta(n, r)
+    size = double_factorial(2 * n - 1) if r is None else delta(n, r)
     if size > ENUMERATION_LIMIT:
         raise DiagramError(
             f"enumeration of {size} diagrams of degree {n} refused: "
@@ -120,7 +111,7 @@ def _partial_matchings(points: list[int]):
 def hook_patterns(n: int, r: int):
     """All rho(n, r) ways to choose (n-r)/2 disjoint hooks on [n],
     as (hooks, leftover) with both parts sorted."""
-    _check_rank(n, r)
+    _check_rank_param(n, r)
     s = (n - r) // 2
     for pairs, unmatched in _partial_matchings(list(range(1, n + 1))):
         if len(pairs) == s:

@@ -390,16 +390,6 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     return GeneratingSet(n, (r, k), "d-class-grid", elements)
 
 
-def minimal_generating_size(n: int, r: int, k: int) -> int:
-    """|M(r;k)| for k >= 1, and the k = 0 ranks, straight from the formulas."""
-    _check_rank_param(n, r)
-    if k == 0:
-        return 4 if r == n else (rho(n, r) if r > 0 else delta(n, 0))
-    if r == 0:
-        return (k + 1) * delta(n, 0)
-    return k * sum(delta(n, s) for s in index_set(r))
-
-
 @dataclass(frozen=True)
 class IdealRank:
     """Rank data of a principal ideal (four regimes by r and k)."""

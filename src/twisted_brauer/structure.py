@@ -28,7 +28,7 @@ from .diagram import (
     identity,
 )
 from .green import PreconditionError, canonical_idempotent
-from .ideals import delta, idempotent_factor_sigma, index_set, lemma_rank_drop, rho
+from .ideals import _check_rank_param, delta, idempotent_factor_sigma, lemma_rank_drop, rho
 from .twisted import TwistedElement, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -129,10 +129,9 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     a diagram."""
     if n < 3:
         raise PreconditionError("Graham-Houghton analysis needs degree >= 3")
-    if r not in index_set(n) or r in (0, n):
-        raise PreconditionError(
-            f"rank {r} must lie strictly between 0 and {n} in I({n})"
-        )
+    _check_rank_param(n, r)
+    if r in (0, n):
+        raise PreconditionError(f"rank {r} must lie strictly between 0 and {n}")
     candidates = delta(n, r)
     if candidates > GH_CANDIDATE_LIMIT:
         raise DiagramError(

@@ -81,17 +81,25 @@ def _check_count(name: str, count: int) -> None:
         raise DiagramError(f"{name} must be at least 1, got {count}")
 
 
-def _triples(n: int, exhaustive: bool, samples: int, seed: int):
-    _check_count("samples", samples)
-    if exhaustive:
-        pool = list(enumeration.all_diagrams(n))
-        return itertools.product(pool, repeat=3), len(pool) ** 3
-    rng = random.Random(seed)
-    gen = (
-        tuple(enumeration.random_diagram(n, rng) for _ in range(3))
-        for _ in range(samples)
-    )
-    return gen, samples
+# |B_8| = 15!!: the most items one check may visit.  Every D-class that
+# structure.GH_CANDIDATE_LIMIT admits (at most 2,000,000 diagrams) fits.
+SWEEP_LIMIT = 2_027_025
+
+
+def _check_sweep(report: VerificationReport, size: int, unit: str) -> None:
+    """Refuse a check whose sweep visits more than SWEEP_LIMIT items.  Each
+    check counts its items from its parameters and the counting formulas
+    before it enumerates anything; no parameter lifts the limit."""
+    if size > SWEEP_LIMIT:
+        raise DiagramError(f"verify {report.theorem} refused: it visits {size} {unit}, "
+                           f"more than {SWEEP_LIMIT}")
+
+
+def _diagrams(n: int, max_rank: int | None = None) -> int:
+    """The number of diagrams of degree n, of rank at most max_rank if given."""
+    if max_rank is None:
+        return ideals.double_factorial(2 * n - 1)
+    return sum(ideals.delta(n, s) for s in ideals.index_set(n) if s <= max_rank)
 
 
 @_timed
@@ -106,7 +114,13 @@ def check_tau_identity(
         {"n": n, "exhaustive": exhaustive, "samples": None if exhaustive else samples,
          "seed": None if exhaustive else seed},
     )
-    triples, total = _triples(n, exhaustive, samples, seed)
+    _check_count("samples", samples)
+    total = _diagrams(n) ** 3 if exhaustive else samples
+    _check_sweep(report, total, "triples")
+    rng = random.Random(seed)
+    triples = (itertools.product(list(enumeration.all_diagrams(n)), repeat=3) if exhaustive else
+               (tuple(enumeration.random_diagram(n, rng) for _ in range(3))
+                for _ in range(samples)))
     for a, b, c in triples:
         ab, t_ab = multiply(a, b)
         bc, t_bc = multiply(b, c)
@@ -126,15 +140,6 @@ def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElem
     return [TwistedElement(i, d) for i in twists for d in pool]
 
 
-def _pairs(n: int, samples: int | None, seed: int):
-    pool = list(enumeration.all_diagrams(n))
-    if samples is None:
-        return itertools.product(pool, repeat=2), len(pool) ** 2
-    rng = random.Random(seed)
-    gen = ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
-    return gen, samples
-
-
 @_timed
 def check_green_preorders(
     n: int = 3, samples: int | None = None, seed: int = 0, factor: bool = True
@@ -146,8 +151,12 @@ def check_green_preorders(
     )
     if samples is not None:  # before the oracle, which takes seconds at degree 7
         _check_count("samples", samples)
+    total = _diagrams(n) ** 2 if samples is None else samples
+    _check_sweep(report, total, "pairs")
     oracle = enumeration.DivisibilityOracle(n)
-    pairs, total = _pairs(n, samples, seed)
+    pool, rng = list(enumeration.all_diagrams(n)), random.Random(seed)
+    pairs = (itertools.product(pool, repeat=2) if samples is None else
+             ((rng.choice(pool), rng.choice(pool)) for _ in range(samples)))
     factored = {"right": 0, "left": 0, "two_sided": 0}
     for a, b in pairs:
         for rel, fast, slow in (
@@ -185,6 +194,7 @@ def check_green_relations(n: int = 4) -> VerificationReport:
     """D-class sizes, R/L-class counts and H-class sizes against the
     delta, rho and r! formulas, and the twisted class semantics."""
     report = VerificationReport("green-relations", {"n": n})
+    _check_sweep(report, _diagrams(n), "diagrams")
     # one pass over B_n, keeping per rank only the H-class sizes, keyed by
     # (kernel, cokernel), and the first six diagrams: memory grows with
     # the sum of rho^2, not with |B_n|
@@ -233,6 +243,8 @@ def check_green_relations(n: int = 4) -> VerificationReport:
 def check_regularity(n: int = 3, twist_bound: int = 1) -> VerificationReport:
     """is_regular against brute-force search for y with x*y*x = x."""
     report = VerificationReport("regularity", {"n": n, "twist_bound": twist_bound})
+    # a non-regular element is tried against every candidate
+    _check_sweep(report, (len(range(twist_bound + 1)) * _diagrams(n)) ** 2, "pairs")
     candidates = _truncation(n, range(twist_bound + 1))
     checked = 0
     for x in candidates:
@@ -256,6 +268,9 @@ def check_ideal_classification(
         {"n": n, "twist_bound": twist_bound, "cases": cases, "seed": seed},
     )
     _check_count("cases", cases)
+    # two truncations of two twists each; the closure products below are
+    # strided to at most 2 * 80 * 80
+    _check_sweep(report, cases + 4 * _diagrams(n), "spec pairs and truncation elements")
     rng = random.Random(seed)
     ranks = ideals.index_set(n)
     grid = [(r, i) for r in ranks for i in range(twist_bound + 1)]
@@ -301,6 +316,7 @@ def check_ideal_classification(
 def check_rank_drop(n: int = 4) -> VerificationReport:
     """D_r lies in D_{r+2} * D_{r+2} with no floating component, r <= n-4."""
     report = VerificationReport("rank-drop-lemma", {"n": n})
+    _check_sweep(report, _diagrams(n, n - 4), "diagrams")
     checked = 0
     for r in ideals.index_set(n):
         if r > n - 4:
@@ -323,6 +339,7 @@ def check_rank_drop(n: int = 4) -> VerificationReport:
 def check_twist_raise(n: int = 4) -> VerificationReport:
     """alpha = alpha*beta with tau = 1 and rank preserved, alpha singular."""
     report = VerificationReport("twist-raise-lemma", {"n": n})
+    _check_sweep(report, _diagrams(n), "diagrams")
     checked = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:
@@ -340,6 +357,7 @@ def check_twist_raise(n: int = 4) -> VerificationReport:
 def check_twist_keep(n: int = 4) -> VerificationReport:
     """alpha = alpha*beta with tau = 0; beta in D_alpha, or D_2 at rank 0."""
     report = VerificationReport("twist-keep-lemma", {"n": n})
+    _check_sweep(report, _diagrams(n), "diagrams")
     checked = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:
@@ -355,10 +373,13 @@ def check_twist_keep(n: int = 4) -> VerificationReport:
 
 
 @_timed
-def check_idempotent_generation(n: int = 4, r: int = 2) -> VerificationReport:
+def check_idempotent_generation(n: int = 4, r: int | None = None) -> VerificationReport:
     """Transposition absorption: alpha * sigma_ij is a zero-twist chain of
-    alpha with rank-preserving twisted idempotents, all cases."""
+    alpha with rank-preserving twisted idempotents, all cases.  The rank
+    defaults to n - 2."""
+    r = n - 2 if r is None else r
     report = VerificationReport("idempotent-generation", {"n": n, "r": r})
+    _check_sweep(report, ideals.delta(n, r) * math.comb(n, 2), "(diagram, transposition) pairs")
     checked = 0
     for alpha in enumeration.d_class(n, r):
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -381,6 +402,10 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2) -> Verifica
     """Bounded closure of the twisted idempotents of D_r covers the
     twist-bounded truncation of I(r;0)."""
     report = VerificationReport("idempotent-closure", {"n": n, "r": r, "bound": bound})
+    # the closure lies in the truncation, and each H-class of D_r holds at
+    # most one idempotent generator
+    products = len(range(bound + 1)) * _diagrams(n, r) * ideals.rho(n, r) ** 2
+    _check_sweep(report, _diagrams(n) + products, "diagrams and closure products")
     gens = [d for d in enumeration.idempotents(n) if d.rank == r]
     closure = enumeration.bounded_closure(gens, bound).elements
     spec = ideals.ideal_normalize(n, [(r, 0)])
@@ -398,11 +423,14 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2) -> Verifica
 
 
 @_timed
-def check_gh_conditions(n: int = 4, r: int = 2) -> VerificationReport:
+def check_gh_conditions(n: int = 4, r: int | None = None) -> VerificationReport:
     """Balance, degree-regularity with b >= 2, connectivity and Strong Hall
     for the Graham-Houghton graph; SCC decision against the subset oracle
-    when the side is small enough."""
+    when the side is small enough.  The rank defaults to n - 2."""
+    r = n - 2 if r is None else r
     report = VerificationReport("gh-conditions", {"n": n, "r": r})
+    # the sweep is the delta(n, r) candidates, built and recounted:
+    # build_gh_graph refuses more than GH_CANDIDATE_LIMIT < SWEEP_LIMIT
     graph = structure.build_gh_graph(n, r)
     gh_report = structure.rank_idrank_report(graph)
     report.counts = {
@@ -431,32 +459,29 @@ def check_gh_conditions(n: int = 4, r: int = 2) -> VerificationReport:
 
 @_timed
 def check_rank_table(n: int = 3, max_k: int = 3) -> VerificationReport:
-    """The four-case rank formula, cross-checked against materialised
-    minimal generating sets where those are finite grids."""
+    """The four-case rank formula, cross-checked against the materialised
+    minimal generating set in every cell."""
     report = VerificationReport("rank-table", {"n": n, "max_k": max_k})
-    cells = 0
-    for r in ideals.index_set(n):
-        for k in range(max_k + 1):
-            info = ideals.rank_of_ideal(n, r, k)
-            if info.idempotent_generated != (0 < r < n and k == 0):
-                report.fail(r=r, k=k, reason="idempotent-generated flag")
-                return report
-            if info.idempotent_generated and info.idrank != info.rank:
-                report.fail(r=r, k=k, reason="idrank differs from rank")
-                return report
-            expected = ideals.minimal_generating_size(n, r, k)
-            if info.rank != expected:
-                report.fail(r=r, k=k, got=info.rank, expected=expected)
-                return report
-            if not (k == 0 and r == n):
-                spec = ideals.ideal_normalize(n, [(r, k)])
-                gens = ideals.generating_set(spec)
-                if gens.size != info.rank:
-                    report.fail(r=r, k=k, got=gens.size, expected=info.rank,
-                                reason="materialised set size")
-                    return report
-            cells += 1
-    report.counts = {"cells": cells}
+    cells = [(r, k) for r in ideals.index_set(n) for k in range(max_k + 1)]
+    # a proper k = 0 cell builds the Graham-Houghton graph of D_r; every
+    # other cell materialises its generators
+    size = sum(ideals.delta(n, r) if k == 0 and 0 < r < n else ideals.rank_of_ideal(n, r, k).rank
+               for r, k in cells)
+    _check_sweep(report, size, "candidates and generators")
+    for r, k in cells:
+        info = ideals.rank_of_ideal(n, r, k)
+        if info.idempotent_generated != (0 < r < n and k == 0):
+            report.fail(r=r, k=k, reason="idempotent-generated flag")
+            return report
+        if info.idempotent_generated and info.idrank != info.rank:
+            report.fail(r=r, k=k, reason="idrank differs from rank")
+            return report
+        gens = ideals.generating_set(ideals.ideal_normalize(n, [(r, k)]))
+        if gens.size != info.rank:
+            report.fail(r=r, k=k, got=gens.size, expected=info.rank,
+                        reason="materialised set size")
+            return report
+    report.counts = {"cells": len(cells)}
     return report
 
 
@@ -465,6 +490,10 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1) -> VerificationReport
     """M(r;k): star-indecomposable inside I(r;k), and its bounded closure
     recovers the bounded truncation of the ideal."""
     report = VerificationReport("minimal-gens", {"n": n, "r": r, "k": k})
+    # the generators lie in the pool, and the closure in its truncation
+    pool_size = len(range(k, 2 * k + 1)) * _diagrams(n, r)
+    closure_size = len(range(k, 2 * k + 3)) * _diagrams(n, r)
+    _check_sweep(report, pool_size * (pool_size + closure_size), "pairs and closure products")
     spec = ideals.ideal_normalize(n, [(r, k)])
     gens = ideals.generating_set(spec).elements
     gen_set = set(gens)
@@ -492,6 +521,9 @@ def check_singular_rank(n: int = 3, closure_bound: int = 2) -> VerificationRepor
     scale) its bounded closure covering the singular truncation."""
     report = VerificationReport("singular-rank", {"n": n})
     value = structure.singular_rank(n)
+    # the generating set tests the delta(n, n-2) candidates of a
+    # Graham-Houghton graph and lists the n! units
+    _check_sweep(report, ideals.delta(n, n - 2) + math.factorial(n), "diagrams")
     if value != math.comb(n, 2) + math.factorial(n):
         report.fail(value=value)
         return report
@@ -515,6 +547,11 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2) -> VerificationReport:
     """The idempotent-generated subsemigroup is {1} u I(n-2;0) (degree >= 3);
     at degree 2 the twisted idempotents generate only {1}."""
     report = VerificationReport("ig-subsemigroup", {"n": n, "bound": bound})
+    # the closure lies in the truncation, and each H-class holds at most
+    # one idempotent generator
+    generators = sum(ideals.rho(n, r) ** 2 for r in ideals.index_set(n))
+    products = len(range(bound + 1)) * _diagrams(n) * generators
+    _check_sweep(report, _diagrams(n) + products, "diagrams and closure products")
     twisted_idems = list(enumeration.idempotents(n))
     closure = enumeration.bounded_closure(twisted_idems, bound).elements
     if n == 2:
@@ -547,6 +584,7 @@ def check_maltcev_mazorchuk(n: int = 3) -> VerificationReport:
     """Every singular diagram is a zero-twist chain of twisted idempotents,
     and the idempotent-generated submonoids of the plain monoid coincide."""
     report = VerificationReport("maltcev-mazorchuk", {"n": n})
+    _check_sweep(report, _diagrams(n), "diagrams")
     factored = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:

@@ -14,6 +14,7 @@ import twisted_brauer
 from twisted_brauer import TwistedElement, identity, make_diagram, parse_diagram, star_chain
 from twisted_brauer.cli import main, parse_element
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
+from twisted_brauer.verify import SWEEP_LIMIT
 
 ALPHA10 = "n=10: (1,2)(5,8)(9,10)(3,3')(4,6')(6,7')(7,8')(1',2')(4',5')(9',10')"
 BETA10 = "n=10: (2,4)(6,7)(8,10)(1,5)(3,2')(9,9')(1',3')(4',5')(7',8')(6',10')"
@@ -194,14 +195,12 @@ def test_gh_graph_report_and_dot(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["certified_rank"] == 6 and report["b"] == 4
-    code, out, _ = run(capsys, "gh-graph", "--n", "4", "--r", "2", "--dot")
+    code, out, _ = run(capsys, "gh-graph", "--n", "4", "--r", "2", "--format", "dot")
     assert code == 0 and out.startswith("graph graham_houghton {")
-    code, out2, _ = run(capsys, "gh-graph", "--n", "4", "--r", "2", "--format", "dot")
-    assert code == 0 and out2 == out
 
 
 def test_gh_graph_guard(capsys):
-    for extra in ((), ("--dot",)):
+    for extra in ((), ("--format", "dot")):
         code, out, err = run(capsys, "gh-graph", "--n", "9", "--r", "3", *extra)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "refused" in err
@@ -250,25 +249,73 @@ def test_verify_refuses_large_exhaustive(capsys):
 
 
 def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
-    # green-relations ignores --samples and green-pre-orders enumerates all
-    # of B_n for its oracle, so at n = 9 both would start a 34M-diagram sweep
+    # green-relations ignores --samples, and green-pre-orders' oracle holds
+    # all of B_n, so at n = 9 both are still refused by a 34M-diagram size
     for theorem in ("green-relations", "green-pre-orders"):
         code, out, err = run(capsys, "verify", theorem, "--n", "9", "--samples", "3")
-        assert code == 1 and out == "" and "exhaustive sweeps refuse" in err
+        assert code == 1 and out == "" and err.startswith("error:") and "34459425" in err
     code, _, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
                        "--samples", "3")
-    assert code == 1 and "exhaustive sweeps refuse" in err
+    assert code == 1 and err.startswith("error:") and "refused" in err
     code, out, _ = run(capsys, "verify", "tau-identity", "--n", "50", "--samples", "10")
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "pass" and report["counts"]["triples"] == 10
 
 
-def test_verify_guard_names_samples_only_where_they_bound_the_sweep(capsys):
-    code, _, err = run(capsys, "verify", "green-relations", "--n", "9", "--samples", "3")
-    assert code == 1 and "--force" in err and "--samples" not in err
-    code, _, err = run(capsys, "verify", "tau-identity", "--n", "9")
-    assert code == 1 and "--samples" in err
+# one request per check above verify.SWEEP_LIMIT, with the size and unit
+# its refusal names; gh-conditions is refused by its D-class size instead
+REFUSED_SWEEPS = {
+    "tau-identity": ("tau-identity --n 5 --exhaustive", "843908625 triples"),
+    "tau-identity-sampled": ("tau-identity --n 50 --samples 1000000000", "1000000000 triples"),
+    "green-pre-orders": ("green-pre-orders --n 6", "108056025 pairs"),
+    "green-relations": ("green-relations --n 9", "34459425 diagrams"),
+    "regularity": ("regularity --n 6", "432224100 pairs"),
+    "ideal-classification": ("ideal-classification --n 8",
+                             "8108150 spec pairs and truncation elements"),
+    "rank-drop-lemma": ("rank-drop-lemma --n 9", "27564705 diagrams"),
+    "twist-raise-lemma": ("twist-raise-lemma --n 9", "34459425 diagrams"),
+    "twist-keep-lemma": ("twist-keep-lemma --n 9", "34459425 diagrams"),
+    "idempotent-generation": ("idempotent-generation --n 8",
+                              "15805440 (diagram, transposition) pairs"),
+    "idempotent-closure": ("idempotent-closure --n 6 --r 4 --bound 2",
+                           "6541020 diagrams and closure products"),
+    "gh-conditions": ("gh-conditions --n 9 --r 3", f"more than {GH_CANDIDATE_LIMIT}"),
+    "rank-table": ("rank-table --n 7", "2250679 candidates and generators"),
+    "minimal-gens": ("minimal-gens --n 6 --r 6 --k 1", "1296672300 pairs and closure products"),
+    "singular-rank": ("singular-rank --n 9", "6894720 diagrams"),
+    "ig-subsemigroup": ("ig-subsemigroup --n 6", "77224455 diagrams and closure products"),
+    "maltcev-mazorchuk": ("maltcev-mazorchuk --n 9", "34459425 diagrams"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SWEEPS))
+def test_verify_refuses_sweeps_above_the_limit(capsys, case):
+    request, named = REFUSED_SWEEPS[case]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *request.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "refused" in err and named in err
+    if case != "gh-conditions":
+        assert err.rstrip().endswith(f"{named}, more than {SWEEP_LIMIT}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("green-relations", "--n", "7"),
+    ("twist-raise-lemma", "--n", "7"),
+    ("gh-conditions", "--n", "7"),  # the default rank n - 2 lies in I(7)
+])
+def test_verify_runs_sweeps_within_the_limit(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_gh_rank_outside_the_index_set_names_it(capsys):
+    code, out, err = run(capsys, "gh-graph", "--n", "7", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "I(7) = (1, 3, 5, 7)" in err
 
 
 def test_verify_n2_anomaly(capsys):
@@ -288,7 +335,7 @@ def test_verify_rank_table_n3(capsys):
 def test_commands_are_deterministic(capsys):
     runs = [
         ("ideal", "gens", "--n", "3", "--r", "1", "--k", "0", "--list"),
-        ("gh-graph", "--n", "4", "--r", "2", "--dot"),
+        ("gh-graph", "--n", "4", "--r", "2", "--format", "dot"),
         ("enumerate", "--n", "3", "--format", "jsonl"),
     ]
     for argv in runs:
@@ -345,20 +392,18 @@ def test_verify_refuses_sample_counts_below_one(capsys, argv):
 
 def test_verify_oracle_refusal_is_immediate(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8", "--force")
+    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8", "--samples", "10")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith("error:") and "2027025" in err
 
 
 def test_verify_gh_conditions_is_refused_by_its_real_size(capsys):
-    # no degree guard: build_gh_graph refuses a D-class of more than
-    # GH_CANDIDATE_LIMIT diagrams, and --force does not lift that
+    # build_gh_graph refuses a D-class of more than GH_CANDIDATE_LIMIT diagrams
     code, out, err = run(capsys, "verify", "gh-conditions", "--n", "7", "--r", "3")
     assert (code, err) == (0, "")
     assert json.loads(out)["status"] == "pass"
-    for force in ((), ("--force",)):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "gh-conditions", "--n", "9", "--r", "3", *force)
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and f"more than {GH_CANDIDATE_LIMIT}" in err
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "gh-conditions", "--n", "9", "--r", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and f"more than {GH_CANDIDATE_LIMIT}" in err

@@ -40,7 +40,6 @@ from twisted_brauer import (
     transposition,
 )
 from twisted_brauer.enumeration import random_diagram
-from twisted_brauer.ideals import minimal_generating_size
 from conftest import block_list_sigma
 
 
@@ -353,10 +352,10 @@ def test_sigma_matches_block_lists_random():
 
 
 def test_generating_set_sizes():
-    assert minimal_generating_size(4, 2, 1) == 81
-    assert minimal_generating_size(4, 0, 2) == 27
-    assert minimal_generating_size(3, 3, 0) == 4
-    assert minimal_generating_size(3, 1, 0) == 3
+    assert rank_of_ideal(4, 2, 1).rank == 81
+    assert rank_of_ideal(4, 0, 2).rank == 27
+    assert rank_of_ideal(3, 3, 0).rank == 4
+    assert rank_of_ideal(3, 1, 0).rank == 3
     grid = generating_set(ideal_normalize(4, [(2, 1)]))
     assert grid.kind == "d-class-grid" and grid.size == 81
     column = generating_set(ideal_normalize(4, [(0, 2)]))
