@@ -42,11 +42,10 @@ def double_factorial(m: int) -> int:
     >>> [double_factorial(m) for m in (-1, 0, 1, 3, 5)]
     [1, 1, 1, 3, 15]
     """
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    if m <= 0:
+        return 1
+    evens = math.factorial(m // 2) << m // 2  # 2 * 4 * ... * 2h for h = m // 2
+    return math.factorial(m) // evens if m % 2 else evens
 
 
 def _check_rank_param(n: int, r: int) -> None:

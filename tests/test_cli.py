@@ -249,11 +249,11 @@ def test_verify_refuses_large_exhaustive(capsys):
 
 
 def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
-    # green-relations ignores --samples, and green-pre-orders' oracle holds
-    # all of B_n, so at n = 9 both are still refused by a 34M-diagram size
+    # green-relations ignores --samples, and each green-pre-orders query from
+    # a new source may search all 34M diagrams of B_9, so both are refused
     for theorem in ("green-relations", "green-pre-orders"):
         code, out, err = run(capsys, "verify", theorem, "--n", "9", "--samples", "3")
-        assert code == 1 and out == "" and err.startswith("error:") and "34459425" in err
+        assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
     code, _, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
                        "--samples", "3")
     assert code == 1 and err.startswith("error:") and "refused" in err
@@ -263,42 +263,43 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     assert report["status"] == "pass" and report["counts"]["triples"] == 10
 
 
-# one request per check above verify.SWEEP_LIMIT, with the size and unit
-# its refusal names; gh-conditions is refused by its D-class size instead
+# at least one request per check above verify.SWEEP_LIMIT, with the unit its
+# refusal names; gh-conditions is refused by its D-class size instead
 REFUSED_SWEEPS = {
-    "tau-identity": ("tau-identity --n 5 --exhaustive", "843908625 triples"),
-    "tau-identity-sampled": ("tau-identity --n 50 --samples 1000000000", "1000000000 triples"),
-    "green-pre-orders": ("green-pre-orders --n 6", "108056025 pairs"),
-    "green-relations": ("green-relations --n 9", "34459425 diagrams"),
-    "regularity": ("regularity --n 6", "432224100 pairs"),
-    "ideal-classification": ("ideal-classification --n 8",
-                             "8108150 spec pairs and truncation elements"),
-    "rank-drop-lemma": ("rank-drop-lemma --n 9", "27564705 diagrams"),
-    "twist-raise-lemma": ("twist-raise-lemma --n 9", "34459425 diagrams"),
-    "twist-keep-lemma": ("twist-keep-lemma --n 9", "34459425 diagrams"),
-    "idempotent-generation": ("idempotent-generation --n 8",
-                              "15805440 (diagram, transposition) pairs"),
+    "tau-identity": ("tau-identity --n 5 --exhaustive", "triples"),  # 843,908,625
+    "tau-identity-sampled": ("tau-identity --n 50 --samples 1000000000", "triples"),
+    "tau-identity-huge-degree": ("tau-identity --n 100000 --exhaustive", "triples"),
+    "green-pre-orders": ("green-pre-orders --n 6", "pairs and oracle search steps"),
+    "green-relations": ("green-relations --n 9", "diagrams"),  # 34,459,425
+    "regularity": ("regularity --n 6", "pairs"),  # 20,790^2
+    "regularity-degree-5": ("regularity --n 5", "pairs"),  # 1,890^2 = 3,572,100
+    "ideal-classification": ("ideal-classification --n 8", "spec pairs and truncation elements"),
+    "rank-drop-lemma": ("rank-drop-lemma --n 9", "diagrams"),
+    "twist-raise-lemma": ("twist-raise-lemma --n 9", "diagrams"),
+    "twist-keep-lemma": ("twist-keep-lemma --n 9", "diagrams"),
+    "idempotent-generation": ("idempotent-generation --n 8", "(diagram, transposition) pairs"),
     "idempotent-closure": ("idempotent-closure --n 6 --r 4 --bound 2",
-                           "6541020 diagrams and closure products"),
+                           "diagrams and closure products"),
     "gh-conditions": ("gh-conditions --n 9 --r 3", f"more than {GH_CANDIDATE_LIMIT}"),
-    "rank-table": ("rank-table --n 7", "2250679 candidates and generators"),
-    "minimal-gens": ("minimal-gens --n 6 --r 6 --k 1", "1296672300 pairs and closure products"),
-    "singular-rank": ("singular-rank --n 9", "6894720 diagrams"),
-    "ig-subsemigroup": ("ig-subsemigroup --n 6", "77224455 diagrams and closure products"),
-    "maltcev-mazorchuk": ("maltcev-mazorchuk --n 9", "34459425 diagrams"),
+    "rank-table": ("rank-table --n 7", "candidates and generators"),
+    "rank-table-huge-degree": ("rank-table --n 2000", "candidates and generators"),
+    "minimal-gens": ("minimal-gens --n 6 --r 6 --k 1", "pairs and closure products"),
+    "singular-rank": ("singular-rank --n 9", "diagrams"),
+    "ig-subsemigroup": ("ig-subsemigroup --n 6", "diagrams and closure products"),
+    "maltcev-mazorchuk": ("maltcev-mazorchuk --n 9", "diagrams"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_SWEEPS))
 def test_verify_refuses_sweeps_above_the_limit(capsys, case):
-    request, named = REFUSED_SWEEPS[case]
+    request, unit = REFUSED_SWEEPS[case]
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", *request.split())
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and "refused" in err and named in err
+    assert err.startswith("error:") and "refused" in err and unit in err
     if case != "gh-conditions":
-        assert err.rstrip().endswith(f"{named}, more than {SWEEP_LIMIT}")
+        assert err.rstrip().endswith(f"it visits more than {SWEEP_LIMIT} {unit}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -392,7 +393,7 @@ def test_verify_refuses_sample_counts_below_one(capsys, argv):
 
 def test_verify_oracle_refusal_is_immediate(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8", "--samples", "10")
+    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith("error:") and "2027025" in err
 

@@ -40,6 +40,7 @@ from twisted_brauer import (
     transposition,
 )
 from twisted_brauer.enumeration import random_diagram
+from twisted_brauer.ideals import double_factorial
 from conftest import block_list_sigma
 
 
@@ -59,6 +60,11 @@ def test_delta_sums_to_double_factorial():
         total = sum(delta(n, r) for r in index_set(n))
         expected = math.prod(range(2 * n - 1, 0, -2)) if n else 1
         assert total == expected
+
+
+def test_double_factorial_is_the_alternating_product():
+    for m in range(-3, 300):
+        assert double_factorial(m) == math.prod(range(m, 0, -2))
 
 
 def test_rho_delta_closed_forms_agree():

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from twisted_brauer import DiagramError, verify
+from twisted_brauer import DiagramError, all_diagrams, verify
+from twisted_brauer.ideals import double_factorial
 
 EXPECTED_IDS = {
     "tau-identity",
@@ -77,3 +78,13 @@ def test_sampled_pairs_refuse_fewer_than_one_sample():
 def test_ideal_classification_refuses_fewer_than_one_case():
     with pytest.raises(DiagramError):
         verify.check_ideal_classification(cases=0)
+
+
+def test_sweep_counts_are_exact_up_to_the_limit():
+    for n in range(7):
+        ranks = [d.rank for d in all_diagrams(n)]
+        for r in range(-1, n + 1):
+            assert verify._diagrams(n, r) == sum(1 for rank in ranks if rank <= r)
+    for n in range(9):  # |B_8| = SWEEP_LIMIT
+        assert verify._diagrams(n) == double_factorial(2 * n - 1) <= verify.SWEEP_LIMIT
+    assert verify._diagrams(9) > verify.SWEEP_LIMIT
