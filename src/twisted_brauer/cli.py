@@ -201,18 +201,16 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     accepted = inspect.signature(check).parameters
-    provided = {
-        "n": args.n,
-        "r": args.r,
-        "k": args.k,
-        "bound": args.bound,
-        "twist_bound": args.bound,
-        "samples": args.samples,
-        "seed": args.seed,
-        "exhaustive": True if args.exhaustive else None,
-    }
-    kwargs = {k: v for k, v in provided.items() if k in accepted and v is not None}
-    report = check(**kwargs)
+    # each flag and the check parameter it sets
+    params = {"n": "n", "r": "r", "k": "k",
+              "bound": "twist_bound" if "twist_bound" in accepted else "bound",
+              "samples": "samples", "seed": "seed", "exhaustive": "exhaustive"}
+    given = {flag: getattr(args, flag) for flag in params if getattr(args, flag) is not None}
+    unused = [f"--{flag}" for flag in given if params[flag] not in accepted]
+    if unused:
+        print(f"verify {args.theorem} does not take {', '.join(unused)}", file=sys.stderr)
+        return 2
+    report = check(**{params[flag]: value for flag, value in given.items()})
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -316,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--bound", type=int)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", default=None)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -43,11 +43,9 @@ def _check_size(n: int, r: int | None = None) -> None:
     if n < 0:
         raise DiagramError("degree must be non-negative")
     size = double_factorial(2 * n - 1) if r is None else delta(n, r)
-    if size > ENUMERATION_LIMIT:
+    if size > ENUMERATION_LIMIT:  # the size is not printed: it may exceed int-to-text limits
         raise DiagramError(
-            f"enumeration of {size} diagrams of degree {n} refused: "
-            f"more than {ENUMERATION_LIMIT}"
-        )
+            f"enumeration of degree {n} refused: it streams more than {ENUMERATION_LIMIT} diagrams")
 
 
 def _complete_pairings(pairing: list[int], free: list[int]):
@@ -307,7 +305,7 @@ class DivisibilityOracle:
         _check_size(n)
         size = double_factorial(2 * n - 1)
         if size > ORACLE_LIMIT:
-            raise DiagramError(
+            raise DiagramError(  # size <= ENUMERATION_LIMIT here, so it prints
                 f"divisibility oracle over {size} diagrams of degree {n} refused: "
                 f"more than {ORACLE_LIMIT}, since it keeps every diagram in memory"
             )

@@ -64,6 +64,19 @@ def delta(n: int, r: int) -> int:
     return rho(n, r) ** 2 * math.factorial(r)
 
 
+def gh_degree(n: int, r: int) -> int:
+    """The common degree b of the Graham-Houghton graph of D_r, 0 < r < n:
+    2^k * r(r+1)...(r+k-1) with k = (n - r) / 2.  A kernel with k upper
+    hooks meets b cokernels whose H-class holds a twisted idempotent.
+
+    >>> [gh_degree(4, 2), gh_degree(5, 3), gh_degree(7, 1)]
+    [4, 6, 48]
+    """
+    _check_rank_param(n, r)
+    k = (n - r) // 2
+    return 2**k * math.prod(range(r, r + k))
+
+
 @dataclass(frozen=True)
 class IdealSpec:
     """A canonical finite union of principal ideals I(r_1;k_1) u ... u I(r_s;k_s).

@@ -132,12 +132,10 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     _check_rank_param(n, r)
     if r in (0, n):
         raise PreconditionError(f"rank {r} must lie strictly between 0 and {n}")
-    candidates = delta(n, r)
-    if candidates > GH_CANDIDATE_LIMIT:
+    if delta(n, r) > GH_CANDIDATE_LIMIT:  # a count that may be too long to print
         raise DiagramError(
             f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
-            f"{candidates} diagrams, more than {GH_CANDIDATE_LIMIT}"
-        )
+            f"more than {GH_CANDIDATE_LIMIT} diagrams")
     patterns = [frozenset(hooks) for hooks, _ in enumeration.hook_patterns(n, r)]
     signatures = tuple(sorted(
         (KernelSignature(n, hooks) for hooks in patterns), key=KernelSignature.sorted_hooks

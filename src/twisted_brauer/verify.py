@@ -3,9 +3,10 @@ Theorem verification harness.
 
 Each checker replays one structural result at a chosen (desk) scale and
 returns a :class:`VerificationReport`: pass/fail, the witness counts, a
-re-checkable counterexample on failure, and the elapsed wall time.  The
-registry at the bottom maps stable theorem ids onto checkers; the CLI
-``verify`` subcommand is a thin wrapper around it.
+re-checkable counterexample on failure, and the elapsed wall time.  One
+runner, :func:`_check`, registers every checker in ``CHECKS`` under its
+stable theorem id; the CLI ``verify`` subcommand is a thin wrapper around
+that registry.
 
 All randomised sweeps take an explicit seed, which is echoed in the
 report.
@@ -14,13 +15,15 @@ report.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 from . import enumeration, green, ideals, structure
 from .diagram import BrauerDiagram, DiagramError, identity, multiply, transposition
@@ -52,74 +55,113 @@ class VerificationReport:
             self.counterexample = witness
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem": self.theorem,
-                "params": self.params,
-                "status": self.status,
-                "counts": self.counts,
-                "counterexample": self.counterexample,
-                "seconds": round(self.seconds, 6),
-            }
-        )
-
-
-def _timed(check):
-    @functools.wraps(check)
-    def wrapper(*args, **kwargs) -> VerificationReport:
-        start = time.perf_counter()
-        report = check(*args, **kwargs)
-        report.seconds = time.perf_counter() - start
-        return report
-
-    return wrapper
-
-
-def _check_count(name: str, count: int) -> None:
-    # a sweep over fewer than one sample would pass without checking anything
-    if count < 1:
-        raise DiagramError(f"{name} must be at least 1, got {count}")
+        return json.dumps({**asdict(self), "seconds": round(self.seconds, 6)})
 
 
 # |B_8| = 15!!: the most items one check may visit.  Every D-class that
 # structure.GH_CANDIDATE_LIMIT admits (at most 2,000,000 diagrams) fits.
 SWEEP_LIMIT = 2_027_025
+_CAP = SWEEP_LIMIT + 1
+
+# the least value of each parameter: below it a sweep crashes or checks nothing
+_MINIMA = {"n": 0, "k": 0, "max_k": 0, "bound": 0, "twist_bound": 0, "samples": 1, "cases": 1}
+
+CHECKS: dict[str, Callable[..., VerificationReport]] = {}
 
 
-def _check_sweep(report: VerificationReport, size: int, unit: str) -> None:
-    """Refuse a sweep of more than SWEEP_LIMIT items, counted from the check's
-    parameters and the counting formulas before anything is enumerated."""
-    if size > SWEEP_LIMIT:
-        raise DiagramError(
-            f"verify {report.theorem} refused: it visits more than {SWEEP_LIMIT} {unit}")
+class _Fail(Exception):
+    """Raised by a check's sweep, carrying the counterexample as keywords."""
+
+    def __init__(self, **witness):
+        self.witness = witness
 
 
-def _diagrams(n: int, max_rank: int | None = None) -> int:
-    """The number of diagrams of degree n, of rank at most max_rank if given.
-    Exact up to SWEEP_LIMIT; past it, the first partial sum above SWEEP_LIMIT,
-    summed from the top rank down, so that a huge degree costs one term."""
-    total = 0
-    for s in reversed(ideals.index_set(n)):
-        if total <= SWEEP_LIMIT and (max_rank is None or s <= max_rank):
-            total += ideals.delta(n, s)
+def _check(theorem: str):
+    """Register a check under ``theorem`` in CHECKS.
+
+    The decorated body is a generator.  It first yields ``(params, size,
+    unit)``: the parameters its report echoes and the number of items its
+    sweep visits, counted from the formulas before anything is enumerated
+    and capped by _product and _total.  It then sweeps, and returns the
+    report's counts or raises _Fail with a counterexample.  The runner
+    refuses a parameter below _MINIMA and a sweep of more than SWEEP_LIMIT
+    items, and builds and times the report."""
+
+    def register(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> VerificationReport:
+            start = time.perf_counter()
+            for name, value in signature.bind(*args, **kwargs).arguments.items():
+                least = _MINIMA.get(name)
+                if least is not None and value is not None and value < least:
+                    raise DiagramError(f"{name} must be at least {least}, got {value}")
+            sweep = body(*args, **kwargs)
+            params, size, unit = next(sweep)
+            if size > SWEEP_LIMIT:
+                raise DiagramError(
+                    f"verify {theorem} refused: it visits more than {SWEEP_LIMIT} {unit}")
+            report = VerificationReport(theorem, params)
+            try:
+                next(sweep)
+            except StopIteration as done:
+                report.counts = done.value
+            except _Fail as failure:
+                report.fail(**failure.witness)
+            report.seconds = time.perf_counter() - start
+            return report
+
+        CHECKS[theorem] = check
+        return check
+
+    return register
+
+
+def _product(*counts: int) -> int:
+    """The product of non-negative counts, capped at SWEEP_LIMIT + 1 factor by
+    factor, so that a refusal multiplies no huge integers."""
+    total = 1
+    for count in counts:
+        total = min(total * min(count, _CAP), _CAP)
     return total
 
 
-@_timed
+def _total(counts) -> int:
+    """The sum of non-negative counts, capped at SWEEP_LIMIT + 1; no count is
+    drawn once the sum is past the limit."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > SWEEP_LIMIT:
+            return _CAP
+    return total
+
+
+def _delta(n: int, r: int) -> int:
+    """delta(n, r) = rho(n, r)^2 * r!, capped at SWEEP_LIMIT + 1."""
+    rho = ideals.rho(n, r)
+    return _product(rho, rho, *range(2, r + 1))
+
+
+def _diagrams(n: int, max_rank: int | None = None) -> int:
+    """The number of diagrams of degree n, of rank at most max_rank if given,
+    capped at SWEEP_LIMIT + 1.  Summed from the top rank down, so that a huge
+    degree costs one term."""
+    return _total(_delta(n, s) for s in reversed(ideals.index_set(n))
+                  if max_rank is None or s <= max_rank)
+
+
+@_check("tau-identity")
 def check_tau_identity(
     n: int = 3, exhaustive: bool | None = None, samples: int = 100_000, seed: int = 0
-) -> VerificationReport:
+):
     """tau(a,b) + tau(ab,c) = tau(a,bc) + tau(b,c), and (ab)c = a(bc)."""
     if exhaustive is None:
         exhaustive = n <= 3
-    report = VerificationReport(
-        "tau-identity",
-        {"n": n, "exhaustive": exhaustive, "samples": None if exhaustive else samples,
-         "seed": None if exhaustive else seed},
-    )
-    _check_count("samples", samples)
-    total = _diagrams(n) ** 3 if exhaustive else samples
-    _check_sweep(report, total, "triples")
+    total = _product(*[_diagrams(n)] * 3) if exhaustive else samples
+    yield ({"n": n, "exhaustive": exhaustive, "samples": None if exhaustive else samples,
+            "seed": None if exhaustive else seed}, total, "triples")
     rng = random.Random(seed)
     triples = (itertools.product(list(enumeration.all_diagrams(n)), repeat=3) if exhaustive else
                (tuple(enumeration.random_diagram(n, rng) for _ in range(3))
@@ -130,10 +172,8 @@ def check_tau_identity(
         left_prod, t_ab_c = multiply(ab, c)
         right_prod, t_a_bc = multiply(a, bc)
         if left_prod != right_prod or t_ab + t_ab_c != t_bc + t_a_bc:
-            report.fail(a=a.to_text(), b=b.to_text(), c=c.to_text())
-            break
-    report.counts["triples"] = total
-    return report
+            raise _Fail(a=a.to_text(), b=b.to_text(), c=c.to_text())
+    return {"triples": total}
 
 
 def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElement]:
@@ -143,21 +183,17 @@ def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElem
     return [TwistedElement(i, d) for i in twists for d in pool]
 
 
-@_timed
+@_check("green-pre-orders")
 def check_green_preorders(
     n: int = 3, samples: int | None = None, seed: int = 0, factor: bool = True
-) -> VerificationReport:
+):
     """Kernel/cokernel/rank pre-order decisions against the divisibility
     oracle, plus the constructive factorization postconditions."""
-    report = VerificationReport(
-        "green-pre-orders", {"n": n, "samples": samples, "seed": seed if samples else None}
-    )
-    if samples is not None:  # before the oracle, which takes seconds at degree 7
-        _check_count("samples", samples)
     size = _diagrams(n)
-    total = size ** 2 if samples is None else samples
+    total = _product(size, size) if samples is None else samples
     # a query from a new source may search all of B_n in the oracle's graphs
-    _check_sweep(report, total + min(total, size) * size, "pairs and oracle search steps")
+    yield ({"n": n, "samples": samples, "seed": seed if samples else None},
+           total + _product(min(total, size), size), "pairs and oracle search steps")
     oracle = enumeration.DivisibilityOracle(n)
     pool, rng = list(enumeration.all_diagrams(n)), random.Random(seed)
     pairs = (itertools.product(pool, repeat=2) if samples is None else
@@ -171,8 +207,7 @@ def check_green_preorders(
         ):
             claimed = fast(a, b)
             if claimed != slow(a, b):
-                report.fail(relation=rel, alpha=a.to_text(), beta=b.to_text())
-                return report
+                raise _Fail(relation=rel, alpha=a.to_text(), beta=b.to_text())
             if not (claimed and factor):
                 continue
             if rel == "R":
@@ -188,18 +223,15 @@ def check_green_preorders(
                 ok = star_chain(gamma, b, delta) == TwistedElement(0, a)
                 factored["two_sided"] += 1
             if not ok:
-                report.fail(relation=rel + "-factor", alpha=a.to_text(), beta=b.to_text())
-                return report
-    report.counts = {"pairs": total, **factored}
-    return report
+                raise _Fail(relation=rel + "-factor", alpha=a.to_text(), beta=b.to_text())
+    return {"pairs": total, **factored}
 
 
-@_timed
-def check_green_relations(n: int = 4) -> VerificationReport:
+@_check("green-relations")
+def check_green_relations(n: int = 4):
     """D-class sizes, R/L-class counts and H-class sizes against the
     delta, rho and r! formulas, and the twisted class semantics."""
-    report = VerificationReport("green-relations", {"n": n})
-    _check_sweep(report, _diagrams(n), "diagrams")
+    yield {"n": n}, _diagrams(n), "diagrams"
     # one pass over B_n, keeping per rank only the H-class sizes, keyed by
     # (kernel, cokernel), and the first six diagrams: memory grows with
     # the sum of rho^2, not with |B_n|
@@ -213,23 +245,16 @@ def check_green_relations(n: int = 4) -> VerificationReport:
         if len(first[r]) < 6:
             first[r].append(d)
     if sorted(h_sizes) != list(ideals.index_set(n)):
-        report.fail(reason="rank support differs from I(n)", found=sorted(h_sizes))
-        return report
+        raise _Fail(reason="rank support differs from I(n)", found=sorted(h_sizes))
     total = 0
     for r, sizes in sorted(h_sizes.items()):
         d_size = sum(sizes.values())
         total += d_size
         kernels = {ker for ker, _ in sizes}
         cokernels = {coker for _, coker in sizes}
-        expected_rho, expected_delta = ideals.rho(n, r), ideals.delta(n, r)
-        if (
-            d_size != expected_delta
-            or len(kernels) != expected_rho
-            or len(cokernels) != expected_rho
-            or set(sizes.values()) != {math.factorial(r)}
-        ):
-            report.fail(rank=r, d_size=d_size, r_classes=len(kernels))
-            return report
+        if (d_size != ideals.delta(n, r) or {len(kernels), len(cokernels)} != {ideals.rho(n, r)}
+                or set(sizes.values()) != {math.factorial(r)}):
+            raise _Fail(rank=r, d_size=d_size, r_classes=len(kernels))
     # twisted semantics: classes are {i} x K_alpha
     pool = first[min(first)] + first[max(first)]
     for a, b in itertools.product(pool[:6], repeat=2):
@@ -238,52 +263,39 @@ def check_green_relations(n: int = 4) -> VerificationReport:
             for rel in green.RELATIONS:
                 plain = green.same_class(rel, as_twisted(a), as_twisted(b))
                 if green.same_class(rel, x, y) != (i == j and plain):
-                    report.fail(relation=rel, twists=(i, j))
-                    return report
-    report.counts = {"diagrams": total, "ranks": len(h_sizes)}
-    return report
+                    raise _Fail(relation=rel, twists=(i, j))
+    return {"diagrams": total, "ranks": len(h_sizes)}
 
 
-@_timed
-def check_regularity(n: int = 3, twist_bound: int = 1) -> VerificationReport:
+@_check("regularity")
+def check_regularity(n: int = 3, twist_bound: int = 1):
     """is_regular against brute-force search for y with x*y*x = x."""
-    report = VerificationReport("regularity", {"n": n, "twist_bound": twist_bound})
+    elements = _product(twist_bound + 1, _diagrams(n))
     # a non-regular element is tried against every candidate
-    _check_sweep(report, (len(range(twist_bound + 1)) * _diagrams(n)) ** 2, "pairs")
+    yield {"n": n, "twist_bound": twist_bound}, _product(elements, elements), "pairs"
     candidates = _truncation(n, range(twist_bound + 1))
-    checked = 0
     for x in candidates:
         found = any(star(star(x, y), x) == x for y in candidates)
         if found != green.is_regular(x):
-            report.fail(element=x.to_text(), witness_found=found)
-            return report
-        checked += 1
-    report.counts = {"elements": checked, "candidates": len(candidates)}
-    return report
+            raise _Fail(element=x.to_text(), witness_found=found)
+    return {"elements": len(candidates), "candidates": len(candidates)}
 
 
-@_timed
+@_check("ideal-classification")
 def check_ideal_classification(
     n: int = 3, twist_bound: int = 4, cases: int = 50, seed: int = 0
-) -> VerificationReport:
+):
     """Canonical-form subset/normalize decisions against pointwise
     membership on a twist-bounded truncation, and closure of ideals."""
-    report = VerificationReport(
-        "ideal-classification",
-        {"n": n, "twist_bound": twist_bound, "cases": cases, "seed": seed},
-    )
-    _check_count("cases", cases)
     # two 2-twist truncations; the closure products below are strided to <= 2 * 80 * 80
-    _check_sweep(report, cases + 4 * _diagrams(n), "spec pairs and truncation elements")
+    yield ({"n": n, "twist_bound": twist_bound, "cases": cases, "seed": seed},
+           cases + 4 * _diagrams(n), "spec pairs and truncation elements")
     rng = random.Random(seed)
     ranks = ideals.index_set(n)
     grid = [(r, i) for r in ranks for i in range(twist_bound + 1)]
 
     def truncation(spec):
-        return {
-            (r, i) for r, i in grid
-            if any(r <= q and i >= l for q, l in spec.terms)
-        }
+        return {(r, i) for r, i in grid if any(r <= q and i >= l for q, l in spec.terms)}
 
     for _ in range(cases):
         specs = []
@@ -295,11 +307,9 @@ def check_ideal_classification(
             specs.append(ideals.ideal_normalize(n, terms))
         left, right = specs
         if ideals.ideal_subset(left, right) != (truncation(left) <= truncation(right)):
-            report.fail(left=left.to_text(), right=right.to_text())
-            return report
+            raise _Fail(left=left.to_text(), right=right.to_text())
         if ideals.ideal_equal(left, right) != (truncation(left) == truncation(right)):
-            report.fail(left=left.to_text(), right=right.to_text(), kind="equality")
-            return report
+            raise _Fail(left=left.to_text(), right=right.to_text(), kind="equality")
     # closure of a principal ideal truncation under both-sided products
     spec = ideals.ideal_normalize(n, [(ranks[0], 1)])
     inside = [x for x in _truncation(n, range(1, 3)) if ideals.ideal_contains(spec, x)]
@@ -309,323 +319,251 @@ def check_ideal_classification(
         for y in outside[:: max(1, len(outside) // 40)]:
             for p in (star(x, y), star(y, x)):
                 if not ideals.ideal_contains(spec, p):
-                    report.fail(x=x.to_text(), y=y.to_text(), product=p.to_text())
-                    return report
+                    raise _Fail(x=x.to_text(), y=y.to_text(), product=p.to_text())
                 closure_checked += 1
-    report.counts = {"spec_pairs": cases, "closure_products": closure_checked}
-    return report
+    return {"spec_pairs": cases, "closure_products": closure_checked}
 
 
-@_timed
-def check_rank_drop(n: int = 4) -> VerificationReport:
+@_check("rank-drop-lemma")
+def check_rank_drop(n: int = 4):
     """D_r lies in D_{r+2} * D_{r+2} with no floating component, r <= n-4."""
-    report = VerificationReport("rank-drop-lemma", {"n": n})
-    _check_sweep(report, _diagrams(n, n - 4), "diagrams")
+    yield {"n": n}, _diagrams(n, n - 4), "diagrams"
     checked = 0
-    for r in ideals.index_set(n):
-        if r > n - 4:
-            continue
+    for r in ideals.index_set(n)[:-2]:  # the ranks r <= n - 4
         for alpha in enumeration.d_class(n, r):
             beta, gamma = ideals.lemma_rank_drop(alpha)
-            if (
-                beta.rank != r + 2
-                or gamma.rank != r + 2
-                or multiply(beta, gamma) != (alpha, 0)
-            ):
-                report.fail(alpha=alpha.to_text())
-                return report
+            if beta.rank != r + 2 or gamma.rank != r + 2 or multiply(beta, gamma) != (alpha, 0):
+                raise _Fail(alpha=alpha.to_text())
             checked += 1
-    report.counts = {"diagrams": checked}
-    return report
+    return {"diagrams": checked}
 
 
-@_timed
-def check_twist_raise(n: int = 4) -> VerificationReport:
+def _twist_lemma(n: int, lemma, tau: int):
+    """The sweep of the twist lemmas: alpha = alpha * lemma(alpha) with twist
+    tau for every singular alpha, and lemma(alpha) of the rank of alpha, or
+    of rank 2 when the twist is kept at rank 0."""
+    yield {"n": n}, _diagrams(n), "diagrams"
+    checked = 0
+    for alpha in enumeration.all_diagrams(n):
+        if alpha.rank == n:
+            continue
+        beta = lemma(alpha)
+        want_rank = alpha.rank if tau or alpha.rank > 0 else 2
+        if beta.rank != want_rank or multiply(alpha, beta) != (alpha, tau):
+            raise _Fail(alpha=alpha.to_text(), beta=beta.to_text())
+        checked += 1
+    return {"diagrams": checked}
+
+
+@_check("twist-raise-lemma")
+def check_twist_raise(n: int = 4):
     """alpha = alpha*beta with tau = 1 and rank preserved, alpha singular."""
-    report = VerificationReport("twist-raise-lemma", {"n": n})
-    _check_sweep(report, _diagrams(n), "diagrams")
-    checked = 0
-    for alpha in enumeration.all_diagrams(n):
-        if alpha.rank == n:
-            continue
-        beta = ideals.lemma_twist_raise(alpha)
-        if beta.rank != alpha.rank or multiply(alpha, beta) != (alpha, 1):
-            report.fail(alpha=alpha.to_text(), beta=beta.to_text())
-            return report
-        checked += 1
-    report.counts = {"diagrams": checked}
-    return report
+    return _twist_lemma(n, ideals.lemma_twist_raise, 1)
 
 
-@_timed
-def check_twist_keep(n: int = 4) -> VerificationReport:
+@_check("twist-keep-lemma")
+def check_twist_keep(n: int = 4):
     """alpha = alpha*beta with tau = 0; beta in D_alpha, or D_2 at rank 0."""
-    report = VerificationReport("twist-keep-lemma", {"n": n})
-    _check_sweep(report, _diagrams(n), "diagrams")
-    checked = 0
-    for alpha in enumeration.all_diagrams(n):
-        if alpha.rank == n:
-            continue
-        beta = ideals.lemma_twist_keep(alpha)
-        want_rank = alpha.rank if alpha.rank > 0 else 2
-        if beta.rank != want_rank or multiply(alpha, beta) != (alpha, 0):
-            report.fail(alpha=alpha.to_text(), beta=beta.to_text())
-            return report
-        checked += 1
-    report.counts = {"diagrams": checked}
-    return report
+    return _twist_lemma(n, ideals.lemma_twist_keep, 0)
 
 
-@_timed
-def check_idempotent_generation(n: int = 4, r: int | None = None) -> VerificationReport:
+@_check("idempotent-generation")
+def check_idempotent_generation(n: int = 4, r: int | None = None):
     """Transposition absorption: alpha * sigma_ij is a zero-twist chain of
     alpha with rank-preserving twisted idempotents, all cases.  The rank
     defaults to n - 2."""
     r = n - 2 if r is None else r
-    report = VerificationReport("idempotent-generation", {"n": n, "r": r})
-    _check_sweep(report, ideals.delta(n, r) * math.comb(n, 2), "(diagram, transposition) pairs")
+    yield ({"n": n, "r": r}, _product(_delta(n, r), math.comb(n, 2)),
+           "(diagram, transposition) pairs")
     checked = 0
     for alpha in enumeration.d_class(n, r):
         for i, j in itertools.combinations(range(1, n + 1), 2):
             factors = ideals.idempotent_factor_sigma(alpha, i, j)
             target = multiply(alpha, transposition(n, i, j))[0]
             if star_chain(alpha, *factors) != TwistedElement(0, target):
-                report.fail(alpha=alpha.to_text(), i=i, j=j)
-                return report
+                raise _Fail(alpha=alpha.to_text(), i=i, j=j)
             for b in factors:
                 if not is_idempotent_twisted(b) or b.rank != r:
-                    report.fail(alpha=alpha.to_text(), i=i, j=j, factor=b.to_text())
-                    return report
+                    raise _Fail(alpha=alpha.to_text(), i=i, j=j, factor=b.to_text())
             checked += 1
-    report.counts = {"triples": checked}
-    return report
+    return {"triples": checked}
 
 
-@_timed
-def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2) -> VerificationReport:
+@_check("idempotent-closure")
+def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     """Bounded closure of the twisted idempotents of D_r covers the
-    twist-bounded truncation of I(r;0)."""
-    report = VerificationReport("idempotent-closure", {"n": n, "r": r, "bound": bound})
+    twist-bounded truncation of I(r;0), which is idempotent-generated
+    exactly when 0 < r < n."""
+    if not 0 < r < n:
+        raise DiagramError(f"verify idempotent-closure is stated for 0 < r < n, got r = {r}")
+    rho = ideals.rho(n, r)
     # the closure lies in the truncation; an H-class holds at most one idempotent
-    products = len(range(bound + 1)) * _diagrams(n, r) * ideals.rho(n, r) ** 2
-    _check_sweep(report, _diagrams(n) + products, "diagrams and closure products")
+    products = _product(bound + 1, _diagrams(n, r), rho, rho)
+    yield ({"n": n, "r": r, "bound": bound}, _diagrams(n) + products,
+           "diagrams and closure products")
     gens = [d for d in enumeration.idempotents(n) if d.rank == r]
     closure = enumeration.bounded_closure(gens, bound).elements
     spec = ideals.ideal_normalize(n, [(r, 0)])
     expected = set(_truncation(n, range(bound + 1), r))
     if not expected <= closure:
-        missing = next(iter(expected - closure))
-        report.fail(missing=missing.to_text())
-        return report
+        raise _Fail(missing=next(iter(expected - closure)).to_text())
     if not all(ideals.ideal_contains(spec, x) for x in closure):
-        report.fail(reason="closure escapes the ideal")
-        return report
-    report.counts = {"generators": len(gens), "closure": len(closure),
-                     "truncation": len(expected)}
-    return report
+        raise _Fail(reason="closure escapes the ideal")
+    return {"generators": len(gens), "closure": len(closure), "truncation": len(expected)}
 
 
-@_timed
-def check_gh_conditions(n: int = 4, r: int | None = None) -> VerificationReport:
+@_check("gh-conditions")
+def check_gh_conditions(n: int = 4, r: int | None = None):
     """Balance, degree-regularity with b >= 2, connectivity and Strong Hall
     for the Graham-Houghton graph; SCC decision against the subset oracle
-    when the side is small enough.  The rank defaults to n - 2."""
+    when the side is small enough; the degree and the edge count against
+    the closed form ideals.gh_degree.  The rank defaults to n - 2."""
     r = n - 2 if r is None else r
-    report = VerificationReport("gh-conditions", {"n": n, "r": r})
-    # build_gh_graph refuses its delta(n, r) candidates above GH_CANDIDATE_LIMIT < SWEEP_LIMIT
+    # nothing is visited beyond the build, which refuses its delta(n, r)
+    # candidates above GH_CANDIDATE_LIMIT < SWEEP_LIMIT
+    yield {"n": n, "r": r}, 0, "candidates"
     graph = structure.build_gh_graph(n, r)
     gh_report = structure.rank_idrank_report(graph)
-    report.counts = {
-        "side": gh_report.side_size,
-        "b": gh_report.common_degree,
-        "edges": len(graph.edges),
-    }
     if not gh_report.certified:
-        report.fail(**gh_report.to_json_obj())
-        return report
+        raise _Fail(**gh_report.to_json_obj())
+    counts = {"side": gh_report.side_size, "b": gh_report.common_degree,
+              "edges": len(graph.edges)}
     if len(graph.signatures) <= 16:
         if structure.strong_hall_check(graph) != structure.strong_hall_subset_oracle(graph):
-            report.fail(reason="SCC method disagrees with subset oracle")
-            return report
-        report.counts["oracle"] = "agrees"
-    # recounted from the product definition, independently of the build's
-    # idempotent test
-    idempotent_count = sum(
-        1 for d in enumeration.d_class(n, r) if multiply(d, d) == (d, 0)
-    )
-    if idempotent_count != len(graph.edges) or idempotent_count != gh_report.common_degree * gh_report.side_size:
-        report.fail(reason="edge count differs from idempotent count",
-                    idempotents=idempotent_count)
-    return report
+            raise _Fail(reason="SCC method disagrees with subset oracle")
+        counts["oracle"] = "agrees"
+    b = ideals.gh_degree(n, r)
+    if gh_report.common_degree != b or len(graph.edges) != ideals.rho(n, r) * b:
+        raise _Fail(reason="degree or edge count differs from the closed form", b=b)
+    return counts
 
 
-@_timed
-def check_rank_table(n: int = 3, max_k: int = 3) -> VerificationReport:
+@_check("rank-table")
+def check_rank_table(n: int = 3, max_k: int = 3):
     """The four-case rank formula, cross-checked against the materialised
     minimal generating set in every cell."""
-    report = VerificationReport("rank-table", {"n": n, "max_k": max_k})
     cells = [(r, k) for r in ideals.index_set(n) for k in range(max_k + 1)]
     # a proper k = 0 cell tests the delta(n, r) GH candidates; the others list generators
-    size = 0
-    for r, k in cells:
-        if size <= SWEEP_LIMIT:  # once past the limit, the sum need not be exact
-            proper = k == 0 and 0 < r < n
-            size += ideals.delta(n, r) if proper else ideals.rank_of_ideal(n, r, k).rank
-    _check_sweep(report, size, "candidates and generators")
+    size = _total(_delta(n, r) if k == 0 and 0 < r < n else ideals.rank_of_ideal(n, r, k).rank
+                  for r, k in cells)
+    yield {"n": n, "max_k": max_k}, size, "candidates and generators"
     for r, k in cells:
         info = ideals.rank_of_ideal(n, r, k)
         if info.idempotent_generated != (0 < r < n and k == 0):
-            report.fail(r=r, k=k, reason="idempotent-generated flag")
-            return report
+            raise _Fail(r=r, k=k, reason="idempotent-generated flag")
         if info.idempotent_generated and info.idrank != info.rank:
-            report.fail(r=r, k=k, reason="idrank differs from rank")
-            return report
+            raise _Fail(r=r, k=k, reason="idrank differs from rank")
         gens = ideals.generating_set(ideals.ideal_normalize(n, [(r, k)]))
         if gens.size != info.rank:
-            report.fail(r=r, k=k, got=gens.size, expected=info.rank,
+            raise _Fail(r=r, k=k, got=gens.size, expected=info.rank,
                         reason="materialised set size")
-            return report
-    report.counts = {"cells": len(cells)}
-    return report
+    return {"cells": len(cells)}
 
 
-@_timed
-def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1) -> VerificationReport:
+@_check("minimal-gens")
+def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     """M(r;k): star-indecomposable inside I(r;k), and its bounded closure
-    recovers the bounded truncation of the ideal."""
-    report = VerificationReport("minimal-gens", {"n": n, "r": r, "k": k})
-    # the generators lie in the pool, and the closure in its truncation
-    pool_size = len(range(k, 2 * k + 1)) * _diagrams(n, r)
-    closure_size = len(range(k, 2 * k + 3)) * _diagrams(n, r)
-    _check_sweep(report, pool_size * (pool_size + closure_size), "pairs and closure products")
+    recovers the bounded truncation of the ideal.  M(r;k) generates I(r;k)
+    for n >= 1 when k >= 1 or r = 0."""
+    if n < 1 or k == 0 < r:
+        raise DiagramError(
+            "verify minimal-gens is stated for n >= 1 and for k >= 1 or r = 0, "
+            f"got n = {n}, r = {r}, k = {k}")
+    # the generators lie in the pool P of twists k to 2k, and the closure in
+    # the truncation T of twists k to 2k + 2
+    pool = _product(k + 1, _diagrams(n, r))
+    closure_size = _product(k + 3, _diagrams(n, r))
+    yield ({"n": n, "r": r, "k": k}, _product(pool, pool + closure_size),
+           "pairs and closure products")
     spec = ideals.ideal_normalize(n, [(r, k)])
     gens = ideals.generating_set(spec).elements
     gen_set = set(gens)
-    pool = _truncation(n, range(k, 2 * k + 1), r)
-    for x, y in itertools.product(pool, repeat=2):
+    for x, y in itertools.product(_truncation(n, range(k, 2 * k + 1), r), repeat=2):
         if star(x, y) in gen_set:
-            report.fail(x=x.to_text(), y=y.to_text())
-            return report
+            raise _Fail(x=x.to_text(), y=y.to_text())
     bound = 2 * k + 2
     closure = enumeration.bounded_closure(gens, bound).elements
     expected = set(_truncation(n, range(k, bound + 1), r))
     if closure != expected:
-        report.fail(
+        raise _Fail(
             missing=[x.to_text() for x in list(expected - closure)[:3]],
             extra=[x.to_text() for x in list(closure - expected)[:3]],
         )
-        return report
-    report.counts = {"generators": len(gens), "closure": len(closure)}
-    return report
+    return {"generators": len(gens), "closure": len(closure)}
 
 
-@_timed
-def check_singular_rank(n: int = 3, closure_bound: int = 2) -> VerificationReport:
+@_check("singular-rank")
+def check_singular_rank(n: int = 3, bound: int = 2):
     """The C(n,2) + n! formula, the matching generating set, and (desk
     scale) its bounded closure covering the singular truncation."""
-    report = VerificationReport("singular-rank", {"n": n})
     value = structure.singular_rank(n)
     # the GH build tests delta(n, n-2) candidates, and the set lists the n! units
-    _check_sweep(report, ideals.delta(n, n - 2) + math.factorial(n), "diagrams")
+    yield {"n": n, "bound": bound}, _delta(n, n - 2) + _product(*range(2, n + 1)), "diagrams"
     if value != math.comb(n, 2) + math.factorial(n):
-        report.fail(value=value)
-        return report
+        raise _Fail(value=value)
     gens = structure.singular_generating_set(n)
     if len(gens) != value:
-        report.fail(generating_set_size=len(gens), expected=value)
-        return report
-    report.counts = {"rank": value, "generators": len(gens)}
+        raise _Fail(generating_set_size=len(gens), expected=value)
+    counts = {"rank": value, "generators": len(gens)}
     if n <= 3:
-        closure = enumeration.bounded_closure(gens, closure_bound).elements
+        closure = enumeration.bounded_closure(gens, bound).elements
         expected = set(_truncation(n, [0], n - 2) + _truncation(n, [1]))
         if not expected <= closure:
-            report.fail(missing=next(iter(expected - closure)).to_text())
-            return report
-        report.counts["closure"] = len(closure)
-    return report
+            raise _Fail(missing=next(iter(expected - closure)).to_text())
+        counts["closure"] = len(closure)
+    return counts
 
 
-@_timed
-def check_ig_subsemigroup(n: int = 3, bound: int = 2) -> VerificationReport:
+@_check("ig-subsemigroup")
+def check_ig_subsemigroup(n: int = 3, bound: int = 2):
     """The idempotent-generated subsemigroup is {1} u I(n-2;0) (degree >= 3);
     at degree 2 the twisted idempotents generate only {1}."""
-    report = VerificationReport("ig-subsemigroup", {"n": n, "bound": bound})
     # the closure lies in the truncation; an H-class holds at most one idempotent
-    generators = sum(ideals.rho(n, r) ** 2 for r in ideals.index_set(n))
-    products = len(range(bound + 1)) * _diagrams(n) * generators
-    _check_sweep(report, _diagrams(n) + products, "diagrams and closure products")
+    generators = _total(_product(ideals.rho(n, r), ideals.rho(n, r))
+                        for r in reversed(ideals.index_set(n)))
+    yield ({"n": n, "bound": bound},
+           _diagrams(n) + _product(bound + 1, _diagrams(n), generators),
+           "diagrams and closure products")
     twisted_idems = list(enumeration.idempotents(n))
     closure = enumeration.bounded_closure(twisted_idems, bound).elements
     if n == 2:
         if closure != {as_twisted(identity(2))}:
-            report.fail(closure_size=len(closure))
-            return report
+            raise _Fail(closure_size=len(closure))
         plain = enumeration.plain_closure(enumeration.idempotents(2, twisted=False))
         if plain != {d for d in enumeration.all_diagrams(2) if d.rank < 2 or d == identity(2)}:
-            report.fail(reason="untwisted closure at degree 2")
-            return report
-        report.counts = {"twisted_closure": len(closure), "plain_closure": len(plain)}
-        return report
+            raise _Fail(reason="untwisted closure at degree 2")
+        return {"twisted_closure": len(closure), "plain_closure": len(plain)}
     mismatch = [
         x for x in _truncation(n, range(bound + 1))
         if structure.in_idempotent_generated(x) != (x in closure)
     ]
     if mismatch:
-        report.fail(element=mismatch[0].to_text())
-        return report
-    report.counts = {
-        "idempotents": len(twisted_idems),
-        "closure": len(closure),
-        "rank": structure.ig_subsemigroup_rank(n),
-    }
-    return report
+        raise _Fail(element=mismatch[0].to_text())
+    return {"idempotents": len(twisted_idems), "closure": len(closure),
+            "rank": structure.ig_subsemigroup_rank(n)}
 
 
-@_timed
-def check_maltcev_mazorchuk(n: int = 3) -> VerificationReport:
+@_check("maltcev-mazorchuk")
+def check_maltcev_mazorchuk(n: int = 3):
     """Every singular diagram is a zero-twist chain of twisted idempotents,
     and the idempotent-generated submonoids of the plain monoid coincide."""
-    report = VerificationReport("maltcev-mazorchuk", {"n": n})
-    _check_sweep(report, _diagrams(n), "diagrams")
+    yield {"n": n}, _diagrams(n), "diagrams"
     factored = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:
             continue
         chain = structure.factor_into_idempotents(alpha)
         if not all(is_idempotent_twisted(b) for b in chain):
-            report.fail(alpha=alpha.to_text(), reason="non-idempotent factor")
-            return report
+            raise _Fail(alpha=alpha.to_text(), reason="non-idempotent factor")
         if star_chain(chain) != TwistedElement(0, alpha):
-            report.fail(alpha=alpha.to_text(), reason="chain does not rebuild alpha")
-            return report
+            raise _Fail(alpha=alpha.to_text(), reason="chain does not rebuild alpha")
         factored += 1
-    report.counts = {"singular_diagrams": factored}
+    counts = {"singular_diagrams": factored}
     if n <= 4:
         plain = enumeration.plain_closure(enumeration.idempotents(n, twisted=False))
         twisted = enumeration.plain_closure(enumeration.idempotents(n))
         expected = {d for d in enumeration.all_diagrams(n) if d.rank < n or d == identity(n)}
         if plain != expected or twisted != expected:
-            report.fail(reason="generated submonoids differ from {1} u singular")
-            return report
-        report.counts["submonoid"] = len(expected)
-    return report
-
-
-CHECKS = {
-    "tau-identity": check_tau_identity,
-    "green-pre-orders": check_green_preorders,
-    "green-relations": check_green_relations,
-    "regularity": check_regularity,
-    "ideal-classification": check_ideal_classification,
-    "rank-drop-lemma": check_rank_drop,
-    "twist-raise-lemma": check_twist_raise,
-    "twist-keep-lemma": check_twist_keep,
-    "idempotent-generation": check_idempotent_generation,
-    "idempotent-closure": check_idempotent_closure,
-    "gh-conditions": check_gh_conditions,
-    "rank-table": check_rank_table,
-    "minimal-gens": check_minimal_gens,
-    "singular-rank": check_singular_rank,
-    "ig-subsemigroup": check_ig_subsemigroup,
-    "maltcev-mazorchuk": check_maltcev_mazorchuk,
-}
+            raise _Fail(reason="generated submonoids differ from {1} u singular")
+        counts["submonoid"] = len(expected)
+    return counts

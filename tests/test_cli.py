@@ -13,6 +13,7 @@ import twisted_brauer
 
 from twisted_brauer import TwistedElement, identity, make_diagram, parse_diagram, star_chain
 from twisted_brauer.cli import main, parse_element
+from twisted_brauer.enumeration import ENUMERATION_LIMIT
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
 from twisted_brauer.verify import SWEEP_LIMIT
 
@@ -249,11 +250,12 @@ def test_verify_refuses_large_exhaustive(capsys):
 
 
 def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
-    # green-relations ignores --samples, and each green-pre-orders query from
-    # a new source may search all 34M diagrams of B_9, so both are refused
-    for theorem in ("green-relations", "green-pre-orders"):
-        code, out, err = run(capsys, "verify", theorem, "--n", "9", "--samples", "3")
-        assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
+    # green-relations takes no --samples, and each green-pre-orders query from
+    # a new source may search all 34M diagrams of B_9
+    code, out, err = run(capsys, "verify", "green-relations", "--n", "9", "--samples", "3")
+    assert (code, out) == (2, "") and "--samples" in err
+    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "9", "--samples", "3")
+    assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
     code, _, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
                        "--samples", "3")
     assert code == 1 and err.startswith("error:") and "refused" in err
@@ -300,6 +302,55 @@ def test_verify_refuses_sweeps_above_the_limit(capsys, case):
     assert err.startswith("error:") and "refused" in err and unit in err
     if case != "gh-conditions":
         assert err.rstrip().endswith(f"it visits more than {SWEEP_LIMIT} {unit}")
+
+
+@pytest.mark.parametrize("request_", [
+    "ideal-classification --n -1",  # rng.choice on an empty I(n)
+    "ideal-classification --n 3 --bound -1",
+    "rank-drop-lemma --n -1",  # an empty sweep, which would pass
+    "rank-table --n -1",
+    "regularity --n 3 --bound -1",
+    "idempotent-closure --n 3 --r 3",  # outside the theorem's hypotheses
+    "idempotent-closure --n 4 --r 0",
+    "minimal-gens --n 3 --r 1 --k 0",
+])
+def test_verify_refuses_parameters_outside_each_check(capsys, request_):
+    code, out, err = run(capsys, "verify", *request_.split())
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("request_, unused", [
+    ("rank-table --k 0 --samples 4 --seed 3 --exhaustive",
+     "--k, --samples, --seed, --exhaustive"),
+    ("green-relations --r 3", "--r"),
+    ("regularity --n 3 --k 1", "--k"),
+])
+def test_verify_names_the_flags_a_check_does_not_take(capsys, request_, unused):
+    code, out, err = run(capsys, "verify", *request_.split())
+    assert (code, out) == (2, "")
+    assert err == f"verify {request_.split()[0]} does not take {unused}\n"
+
+
+def test_verify_bound_reaches_the_check(capsys):
+    code, out, _ = run(capsys, "verify", "singular-rank", "--n", "3", "--bound", "3")
+    report = json.loads(out)
+    assert code == 0 and report["params"] == {"n": 3, "bound": 3}
+    assert report["counts"]["closure"] == 54  # 39 at the default bound 2
+    code, out, _ = run(capsys, "verify", "regularity", "--n", "2", "--bound", "2")
+    assert code == 0 and json.loads(out)["params"] == {"n": 2, "twist_bound": 2}
+
+
+@pytest.mark.parametrize("request_, limit", [
+    ("enumerate --n 3000 --count-only", ENUMERATION_LIMIT),
+    ("enumerate --n 3000 --rank 2998 --count-only", ENUMERATION_LIMIT),
+    ("gh-graph --n 3000 --r 2998", GH_CANDIDATE_LIMIT),
+    ("verify gh-conditions --n 3000", GH_CANDIDATE_LIMIT),
+])
+def test_size_refusals_never_print_the_unbounded_count(capsys, request_, limit):
+    # (2n-1)!! and delta(n, r) at degree 3000 exceed Python's 4,300-digit int-to-text limit
+    code, out, err = run(capsys, *request_.split())
+    assert (code, out) == (1, "") and err.startswith("error:") and "refused" in err
+    assert f"more than {limit}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -41,6 +41,7 @@ from twisted_brauer import (
     verify_rank_idrank,
 )
 from twisted_brauer.enumeration import random_diagram
+from twisted_brauer.ideals import gh_degree
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _swap_points, _transposition_factors
 from conftest import (
     factor_into_idempotents_bfs,
@@ -85,6 +86,7 @@ def test_gh_graph_matches_kernel_keyed_oracle(n, r):
     # H-classes read off the stream position agree with ker and coker
     graph = build_gh_graph(n, r)
     assert graph == kernel_keyed_gh_graph(n, r)
+    assert graph.common_degree() == gh_degree(n, r)
     for l, r_, w in graph.witnesses:
         assert graph.signatures[l] == w.ker and graph.signatures[r_] == w.coker
 

@@ -9,28 +9,33 @@ import pytest
 from twisted_brauer import DiagramError, all_diagrams, verify
 from twisted_brauer.ideals import double_factorial
 
-EXPECTED_IDS = {
-    "tau-identity",
-    "green-pre-orders",
-    "green-relations",
-    "regularity",
-    "ideal-classification",
-    "rank-drop-lemma",
-    "twist-raise-lemma",
-    "twist-keep-lemma",
-    "idempotent-generation",
-    "idempotent-closure",
-    "gh-conditions",
-    "rank-table",
-    "minimal-gens",
-    "singular-rank",
-    "ig-subsemigroup",
-    "maltcev-mazorchuk",
-}
+# the report of each check at its defaults, without the elapsed seconds
+GOLDEN = """
+{"theorem": "tau-identity", "params": {"n": 3, "exhaustive": true, "samples": null, "seed": null}, "status": "pass", "counts": {"triples": 3375}, "counterexample": null}
+{"theorem": "green-pre-orders", "params": {"n": 3, "samples": null, "seed": null}, "status": "pass", "counts": {"pairs": 225, "right": 117, "left": 117, "two_sided": 171}, "counterexample": null}
+{"theorem": "green-relations", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 105, "ranks": 3}, "counterexample": null}
+{"theorem": "regularity", "params": {"n": 3, "twist_bound": 1}, "status": "pass", "counts": {"elements": 30, "candidates": 30}, "counterexample": null}
+{"theorem": "ideal-classification", "params": {"n": 3, "twist_bound": 4, "cases": 50, "seed": 0}, "status": "pass", "counts": {"spec_pairs": 50, "closure_products": 1080}, "counterexample": null}
+{"theorem": "rank-drop-lemma", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 9}, "counterexample": null}
+{"theorem": "twist-raise-lemma", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 81}, "counterexample": null}
+{"theorem": "twist-keep-lemma", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 81}, "counterexample": null}
+{"theorem": "idempotent-generation", "params": {"n": 4, "r": 2}, "status": "pass", "counts": {"triples": 432}, "counterexample": null}
+{"theorem": "idempotent-closure", "params": {"n": 3, "r": 1, "bound": 2}, "status": "pass", "counts": {"generators": 6, "closure": 27, "truncation": 27}, "counterexample": null}
+{"theorem": "gh-conditions", "params": {"n": 4, "r": 2}, "status": "pass", "counts": {"side": 6, "b": 4, "edges": 24, "oracle": "agrees"}, "counterexample": null}
+{"theorem": "rank-table", "params": {"n": 3, "max_k": 3}, "status": "pass", "counts": {"cells": 8}, "counterexample": null}
+{"theorem": "minimal-gens", "params": {"n": 3, "r": 1, "k": 1}, "status": "pass", "counts": {"generators": 9, "closure": 36}, "counterexample": null}
+{"theorem": "singular-rank", "params": {"n": 3, "bound": 2}, "status": "pass", "counts": {"rank": 9, "generators": 9, "closure": 39}, "counterexample": null}
+{"theorem": "ig-subsemigroup", "params": {"n": 3, "bound": 2}, "status": "pass", "counts": {"idempotents": 7, "closure": 28, "rank": 4}, "counterexample": null}
+{"theorem": "maltcev-mazorchuk", "params": {"n": 3}, "status": "pass", "counts": {"singular_diagrams": 9, "submonoid": 10}, "counterexample": null}
+"""
+GOLDEN_REPORTS = {json.loads(line)["theorem"]: line for line in GOLDEN.strip().splitlines()}
+EXPECTED_IDS = set(GOLDEN_REPORTS)
 
 
 def test_registry_ids():
     assert set(verify.CHECKS) == EXPECTED_IDS
+    # tracers patch each registered check by identity with the module's name
+    assert all(getattr(verify, check.__name__) is check for check in verify.CHECKS.values())
 
 
 @pytest.mark.parametrize("theorem", sorted(EXPECTED_IDS))
@@ -40,8 +45,8 @@ def test_every_check_passes_at_defaults(theorem):
     assert report.counterexample is None
     assert report.seconds >= 0
     payload = json.loads(report.to_json())
-    assert payload["theorem"] == theorem
-    assert payload["counts"]
+    del payload["seconds"]
+    assert json.dumps(payload) == GOLDEN_REPORTS[theorem]
 
 
 def test_sampled_checks_are_deterministic():
@@ -80,6 +85,12 @@ def test_ideal_classification_refuses_fewer_than_one_case():
         verify.check_ideal_classification(cases=0)
 
 
+@pytest.mark.parametrize("theorem", sorted(EXPECTED_IDS))
+def test_every_check_refuses_a_negative_degree(theorem):
+    with pytest.raises(DiagramError, match="n must be at least 0, got -1"):
+        verify.CHECKS[theorem](n=-1)
+
+
 def test_sweep_counts_are_exact_up_to_the_limit():
     for n in range(7):
         ranks = [d.rank for d in all_diagrams(n)]
@@ -88,3 +99,16 @@ def test_sweep_counts_are_exact_up_to_the_limit():
     for n in range(9):  # |B_8| = SWEEP_LIMIT
         assert verify._diagrams(n) == double_factorial(2 * n - 1) <= verify.SWEEP_LIMIT
     assert verify._diagrams(9) > verify.SWEEP_LIMIT
+    # past the limit a count is capped, so products of counts stay small
+    assert verify._diagrams(10**5) == verify._product(10**9, verify._diagrams(9), 2) \
+        == verify.SWEEP_LIMIT + 1
+    assert verify._product(verify._diagrams(10**5), 0) == 0
+
+
+def test_a_failing_sweep_reports_its_witness(monkeypatch):
+    monkeypatch.setattr(verify.ideals, "gh_degree", lambda n, r: 5)
+    report = verify.check_gh_conditions(4, 2)
+    assert (report.status, report.counts) == ("fail", {})
+    assert report.counterexample == {
+        "reason": "degree or edge count differs from the closed form", "b": 5}
+    assert json.loads(report.to_json())["status"] == "fail"
