@@ -30,9 +30,10 @@ from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempot
 # |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
 # of degree 10 (the largest is delta(10, 6) = 285,768,000)
 ENUMERATION_LIMIT = 654_729_075
-# |B_7| = 13!!: the divisibility oracle holds every diagram with its three
-# Cayley graphs, about 0.8 KB each (117 MB measured at degree 7; degree 8
-# would need about 1.6 GB)
+# |B_7| = 13!!: the divisibility oracle holds every diagram with its right
+# and left Cayley graphs and the reach masks of their components, about
+# 0.8 KB each (120 MB peak measured at degree 7 with all three relations
+# searched; degree 8 would need about 1.6 GB)
 ORACLE_LIMIT = 135_135
 
 
@@ -207,53 +208,87 @@ def random_diagram(n: int, rng: random.Random) -> BrauerDiagram:
 
 
 class CayleyGraph:
-    """The semigroup generated by ``generators`` under ``product``, with its
-    right Cayley graph, in the manner of Froidure & Pin (1997).
+    """The semigroup generated by ``generators`` under an associative
+    ``product``, with its right and left Cayley graphs, by the algorithm of
+    Froidure & Pin, "Algorithms for computing finite semigroups" (1997).
 
-    Elements are found breadth first: each one, in order of discovery, is
-    multiplied on the right by every generator, so |S| * |gens| products
-    are computed in all.  ``elements`` lists them in that order and
-    ``index`` maps each to its position.  ``right[i][j]`` is the position of
-    ``elements[i] * generators[j]``, or None where that product fails
-    ``keep`` and is dropped; any drop clears ``complete``.  Elements are
-    reached through kept prefixes only, so none is missed as long as no
-    product of a dropped element would pass ``keep`` again.
+    Every element has a shortest word over the generator indices, the least
+    in short-lex order; ``word`` returns it.  ``elements`` lists the
+    elements in short-lex order of these words and ``index`` maps each to
+    its position.  ``right[i][j]`` is the position of
+    ``elements[i] * generators[j]`` and ``left[i][j]`` that of
+    ``generators[j] * elements[i]``, or None where the product fails
+    ``keep`` and is dropped; any drop clears ``complete``.  A duplicate
+    generator gets its own column, but no element of its own.
+
+    ``keep`` must hold of every factor of a kept product: a product with a
+    dropped factor is dropped as well.  Then no element is missed, since
+    every prefix of a kept word is kept, and a dropped entry may be copied
+    from the entry it is rewritten to without computing its product.
+
+    The words are found one length at a time.  Let x = a * s, where a is
+    the first letter of x's word and s the element of the rest of it.  If
+    t = s * g has a shortest word other than word(s) + g, then
+    x * g = a * prefix(t) * last(t) is read off the left row of prefix(t)
+    and a right row that is complete already, or is x's own row at an
+    earlier column.  Only where word(s) + g is a shortest word is
+    ``product`` called.  The left graph of each length is then filled with
+    no products at all: g * (p * b) = (g * p) * b.
     """
 
     def __init__(self, generators, product, keep=None):
         gens = list(generators)
         self.elements: list = []
         self.index: dict = {}
-        self._parent: list[tuple[int, int]] = []
+        # each element's word: its prefix, last letter, first letter and rest
+        self._words: list[tuple[int, int, int, int]] = []
+        elements, index, words = self.elements, self.index, self._words
         for j, g in enumerate(gens):
-            if g not in self.index:
-                self._add(g, -1, j)
-        self.right: list[list[int | None]] = []
-        self.complete = True
-        for i, x in enumerate(self.elements):  # grows while it is scanned
-            row: list[int | None] = []
-            for j, g in enumerate(gens):
-                p = product(x, g)
-                if keep is not None and not keep(p):
+            if g not in index:
+                index[g] = len(elements)
+                elements.append(g)
+                words.append((-1, j, j, -1))
+        column = [index[g] for g in gens]  # the element of each generator
+        right: list[list[int | None]] = []
+        left: list[list[int | None]] = []
+        self.right, self.left, self.complete = right, left, True
+        start = 0
+        while start < len(elements):
+            end = len(elements)  # the words of one length
+            for i in range(start, end):
+                x, (_, _, a, s) = elements[i], words[i]
+                row: list[int | None] = [None] * len(gens)
+                right.append(row)
+                for j, g in enumerate(gens):
+                    if s >= 0:
+                        t = right[s][j]
+                        if t is None:
+                            continue
+                        p, b = words[t][:2]
+                        if p != s or b != j:
+                            y = column[a] if p < 0 else left[p][a]
+                            row[j] = None if y is None else right[y][b]
+                            continue
+                    z = product(x, g)
+                    if keep is None or keep(z):
+                        k = row[j] = index.setdefault(z, len(elements))
+                        if k == len(elements):
+                            elements.append(z)
+                            words.append((i, j, a, column[j] if s < 0 else t))
+                if None in row:
                     self.complete = False
-                    row.append(None)
-                    continue
-                k = self.index.get(p)
-                row.append(self._add(p, i, j) if k is None else k)
-            self.right.append(row)
-
-    def _add(self, x, prefix: int, gen: int) -> int:
-        k = self.index[x] = len(self.elements)
-        self.elements.append(x)
-        self._parent.append((prefix, gen))
-        return k
+            for i in range(start, end):
+                p, b = words[i][:2]
+                prefix_row = column if p < 0 else left[p]
+                left.append([None if y is None else right[y][b] for y in prefix_row])
+            start = end
 
     def word(self, x) -> list[int]:
         """Generator indices of a shortest word whose product is ``x``."""
         out = []
         i = self.index[x]
         while i >= 0:
-            i, j = self._parent[i]
+            i, j = self._words[i][:2]
             out.append(j)
         return out[::-1]
 
@@ -290,12 +325,75 @@ def plain_closure(generators) -> frozenset[BrauerDiagram]:
     return frozenset(CayleyGraph(generators, BrauerDiagram.__mul__).elements)
 
 
+def _component_reach(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The strongly connected components of the graph in which vertex v
+    leads to the vertices in ``succ[v]``, found by one iterative pass of
+    Tarjan's algorithm (SIAM J. Comput. 1972), with the reach mask of each
+    component: a bit for every vertex reached from it.
+
+    Returns the component of each vertex and the mask of each component.
+    Tarjan closes the components in reverse topological order, so each
+    mask is its own members OR the masks of the components its edges lead
+    to, all of which are closed already.  Those components are noted on a
+    stack of links, which a closing component empties down to where it
+    stood when the component's root was visited.
+    """
+    size = len(succ)
+    order = [0] * size  # discovery number, from 1; 0 until visited
+    low = [0] * size
+    component = [-1] * size  # -1 while on the stack
+    masks: list[int] = []
+    stack: list[int] = []
+    links: list[int] = []  # closed components that edges from the stack lead to
+    number = itertools.count(1).__next__
+    for root in range(size):
+        if order[root]:
+            continue
+        order[root] = low[root] = number()
+        stack.append(root)
+        work = [(root, iter(succ[root]), 0)]
+        while work:
+            v, successors, mark = work[-1]
+            for w in successors:
+                if not order[w]:
+                    order[w] = low[w] = number()
+                    stack.append(w)
+                    work.append((w, iter(succ[w]), len(links)))
+                    break
+                if component[w] >= 0:
+                    links.append(component[w])
+                elif order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    c, bits, w = len(masks), bytearray(size // 8 + 1), -1
+                    while w != v:
+                        w = stack.pop()
+                        component[w] = c
+                        bits[w >> 3] |= 1 << (w & 7)
+                    mask = int.from_bytes(bits, "little")
+                    for d in set(links[mark:]):
+                        mask |= masks[d]
+                    del links[mark:]
+                    masks.append(mask)
+                if work:
+                    u = work[-1][0]
+                    if component[v] >= 0:
+                        links.append(component[v])
+                    elif low[v] < low[u]:
+                        low[u] = low[v]
+    return component, masks
+
+
 class DivisibilityOracle:
     """Green's pre-orders on one degree, as reachability in Cayley graphs.
 
     B_n is enumerated from the identity, a transposition, an n-cycle and
     one hook.  alpha <=_R beta when alpha is reached from beta in the right
-    Cayley graph, <=_L in the left one and <=_J in their union.  It never
+    Cayley graph, <=_L in the left one and <=_J in their union; the first
+    query of each relation finds the components of its graph and their
+    reach masks, which answer every later query.  It never
     consults kernels or ranks: this is the independent route the
     characterisations are verified against.  It checks itself by reaching
     all (2n-1)!! diagrams, and refuses more than ORACLE_LIMIT of them.
@@ -323,29 +421,20 @@ class DivisibilityOracle:
         if len(self.diagrams) != expected:
             raise DiagramError(f"reached {len(self.diagrams)} of {expected} diagrams")
         self._index = graph.index
-        left = [[graph.index[g * x] for g in gens] for x in self.diagrams]
-        two_sided = [r + l for r, l in zip(graph.right, left)]
-        self._graphs = {"R": (graph.right, {}), "L": (left, {}), "J": (two_sided, {})}
+        self._right, self._left = graph.right, graph.left
+        self._reach: dict[str, tuple[list[int], list[int]]] = {}
 
     def _reaches(self, rel: str, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
-        """Whether alpha is reached from beta.  A search from a new source
-        takes over the bitmask kept for any earlier source it meets."""
-        succ, masks = self._graphs[rel]
-        source = self._index[beta]
-        reach = masks.get(source)
+        """Whether alpha is reached from beta, read off the reach mask of
+        beta's strongly connected component in the graph of ``rel``, which
+        is searched once, on its first query."""
+        reach = self._reach.get(rel)
         if reach is None:
-            reach, stack = 1 << source, [source]
-            while stack:
-                for w in succ[stack.pop()]:
-                    if not reach >> w & 1:
-                        known = masks.get(w)
-                        if known is None:
-                            reach |= 1 << w
-                            stack.append(w)
-                        else:
-                            reach |= known
-            masks[source] = reach
-        return bool(reach >> self._index[alpha] & 1)
+            right, left = self._right, self._left
+            succ = {"R": right, "L": left}.get(rel) or [r + l for r, l in zip(right, left)]
+            reach = self._reach[rel] = _component_reach(succ)
+        component, masks = reach
+        return bool(masks[component[self._index[beta]]] >> self._index[alpha] & 1)
 
     def leq_R(self, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
         """Whether alpha = beta * d for some diagram d."""

@@ -191,9 +191,9 @@ def check_green_preorders(
     oracle, plus the constructive factorization postconditions."""
     size = _diagrams(n)
     total = _product(size, size) if samples is None else samples
-    # a query from a new source may search all of B_n in the oracle's graphs
+    # the oracle searches the graph of each relation once, over all of B_n
     yield ({"n": n, "samples": samples, "seed": seed if samples else None},
-           total + _product(min(total, size), size), "pairs and oracle search steps")
+           _total((total, size, size, size)), "pairs and oracle search steps")
     oracle = enumeration.DivisibilityOracle(n)
     pool, rng = list(enumeration.all_diagrams(n)), random.Random(seed)
     pairs = (itertools.product(pool, repeat=2) if samples is None else
@@ -327,6 +327,8 @@ def check_ideal_classification(
 @_check("rank-drop-lemma")
 def check_rank_drop(n: int = 4):
     """D_r lies in D_{r+2} * D_{r+2} with no floating component, r <= n-4."""
+    if n < 4:
+        raise DiagramError(f"verify rank-drop-lemma is stated for n >= 4, got n = {n}")
     yield {"n": n}, _diagrams(n, n - 4), "diagrams"
     checked = 0
     for r in ideals.index_set(n)[:-2]:  # the ranks r <= n - 4
@@ -338,10 +340,13 @@ def check_rank_drop(n: int = 4):
     return {"diagrams": checked}
 
 
-def _twist_lemma(n: int, lemma, tau: int):
+def _twist_lemma(theorem: str, n: int, lemma, tau: int):
     """The sweep of the twist lemmas: alpha = alpha * lemma(alpha) with twist
     tau for every singular alpha, and lemma(alpha) of the rank of alpha, or
-    of rank 2 when the twist is kept at rank 0."""
+    of rank 2 when the twist is kept at rank 0.  Below degree 2 no diagram
+    is singular."""
+    if n < 2:
+        raise DiagramError(f"verify {theorem} is stated for n >= 2, got n = {n}")
     yield {"n": n}, _diagrams(n), "diagrams"
     checked = 0
     for alpha in enumeration.all_diagrams(n):
@@ -358,13 +363,13 @@ def _twist_lemma(n: int, lemma, tau: int):
 @_check("twist-raise-lemma")
 def check_twist_raise(n: int = 4):
     """alpha = alpha*beta with tau = 1 and rank preserved, alpha singular."""
-    return _twist_lemma(n, ideals.lemma_twist_raise, 1)
+    return _twist_lemma("twist-raise-lemma", n, ideals.lemma_twist_raise, 1)
 
 
 @_check("twist-keep-lemma")
 def check_twist_keep(n: int = 4):
     """alpha = alpha*beta with tau = 0; beta in D_alpha, or D_2 at rank 0."""
-    return _twist_lemma(n, ideals.lemma_twist_keep, 0)
+    return _twist_lemma("twist-keep-lemma", n, ideals.lemma_twist_keep, 0)
 
 
 @_check("idempotent-generation")
