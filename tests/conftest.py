@@ -1,8 +1,8 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
 multiplication example, plus independent oracles for diagram construction,
-the product, the closures, the D-class stream, the Graham-Houghton graph,
-the perfect matching, the absorption of a transposition and the
-idempotent chain."""
+the product, the closures, reachability, the D-class stream, the
+Graham-Houghton graph, the perfect matching, the absorption of a
+transposition and the idempotent chain."""
 
 import itertools
 
@@ -201,6 +201,18 @@ def closure_oracle(generators, product, keep=lambda p: True):
                         fresh.append(p)
         frontier = fresh
     return frozenset(elements), complete
+
+
+def searched_reach(source, step) -> set:
+    """Reference reachability: everything one depth-first search from
+    ``source`` alone reaches, where ``step(x)`` lists what x leads to."""
+    seen, stack = {source}, [source]
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def token_by_token_make_diagram(degree, blocks) -> BrauerDiagram:

@@ -250,8 +250,8 @@ def test_verify_refuses_large_exhaustive(capsys):
 
 
 def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
-    # green-relations takes no --samples, and each green-pre-orders query from
-    # a new source may search all 34M diagrams of B_9
+    # green-relations takes no --samples, and green-pre-orders searches the
+    # graph of each relation over all 34M diagrams of B_9 whatever --samples is
     code, out, err = run(capsys, "verify", "green-relations", "--n", "9", "--samples", "3")
     assert (code, out) == (2, "") and "--samples" in err
     code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "9", "--samples", "3")
@@ -263,6 +263,14 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "pass" and report["counts"]["triples"] == 10
+
+
+def test_verify_green_preorders_samples_degree_6(capsys):
+    # 1,000 pairs plus one search of each relation's graph over 10,395 diagrams
+    code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "6", "--samples", "1000")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "pass" and report["counts"]["pairs"] == 1000
 
 
 # at least one request per check above verify.SWEEP_LIMIT, with the unit its
@@ -308,6 +316,10 @@ def test_verify_refuses_sweeps_above_the_limit(capsys, case):
     "ideal-classification --n -1",  # rng.choice on an empty I(n)
     "ideal-classification --n 3 --bound -1",
     "rank-drop-lemma --n -1",  # an empty sweep, which would pass
+    "rank-drop-lemma --n 2",  # no rank r <= n - 4: nothing to sweep
+    "rank-drop-lemma --n 3",
+    "twist-raise-lemma --n 1",  # no singular diagram below degree 2
+    "twist-keep-lemma --n 0",
     "rank-table --n -1",
     "regularity --n 3 --bound -1",
     "idempotent-closure --n 3 --r 3",  # outside the theorem's hypotheses

@@ -1,12 +1,13 @@
-"""Streams, closures and the divisibility oracle."""
+"""Streams, closures, the Cayley-graph engine and the divisibility oracle."""
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
-from conftest import closure_oracle, copy_per_candidate_d_class
+from conftest import closure_oracle, copy_per_candidate_d_class, searched_reach
 from twisted_brauer import (
     BrauerDiagram,
     ClosureResult,
@@ -26,12 +27,15 @@ from twisted_brauer import (
     is_idempotent_twisted,
     make_diagram,
     multiply,
+    permutation_diagram,
     plain_closure,
     star,
+    transposition,
 )
 from twisted_brauer.enumeration import (
     ENUMERATION_LIMIT,
     ORACLE_LIMIT,
+    CayleyGraph,
     _digit_runs,
     all_diagrams_split,
     hook_patterns,
@@ -263,6 +267,97 @@ def test_closures_match_all_pairs_worklist():
     assert flags == {True, False}
 
 
+def _oracle_generators(n):
+    """The generators DivisibilityOracle(n) enumerates B_n from."""
+    if n < 2:
+        return [identity(n)]
+    hook = make_diagram(n, [(1, 2), (-1, -2)] + [(i, -i) for i in range(3, n + 1)])
+    return [identity(n), transposition(n, 1, 2),
+            permutation_diagram(n, list(range(2, n + 1)) + [1]), hook]
+
+
+def _assert_engine_matches_products(gens, product, keep=None, want=None):
+    """Every graph entry against a direct product, the elements against
+    ``want`` (by default the all-pairs worklist), the words, and the
+    products computed: one for each generator x and each of its columns,
+    and one for each x = a * s and column g with word(s) + g a shortest
+    word, where the rest are read off the tables."""
+    kept = (lambda p: True) if keep is None else keep
+    calls = []
+    graph = CayleyGraph(gens, lambda x, y: calls.append(1) or product(x, y), keep)
+    want, complete = closure_oracle(gens, product, kept) if want is None else want
+    assert set(graph.elements) == want and len(graph.elements) == len(want)
+    assert graph.complete == complete
+    assert all(graph.index[x] == i for i, x in enumerate(graph.elements))
+    for i, x in enumerate(graph.elements):
+        for j, g in enumerate(gens):
+            for table, p in ((graph.right, product(x, g)), (graph.left, product(g, x))):
+                assert table[i][j] == (graph.index[p] if kept(p) else None), (i, j)
+    words = [graph.word(x) for x in graph.elements]
+    assert all((len(u), u) < (len(w), w) for u, w in zip(words, words[1:]))
+    shortest = set(map(tuple, words))
+    assert len(calls) == sum(len(gens) if len(w) == 1 else
+                             sum(tuple(w[1:]) + (j,) in shortest for j in range(len(gens)))
+                             for w in words)
+    for x, w in zip(graph.elements, words):
+        assert functools.reduce(product, [gens[j] for j in w]) == x
+
+
+def test_engine_matches_direct_products_on_the_oracle_generators():
+    for n in range(6):
+        gens = _oracle_generators(n)
+        # all of B_n is generated: at degree 5 the all-pairs worklist is too slow
+        want = (set(all_diagrams(n)), True) if n == 5 else None
+        _assert_engine_matches_products(gens, BrauerDiagram.__mul__, want=want)
+
+
+@pytest.mark.parametrize("n, r, bound", [(3, 1, 2), (4, 2, 2), (4, 2, 4), (5, 3, 1)])
+def test_engine_matches_direct_products_on_bounded_idempotent_closures(n, r, bound):
+    gens = [as_twisted(d) for d in idempotents(n) if d.rank == r]
+    want = None
+    if n == 5:  # the theorem of verify idempotent-closure: the truncation of I(3;0)
+        pool = [d for d in all_diagrams(n) if d.rank <= r]
+        want = {TwistedElement(i, d) for i in range(bound + 1) for d in pool}, False
+    _assert_engine_matches_products(gens, star, lambda p: p.twist <= bound, want)
+
+
+def test_engine_matches_direct_products_on_plain_idempotent_closures():
+    for twisted in (False, True):
+        _assert_engine_matches_products(list(idempotents(4, twisted)), BrauerDiagram.__mul__)
+
+
+def test_engine_matches_direct_products_on_random_generators_with_duplicates():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randrange(5)
+        pool = list(all_diagrams(n))
+        gens = [TwistedElement(rng.randrange(2), rng.choice(pool))
+                for _ in range(rng.randint(1, 3))]
+        gens += [rng.choice(gens) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(gens)
+        bound = max(g.twist for g in gens) + rng.randrange(2)
+        _assert_engine_matches_products(gens, star, lambda p: p.twist <= bound)
+        _assert_engine_matches_products([g.diagram for g in gens], BrauerDiagram.__mul__)
+        zero = [as_twisted(g.diagram) for g in gens]
+        _assert_engine_matches_products(zero, star, lambda p: p.twist == 0)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_oracle_reach_matches_a_search_from_each_source(n):
+    oracle, gens = DivisibilityOracle(n), _oracle_generators(n)
+    steps = {
+        "R": lambda x: [x * g for g in gens],
+        "L": lambda x: [g * x for g in gens],
+        "J": lambda x: [x * g for g in gens] + [g * x for g in gens],
+    }
+    pool = oracle.diagrams
+    sources = pool if n <= 4 else random.Random(5).sample(pool, 6)
+    for rel, step in steps.items():
+        leq = getattr(oracle, f"leq_{rel}")
+        for beta in sources:
+            assert {alpha for alpha in pool if leq(alpha, beta)} == searched_reach(beta, step)
+
+
 def test_oracle_reaches_every_diagram():
     for n in range(7):
         oracle = DivisibilityOracle(n)
@@ -274,7 +369,8 @@ def test_oracle_reaches_every_diagram():
 
 
 def test_oracle_refuses_by_its_memory_size():
-    # it holds every diagram with three Cayley graphs: |B_7| is the most
+    # it holds every diagram with two Cayley graphs and their components'
+    # reach masks, about 120 MB at degree 7: |B_7| is the most
     assert double_factorial(13) == ORACLE_LIMIT
     for n in (8, 10):
         with pytest.raises(DiagramError, match=f"{double_factorial(2 * n - 1)} diagrams"):
