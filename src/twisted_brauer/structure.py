@@ -27,7 +27,7 @@ from .diagram import (
     _raw_diagram,
     identity,
 )
-from .green import PreconditionError, canonical_idempotent
+from .green import PreconditionError
 from .ideals import _check_rank_param, delta, idempotent_factor_sigma, lemma_rank_drop, rho
 from .twisted import TwistedElement, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
@@ -363,7 +363,8 @@ def _swap_points(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
     """``d`` with point indices a and b relabelled into each other.
 
     Swapping top points i and j is the product ``transposition(n, i, j) * d``;
-    swapping bottom points i' and j' is ``d * transposition(n, i, j)``.  Two
+    swapping bottom points i' and j' is ``d * transposition(n, i, j)``, which
+    is how ``factor_into_idempotents`` moves its partial product on.  Two
     points joined by one block give d back."""
     p = d.pairing
     pa, pb = p[a], p[b]
@@ -375,42 +376,52 @@ def _swap_points(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
     return _raw_diagram(d.degree, tuple(out))
 
 
-def _sandwich_units(alpha: BrauerDiagram) -> tuple[list[int], list[int]]:
-    """Units (lam, rho) with alpha = lam * eps * rho for the canonical
-    idempotent eps of alpha's rank, returned as image lists."""
-    n, r = alpha.degree, alpha.rank
-    tv = alpha.transversal_pairs()
-    uppers = alpha.top_hooks()
-    lowers = alpha.bottom_hooks()
-    lam = [0] * n
-    for m, (i, _) in enumerate(tv, start=1):
-        lam[i - 1] = m
-    for m, (a, b) in enumerate(uppers, start=1):
-        lam[a - 1] = r + 2 * m - 1
-        lam[b - 1] = r + 2 * m
-    rho_images = [0] * n
-    for m, (_, j) in enumerate(tv[:-1], start=1):
-        rho_images[m - 1] = j
-    rho_images[n - 1] = tv[-1][1]
-    for m, (c, d) in enumerate(lowers, start=1):
-        rho_images[r + 2 * m - 3] = c
-        rho_images[r + 2 * m - 2] = d
-    return lam, rho_images
+def _kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
+    """The twisted idempotent eps on alpha's own kernel and domain, and the
+    unit rho (an image list) with alpha = eps * rho.  Requires 0 < rank < n.
+
+    With transversal tops t_1 < ... < t_r and upper hooks (a_1, b_1), ...,
+    (a_k, b_k) in canonical order, eps keeps those hooks and the lines
+    t - t' for t < t_r, strings t_r through the hooks by the lower hooks
+    t_r' - a_1', b_1' - a_2', ..., b_{k-1}' - a_k' and ends in t_r - b_k'.
+    The middle row of eps * eps is one path from t_r to b_k', so eps is a
+    twisted idempotent.  rho sends the m-th lower hook of eps onto the
+    m-th of alpha, and each transversal bottom onto alpha's.
+    """
+    n, p = alpha.degree, alpha.pairing
+    # 0-based vertices from here on: top v is index v, bottom v' is n + v
+    tops, path = [], []  # the path runs a_1, b_1, ..., a_k, b_k
+    for v in range(n):
+        if p[v] >= n:
+            tops.append(v)
+        elif v < p[v]:
+            path += (v, p[v])
+    lowers = [(c - n + 1, p[c] - n + 1) for c in range(n, 2 * n) if c < p[c]]
+    t, last = tops.pop(), path.pop()
+    out, images = list(p[:n]) + [0] * n, [0] * n
+    for v in tops:
+        out[v], out[n + v] = n + v, v
+        images[v] = p[v] - n + 1
+    out[t], out[n + last] = n + last, t
+    images[last] = p[t] - n + 1
+    for x, y, (c, d) in zip([t] + path[1::2], path[::2], lowers):
+        out[n + x], out[n + y] = n + y, n + x
+        images[x], images[y] = c, d
+    return _raw_diagram(n, tuple(out)), images
 
 
 def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     """Twisted idempotents whose star chain is exactly (0, alpha).
 
     Requires degree >= 3 and alpha outside the unit group (no unit other
-    than the identity is a product of idempotents).  Positive-rank
-    diagrams are written as unit * canonical idempotent * unit and the
-    units are absorbed transposition by transposition: each absorption
-    writes its idempotents straight into pairing arrays, and the partial
-    product moves on by a swap of two points rather than a product.  The
-    left unit is absorbed on one star of the partial product, and its
-    idempotents are starred back together at the end.
-    Rank-0 diagrams are first split into two rank-2 factors with no
-    floating component.
+    than the identity is a product of idempotents).  A positive-rank
+    diagram is written as eps * unit, eps the twisted idempotent on its own
+    kernel and domain (``_kernel_idempotent``), and the unit is absorbed
+    transposition by transposition: each absorption writes its one or two
+    idempotents straight into pairing arrays, and the partial product moves
+    on by a swap of two bottom points rather than a product.  At most n - 1
+    transpositions give at most 2n - 1 terms.  Rank-0 diagrams are first
+    split into two rank-2 factors with no floating component.
     """
     n, r = alpha.degree, alpha.rank
     if n < 3:
@@ -423,20 +434,9 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
         beta, gamma = lemma_rank_drop(alpha)
         return factor_into_idempotents(beta) + factor_into_idempotents(gamma)
 
-    eps = canonical_idempotent(n, r)
-    lam, rho_images = _sandwich_units(alpha)
-
-    right: list[BrauerDiagram] = [eps]
-    current = eps
-    for i, j in _transposition_factors(rho_images):
-        right.extend(idempotent_factor_sigma(current, i, j))
+    current, images = _kernel_idempotent(alpha)
+    chain = [current]
+    for i, j in _transposition_factors(images):
+        chain.extend(idempotent_factor_sigma(current, i, j))
         current = _swap_points(current, n + i - 1, n + j - 1)
-    # the left unit is absorbed on the mirror image: swapping top points
-    # of current is swapping bottom points of its star
-    left: list[BrauerDiagram] = []
-    mirror = current.star()
-    for i, j in reversed(_transposition_factors(lam)):
-        left.extend(idempotent_factor_sigma(mirror, i, j))
-        mirror = _swap_points(mirror, n + i - 1, n + j - 1)
-    return [b.star() for b in reversed(left)] + right
-
+    return chain

@@ -18,9 +18,9 @@ from twisted_brauer.diagram import (
     VertexRangeError,
     is_int,
 )
-from twisted_brauer.green import PreconditionError, canonical_idempotent
+from twisted_brauer.green import PreconditionError
 from twisted_brauer.ideals import lemma_rank_drop
-from twisted_brauer.structure import GHGraph, _sandwich_units, _transposition_factors
+from twisted_brauer.structure import GHGraph, _kernel_idempotent, _transposition_factors
 from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
 
 
@@ -312,26 +312,21 @@ def block_list_sigma(alpha: BrauerDiagram, i: int, j: int) -> list[BrauerDiagram
 
 def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     """Reference idempotent chain: the constructive pipeline of
-    ``factor_into_idempotents`` with each transposition absorbed by
-    ``block_list_sigma`` and the partial product moved on by multiplying
-    by the transposition diagram; the left unit is absorbed on a fresh
-    star of the partial product at each step."""
+    ``factor_into_idempotents`` from the same start idempotent and unit
+    (``_kernel_idempotent``, checked against products on its own), with
+    each transposition absorbed by ``block_list_sigma`` and the partial
+    product moved on by multiplying by the transposition diagram."""
     n, r = alpha.degree, alpha.rank
     if is_idempotent_twisted(alpha):
         return [alpha]
     if r == 0:
         beta, gamma = lemma_rank_drop(alpha)
         return product_absorption_chain(beta) + product_absorption_chain(gamma)
-    current = canonical_idempotent(n, r)
+    current, images = _kernel_idempotent(alpha)
     chain = [current]
-    lam, rho_images = _sandwich_units(alpha)
-    for i, j in _transposition_factors(rho_images):
+    for i, j in _transposition_factors(images):
         chain.extend(block_list_sigma(current, i, j))
         current = multiply(current, transposition(n, i, j))[0]
-    for i, j in reversed(_transposition_factors(lam)):
-        absorbed = block_list_sigma(current.star(), i, j)
-        chain = [b.star() for b in reversed(absorbed)] + chain
-        current = multiply(transposition(n, i, j), current)[0]
     return chain
 
 
