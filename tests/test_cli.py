@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,9 +12,16 @@ import pytest
 
 import twisted_brauer
 
-from twisted_brauer import TwistedElement, identity, make_diagram, parse_diagram, star_chain
+from twisted_brauer import (
+    TwistedElement,
+    identity,
+    is_idempotent_twisted,
+    make_diagram,
+    parse_diagram,
+    star_chain,
+)
 from twisted_brauer.cli import main, parse_element
-from twisted_brauer.enumeration import ENUMERATION_LIMIT
+from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
 from twisted_brauer.verify import SWEEP_LIMIT
 
@@ -219,6 +227,19 @@ def test_factor_idempotents_cli(capsys):
     assert code == 0
     chain = [parse_diagram(line) for line in out.strip().splitlines()]
     assert star_chain(chain) == TwistedElement(0, parse_diagram(alpha))
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_factor_idempotents_cli_round_trip_degree_40(capsys, fmt):
+    alpha = random_diagram(40, random.Random(13))
+    assert 0 < alpha.rank < 40
+    code, out, err = run(capsys, "factor", "--idempotents", "--n", "40", "--format", fmt,
+                         alpha.to_text())
+    assert (code, err) == (0, "")
+    chain = [parse_element(line, 40) for line in out.splitlines()]
+    assert all(x.twist == 0 and is_idempotent_twisted(x) for x in chain)
+    assert star_chain(chain) == TwistedElement(0, alpha)
+    assert len(chain) <= 2 * 40 - 1
 
 
 def test_verify_pass_and_report_shape(capsys):

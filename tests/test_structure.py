@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twisted_brauer import (
     DiagramError,
@@ -29,6 +30,7 @@ from twisted_brauer import (
     is_idempotent_plain,
     is_idempotent_twisted,
     make_diagram,
+    multiply,
     perfect_matching,
     permutation_diagram,
     plain_closure,
@@ -41,8 +43,14 @@ from twisted_brauer import (
     verify_rank_idrank,
 )
 from twisted_brauer.enumeration import random_diagram
+from twisted_brauer.green import canonical_idempotent
 from twisted_brauer.ideals import gh_degree
-from twisted_brauer.structure import GH_CANDIDATE_LIMIT, _swap_points, _transposition_factors
+from twisted_brauer.structure import (
+    GH_CANDIDATE_LIMIT,
+    _kernel_idempotent,
+    _swap_points,
+    _transposition_factors,
+)
 from conftest import (
     factor_into_idempotents_bfs,
     kernel_keyed_gh_graph,
@@ -325,16 +333,66 @@ def test_swap_points_is_a_transposition_product():
     assert hooked > 0  # i and j joined by an upper hook: d comes back unchanged
 
 
-def test_factor_into_idempotents_matches_product_absorption():
-    alphas = [a for n in (3, 4, 5) for a in all_diagrams(n) if a.rank < n]
-    total = len(alphas) + 300
-    rng = random.Random(40)
+def _singular_diagrams(seed, extra, min_rank=0):
+    """Every diagram of degree 3-5 and rank in [min_rank, n), then
+    ``extra`` seeded ones of degree 3-40 with the same ranks."""
+    alphas = [a for n in (3, 4, 5) for a in all_diagrams(n) if min_rank <= a.rank < n]
+    total = len(alphas) + extra
+    rng = random.Random(seed)
     while len(alphas) < total:
         alpha = random_diagram(rng.randrange(3, 41), rng)
-        if alpha.rank < alpha.degree:
+        if min_rank <= alpha.rank < alpha.degree:
             alphas.append(alpha)
-    for alpha in alphas:
+    return alphas
+
+
+def _chain_bound(alpha):
+    # at most n - 1 transpositions, each absorbed by at most two idempotents,
+    # after the start idempotent; rank 0 splits into two such chains
+    n = alpha.degree
+    return 2 * n - 1 if alpha.rank else 4 * n - 2
+
+
+def test_factor_into_idempotents_matches_product_absorption():
+    for alpha in _singular_diagrams(40, 300):
         assert factor_into_idempotents(alpha) == product_absorption_chain(alpha)
+
+
+def test_kernel_idempotent_rebuilds_alpha_by_products():
+    # the chain and its oracle share the start idempotent, so it is checked
+    # here against products alone
+    for alpha in _singular_diagrams(41, 500, min_rank=1):
+        n = alpha.degree
+        eps, images = _kernel_idempotent(alpha)
+        assert multiply(eps, eps) == (eps, 0)
+        assert (eps.ker, eps.dom) == (alpha.ker, alpha.dom)
+        assert multiply(eps, permutation_diagram(n, images)) == (alpha, 0)
+
+
+def test_kernel_idempotent_of_a_canonical_kernel_is_canonical():
+    for n in range(3, 9):
+        for r in range(n - 2, 0, -2):
+            eps = canonical_idempotent(n, r)
+            assert _kernel_idempotent(eps) == (eps, list(range(1, n + 1)))
+
+
+def test_factor_into_idempotents_chain_length_bound():
+    for alpha in _singular_diagrams(42, 1000):
+        assert len(factor_into_idempotents(alpha)) <= _chain_bound(alpha)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
+def test_factor_into_idempotents_property(n, seed):
+    alpha = random_diagram(n, random.Random(seed))
+    if alpha.rank == n:
+        with pytest.raises(PreconditionError):
+            factor_into_idempotents(alpha)
+        return
+    chain = factor_into_idempotents(alpha)
+    assert all(is_idempotent_twisted(b) for b in chain)
+    assert star_chain(chain) == TwistedElement(0, alpha)
+    assert len(chain) <= _chain_bound(alpha)
 
 
 def test_factor_into_idempotents_exhaustive_n3():
@@ -382,9 +440,9 @@ def test_factor_into_idempotents_rejects_units():
         factor_into_idempotents(make_diagram(2, [(1, 2), (-1, -2)]))  # degree 2
 
 
-def test_bfs_fallback_cross_validates_pipeline_n3():
-    for alpha in all_diagrams(3):
-        if alpha.rank == 3:
+def _bfs_cross_validates_pipeline(n):
+    for alpha in all_diagrams(n):
+        if alpha.rank == n:
             continue
         bfs_chain = factor_into_idempotents_bfs(alpha)
         assert bfs_chain is not None
@@ -392,6 +450,14 @@ def test_bfs_fallback_cross_validates_pipeline_n3():
         assert all(is_idempotent_twisted(b) for b in bfs_chain)
         pipeline_chain = factor_into_idempotents(alpha)
         assert len(bfs_chain) <= len(pipeline_chain)  # BFS chains are shortest
+
+
+def test_bfs_fallback_cross_validates_pipeline_n3():
+    _bfs_cross_validates_pipeline(3)
+
+
+def test_bfs_fallback_cross_validates_pipeline_n4():
+    _bfs_cross_validates_pipeline(4)
 
 
 def test_bfs_fallback_rejects_units():
