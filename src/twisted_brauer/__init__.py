@@ -11,14 +11,9 @@ graph analysis of the regular D-classes.
 """
 
 from .diagram import (
-    BlockSizeError,
     BrauerDiagram,
-    DegreeMismatchError,
     DiagramError,
-    DuplicateVertexError,
     KernelSignature,
-    MissingVertexError,
-    VertexRangeError,
     diagram_from_json,
     diagram_from_json_obj,
     identity,

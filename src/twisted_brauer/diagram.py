@@ -27,27 +27,7 @@ from dataclasses import dataclass
 
 
 class DiagramError(ValueError):
-    """Base class for malformed diagrams and illegal diagram operations."""
-
-
-class BlockSizeError(DiagramError):
-    """A block does not have exactly two distinct vertices."""
-
-
-class VertexRangeError(DiagramError):
-    """A vertex token is 0 or lies outside 1..n / 1'..n'."""
-
-
-class DuplicateVertexError(DiagramError):
-    """A vertex appears in more than one block."""
-
-
-class MissingVertexError(DiagramError):
-    """Some vertex of [n] u [n]' is not covered by any block."""
-
-
-class DegreeMismatchError(DiagramError):
-    """Operands of a product have different degrees."""
+    """A malformed diagram or an illegal diagram operation, named by its message."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -70,7 +50,7 @@ class BrauerDiagram:
             raise DiagramError(f"pairing must have length {n2}, got {len(p)}")
         for x, y in enumerate(p):
             if not 0 <= y < n2:
-                raise VertexRangeError(f"pairing entry {y} out of range")
+                raise DiagramError(f"pairing entry {y} out of range")
             if y == x or p[y] != x:
                 raise DiagramError("pairing is not a fixed-point-free involution")
 
@@ -253,7 +233,7 @@ def is_int(x) -> bool:
 
 def _token_to_index(t: int, n: int) -> int:
     if not is_int(t) or t == 0 or abs(t) > n:
-        raise VertexRangeError(f"vertex token {t!r} out of range for degree {n}")
+        raise DiagramError(f"vertex token {t!r} out of range for degree {n}")
     return t - 1 if t > 0 else n - t - 1
 
 
@@ -264,9 +244,9 @@ def _token_str(t: int) -> str:
 def make_diagram(degree: int, blocks) -> BrauerDiagram:
     """Build a diagram from blocks of signed vertices (+i top, -i bottom).
 
-    Raises a distinct error for each failure mode: a block without exactly
-    two distinct vertices, an out-of-range vertex, a vertex used twice, or
-    a vertex left uncovered.  A pairing of plain ints that passes these
+    Raises DiagramError with a message naming each failure mode: a block
+    without exactly two distinct vertices, an out-of-range vertex, a vertex
+    used twice, or a vertex left uncovered.  A pairing of plain ints that passes these
     checks is a fixed-point-free involution, so it is not validated again;
     tokens of an int subclass keep the full validation.
 
@@ -281,7 +261,7 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
     for block in blocks:
         block = tuple(block)
         if len(block) != 2 or block[0] == block[1]:
-            raise BlockSizeError(f"block {block!r} does not have size 2")
+            raise DiagramError(f"block {block!r} does not have size 2")
         s, t = block
         if type(s) is int and type(t) is int and 0 < abs(s) <= n and 0 < abs(t) <= n:
             x = s - 1 if s > 0 else n - s - 1
@@ -290,11 +270,11 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
             x, y = _token_to_index(s, n), _token_to_index(t, n)
             plain = False
         if pairing[x] != -1 or pairing[y] != -1:
-            raise DuplicateVertexError(f"vertex repeated in block {block!r}")
+            raise DiagramError(f"vertex repeated in block {block!r}")
         pairing[x], pairing[y] = y, x
     for x, y in enumerate(pairing):
         if y == -1:
-            raise MissingVertexError(
+            raise DiagramError(
                 f"vertex {_token_str(_index_to_token(x, n))} is not covered"
             )
     if plain:
@@ -312,7 +292,7 @@ def identity(n: int) -> BrauerDiagram:
 def transposition(n: int, i: int, j: int) -> BrauerDiagram:
     """The unit interchanging i and j and fixing everything else."""
     if not 1 <= i < j <= n:
-        raise VertexRangeError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+        raise DiagramError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     pairing = list(range(n, 2 * n)) + list(range(n))
     pairing[i - 1], pairing[j - 1] = n + j - 1, n + i - 1
     pairing[n + i - 1], pairing[n + j - 1] = j - 1, i - 1
@@ -346,7 +326,7 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     """
     n = alpha.degree
     if beta.degree != n:
-        raise DegreeMismatchError(f"degrees differ: {n} vs {beta.degree}")
+        raise DiagramError(f"degrees differ: {n} vs {beta.degree}")
     pa, pb = alpha.pairing, beta.pairing
     out = [-1] * (2 * n)
     seen = [False] * n  # middle points, by their index in beta's top row
@@ -423,7 +403,7 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
 
 def _check_declared_degree(stated, degree: int | None) -> None:
     if degree is not None and degree != stated:
-        raise DegreeMismatchError(
+        raise DiagramError(
             f"text declares degree {stated} but degree {degree} was requested"
         )
 

@@ -24,12 +24,12 @@ from .diagram import (
     permutation_diagram,
     transposition,
 )
-from .ideals import _check_rank_param, delta, double_factorial
+from .ideals import COUNT_CAP, _check_rank_param, capped_delta, capped_diagrams
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
 # |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
 # of degree 10 (the largest is delta(10, 6) = 285,768,000)
-ENUMERATION_LIMIT = 654_729_075
+ENUMERATION_LIMIT = COUNT_CAP - 1
 # |B_7| = 13!!: the divisibility oracle holds every diagram with its right
 # and left Cayley graphs and the reach masks of their components, about
 # 0.8 KB each (120 MB peak measured at degree 7 with all three relations
@@ -40,10 +40,10 @@ ORACLE_LIMIT = 135_135
 def _check_size(n: int, r: int | None = None) -> None:
     """Refuse a negative degree, or a stream of more than ENUMERATION_LIMIT
     diagrams: all (2n-1)!! of degree n, or the delta(n, r) of rank r, which
-    is computed from the formula before anything is enumerated."""
+    is counted, capped, before anything is enumerated."""
     if n < 0:
         raise DiagramError("degree must be non-negative")
-    size = double_factorial(2 * n - 1) if r is None else delta(n, r)
+    size = capped_diagrams(n) if r is None else capped_delta(n, r)
     if size > ENUMERATION_LIMIT:  # the size is not printed: it may exceed int-to-text limits
         raise DiagramError(
             f"enumeration of degree {n} refused: it streams more than {ENUMERATION_LIMIT} diagrams")
@@ -401,7 +401,7 @@ class DivisibilityOracle:
 
     def __init__(self, n: int):
         _check_size(n)
-        size = double_factorial(2 * n - 1)
+        size = capped_diagrams(n)
         if size > ORACLE_LIMIT:
             raise DiagramError(  # size <= ENUMERATION_LIMIT here, so it prints
                 f"divisibility oracle over {size} diagrams of degree {n} refused: "
@@ -417,9 +417,8 @@ class DivisibilityOracle:
         graph = CayleyGraph(gens, BrauerDiagram.__mul__)
         self.n = n
         self.diagrams = graph.elements
-        expected = double_factorial(2 * n - 1)
-        if len(self.diagrams) != expected:
-            raise DiagramError(f"reached {len(self.diagrams)} of {expected} diagrams")
+        if len(self.diagrams) != size:
+            raise DiagramError(f"reached {len(self.diagrams)} of {size} diagrams")
         self._index = graph.index
         self._right, self._left = graph.right, graph.left
         self._reach: dict[str, tuple[list[int], list[int]]] = {}

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (
-    BrauerDiagram,
-    DegreeMismatchError,
-    DiagramError,
-    make_diagram,
-    permutation_diagram,
-)
+from .diagram import BrauerDiagram, DiagramError, make_diagram, permutation_diagram
 from .twisted import as_twisted
 
 RELATIONS = ("R", "L", "H", "D", "J")
@@ -33,7 +27,7 @@ class PreconditionError(DiagramError):
 
 def _check_degrees(alpha: BrauerDiagram, beta: BrauerDiagram) -> None:
     if alpha.degree != beta.degree:
-        raise DegreeMismatchError(f"degrees differ: {alpha.degree} vs {beta.degree}")
+        raise DiagramError(f"degrees differ: {alpha.degree} vs {beta.degree}")
 
 
 def leq_R(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
@@ -191,7 +185,7 @@ def same_class(relation: str, x, y) -> bool:
     """Whether two twisted elements lie in the same K-class (D = J, H = R n L)."""
     x, y = as_twisted(x), as_twisted(y)
     if x.degree != y.degree:
-        raise DegreeMismatchError(f"degrees differ: {x.degree} vs {y.degree}")
+        raise DiagramError(f"degrees differ: {x.degree} vs {y.degree}")
     return green_class(relation, x) == green_class(relation, y)
 
 

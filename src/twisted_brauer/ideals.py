@@ -31,9 +31,9 @@ from .green import PreconditionError, canonical_idempotent
 from .twisted import TwistedElement, as_twisted
 
 
-def index_set(n: int) -> tuple[int, ...]:
+def index_set(n: int) -> range:
     """The possible ranks in degree n: I(n) = {z, z+2, ..., n}, z = n mod 2."""
-    return tuple(range(n % 2, n + 1, 2))
+    return range(n % 2, n + 1, 2)
 
 
 def double_factorial(m: int) -> int:
@@ -50,7 +50,9 @@ def double_factorial(m: int) -> int:
 
 def _check_rank_param(n: int, r: int) -> None:
     if n < 0 or r not in index_set(n):
-        raise DiagramError(f"rank {r} is not in I({n}) = {index_set(n)}")
+        ranks = index_set(n)
+        shown = tuple(ranks) if len(ranks) <= 8 else f"({ranks[0]}, {ranks[1]}, ..., {n})"
+        raise DiagramError(f"rank {r} is not in I({n}) = {shown}")
 
 
 def rho(n: int, r: int) -> int:
@@ -62,6 +64,47 @@ def rho(n: int, r: int) -> int:
 def delta(n: int, r: int) -> int:
     """Size of the rank-r D-class of degree n: rho(n, r)^2 * r!."""
     return rho(n, r) ** 2 * math.factorial(r)
+
+
+# The capped counts that every size guard decides by are exact up to
+# |B_10| = 19!!, the largest size limit in the package, and equal COUNT_CAP
+# above it, so no refusal computes a huge integer.
+COUNT_CAP = double_factorial(19) + 1
+
+
+def capped_rho(n: int, r: int) -> int:
+    """min(rho(n, r), COUNT_CAP); past n - r = 20 a factor (n-r-1)!! >= 21!!
+    exceeds the cap."""
+    _check_rank_param(n, r)
+    return COUNT_CAP if n - r > 20 else min(rho(n, r), COUNT_CAP)
+
+
+def capped_delta(n: int, r: int) -> int:
+    """min(delta(n, r), COUNT_CAP); past degree 12 every D-class exceeds the
+    cap (13! does, and so does rho(n, r)^2 below rank 13)."""
+    _check_rank_param(n, r)
+    return COUNT_CAP if n > 12 else min(delta(n, r), COUNT_CAP)
+
+
+def capped_diagrams(n: int, max_rank: int | None = None) -> int:
+    """min(count, COUNT_CAP) for the diagrams of degree n >= 0, of rank at
+    most ``max_rank`` if given.  Summed from the top rank down, so a huge
+    degree costs one term; |B_11| = 21!! exceeds the cap."""
+    if max_rank is None or max_rank >= n:
+        return COUNT_CAP if n > 10 else double_factorial(2 * n - 1)
+    top = max_rank - (n - max_rank) % 2
+    return capped_sum(capped_delta(n, s) for s in range(top, -1, -2))
+
+
+def capped_sum(counts) -> int:
+    """min(sum, COUNT_CAP) of non-negative counts; no count is drawn once
+    the sum reaches the cap."""
+    total = 0
+    for count in counts:
+        total += count
+        if total >= COUNT_CAP:
+            return COUNT_CAP
+    return total
 
 
 def gh_degree(n: int, r: int) -> int:
@@ -423,7 +466,7 @@ class IdealRank:
         }
 
 
-def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
+def rank_of_ideal(n: int, r: int, k: int, max_digits: int = 0) -> IdealRank:
     """Smallest generating-set size of I(r;k), for degree n >= 3.
 
     The value is 4 at the top (r = n, k = 0), rho(n, r) for the proper
@@ -431,12 +474,27 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     along the rank-0 column, and k * sum of delta(n, s) over s in I(r)
     otherwise.  Only the 0 < r < n, k = 0 ideals are idempotent-generated,
     and there the idempotent rank equals the rank.
+
+    A positive ``max_digits`` (an int-to-text limit) refuses a rank of more
+    digits: by an lgamma estimate of its leading term, rho(n, r) or about
+    k * delta(n, r), where that has twice as many, and else exactly.
     """
     if n < 3:
         raise DiagramError("the rank table is stated for degree >= 3")
     _check_rank_param(n, r)
     if k < 0:
         raise DiagramError(f"twist parameter {k} must be non-negative")
+    too_long = (f"rank of I({r};{k}) in degree {n} refused: it has more than {max_digits} "
+                "digits, the int-to-text limit")
+    h = (n - r) // 2  # ln rho(n, r) = ln n! - ln r! - h ln 2 - ln h!
+    try:
+        log_lead = math.lgamma(n + 1) - math.lgamma(r + 1) - h * math.log(2) - math.lgamma(h + 1)
+        if not k == 0 < r:
+            log_lead = math.log(k + (r == 0)) + 2 * log_lead + math.lgamma(r + 1)
+    except OverflowError:  # a parameter past the float range
+        log_lead = math.inf
+    if max_digits and log_lead > 2 * max_digits * math.log(10):
+        raise DiagramError(too_long)
     if k == 0 and r == n:
         value = 4
     elif k == 0 and 0 < r < n:
@@ -445,5 +503,7 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
         value = (k + 1) * delta(n, 0)
     else:
         value = k * sum(delta(n, s) for s in index_set(r))
+    if max_digits and value >= 10**max_digits:
+        raise DiagramError(too_long)
     ig = 0 < r < n and k == 0
     return IdealRank(n, (r, k), value, ig, value if ig else None)

@@ -28,7 +28,7 @@ from .diagram import (
     identity,
 )
 from .green import PreconditionError
-from .ideals import _check_rank_param, delta, idempotent_factor_sigma, lemma_rank_drop, rho
+from .ideals import _check_rank_param, capped_delta, idempotent_factor_sigma, lemma_rank_drop, rho
 from .twisted import TwistedElement, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -80,12 +80,13 @@ class GHGraph:
         return degrees.pop() if len(degrees) == 1 else None
 
     def is_connected(self) -> bool:
+        """Whether the edges, taken both ways, leave one component or none."""
         size = len(self.signatures)
         adj: list[list[int]] = [[] for _ in range(2 * size)]
         for l, r in self.edges:
             adj[l].append(size + r)
             adj[size + r].append(l)
-        return _reaches_all(adj)
+        return len(enumeration._component_reach(adj)[1]) <= 1
 
     def witness(self, li: int, ri: int) -> BrauerDiagram:
         d = self._witness_of.get((li, ri))
@@ -106,19 +107,6 @@ class GHGraph:
         return "\n".join(lines)
 
 
-def _reaches_all(adj: list[list[int]]) -> bool:
-    """Whether a depth-first search from vertex 0 reaches every vertex."""
-    if not adj:
-        return True
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
-
-
 def build_gh_graph(n: int, r: int) -> GHGraph:
     """Enumerate the twisted idempotents of the rank-r D-class and bucket
     them by (kernel, cokernel).  Requires n >= 3 and 0 < r < n, and
@@ -132,7 +120,7 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     _check_rank_param(n, r)
     if r in (0, n):
         raise PreconditionError(f"rank {r} must lie strictly between 0 and {n}")
-    if delta(n, r) > GH_CANDIDATE_LIMIT:  # a count that may be too long to print
+    if capped_delta(n, r) > GH_CANDIDATE_LIMIT:
         raise DiagramError(
             f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
             f"more than {GH_CANDIDATE_LIMIT} diagrams")
@@ -202,12 +190,8 @@ def strong_hall_check(graph: GHGraph) -> bool:
     if matching is None:
         return False
     inverse = {r: l for l, r in matching.items()}
-    succ = [sorted({inverse[r] for r in graph.neighbors(l)} - {l}) for l in range(size)]
-    pred: list[list[int]] = [[] for _ in range(size)]
-    for l, outs in enumerate(succ):
-        for m in outs:
-            pred[m].append(l)
-    return _reaches_all(succ) and _reaches_all(pred)
+    succ = [{inverse[r] for r in graph.neighbors(l)} for l in range(size)]
+    return len(enumeration._component_reach(succ)[1]) == 1
 
 
 def strong_hall_subset_oracle(graph: GHGraph) -> bool:

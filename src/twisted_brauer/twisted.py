@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DegreeMismatchError, DiagramError, is_int, multiply
+from .diagram import BrauerDiagram, DiagramError, is_int, multiply
 
 
 @dataclass(frozen=True, order=True)
@@ -65,7 +65,7 @@ def star(x, y) -> TwistedElement:
     """The star product (i, a) * (j, b) = (i + j + tau(a, b), ab)."""
     x, y = as_twisted(x), as_twisted(y)
     if x.degree != y.degree:
-        raise DegreeMismatchError(f"degrees differ: {x.degree} vs {y.degree}")
+        raise DiagramError(f"degrees differ: {x.degree} vs {y.degree}")
     prod, extra = multiply(x.diagram, y.diagram)
     return TwistedElement(x.twist + y.twist + extra, prod)
 

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import enumeration, green, ideals, structure
 from .diagram import BrauerDiagram, DiagramError, identity, multiply, transposition
+from .ideals import capped_delta, capped_diagrams, capped_rho, capped_sum
 from .twisted import (
     TwistedElement,
     as_twisted,
@@ -61,7 +62,6 @@ class VerificationReport:
 # |B_8| = 15!!: the most items one check may visit.  Every D-class that
 # structure.GH_CANDIDATE_LIMIT admits (at most 2,000,000 diagrams) fits.
 SWEEP_LIMIT = 2_027_025
-_CAP = SWEEP_LIMIT + 1
 
 # the least value of each parameter: below it a sweep crashes or checks nothing
 _MINIMA = {"n": 0, "k": 0, "max_k": 0, "bound": 0, "twist_bound": 0, "samples": 1, "cases": 1}
@@ -81,11 +81,11 @@ def _check(theorem: str):
 
     The decorated body is a generator.  It first yields ``(params, size,
     unit)``: the parameters its report echoes and the number of items its
-    sweep visits, counted from the formulas before anything is enumerated
-    and capped by _product and _total.  It then sweeps, and returns the
-    report's counts or raises _Fail with a counterexample.  The runner
-    refuses a parameter below _MINIMA and a sweep of more than SWEEP_LIMIT
-    items, and builds and times the report."""
+    sweep visits, from the capped counts of ``ideals``, before anything is
+    enumerated.  It then sweeps, and returns the report's counts or raises
+    _Fail with a counterexample.  The runner refuses a parameter below
+    _MINIMA and a sweep of more than SWEEP_LIMIT items, and builds and
+    times the report."""
 
     def register(body):
         signature = inspect.signature(body)
@@ -118,40 +118,6 @@ def _check(theorem: str):
     return register
 
 
-def _product(*counts: int) -> int:
-    """The product of non-negative counts, capped at SWEEP_LIMIT + 1 factor by
-    factor, so that a refusal multiplies no huge integers."""
-    total = 1
-    for count in counts:
-        total = min(total * min(count, _CAP), _CAP)
-    return total
-
-
-def _total(counts) -> int:
-    """The sum of non-negative counts, capped at SWEEP_LIMIT + 1; no count is
-    drawn once the sum is past the limit."""
-    total = 0
-    for count in counts:
-        total += count
-        if total > SWEEP_LIMIT:
-            return _CAP
-    return total
-
-
-def _delta(n: int, r: int) -> int:
-    """delta(n, r) = rho(n, r)^2 * r!, capped at SWEEP_LIMIT + 1."""
-    rho = ideals.rho(n, r)
-    return _product(rho, rho, *range(2, r + 1))
-
-
-def _diagrams(n: int, max_rank: int | None = None) -> int:
-    """The number of diagrams of degree n, of rank at most max_rank if given,
-    capped at SWEEP_LIMIT + 1.  Summed from the top rank down, so that a huge
-    degree costs one term."""
-    return _total(_delta(n, s) for s in reversed(ideals.index_set(n))
-                  if max_rank is None or s <= max_rank)
-
-
 @_check("tau-identity")
 def check_tau_identity(
     n: int = 3, exhaustive: bool | None = None, samples: int = 100_000, seed: int = 0
@@ -159,7 +125,7 @@ def check_tau_identity(
     """tau(a,b) + tau(ab,c) = tau(a,bc) + tau(b,c), and (ab)c = a(bc)."""
     if exhaustive is None:
         exhaustive = n <= 3
-    total = _product(*[_diagrams(n)] * 3) if exhaustive else samples
+    total = capped_diagrams(n) ** 3 if exhaustive else samples
     yield ({"n": n, "exhaustive": exhaustive, "samples": None if exhaustive else samples,
             "seed": None if exhaustive else seed}, total, "triples")
     rng = random.Random(seed)
@@ -189,11 +155,11 @@ def check_green_preorders(
 ):
     """Kernel/cokernel/rank pre-order decisions against the divisibility
     oracle, plus the constructive factorization postconditions."""
-    size = _diagrams(n)
-    total = _product(size, size) if samples is None else samples
+    size = capped_diagrams(n)
+    total = size * size if samples is None else samples
     # the oracle searches the graph of each relation once, over all of B_n
     yield ({"n": n, "samples": samples, "seed": seed if samples else None},
-           _total((total, size, size, size)), "pairs and oracle search steps")
+           total + 3 * size, "pairs and oracle search steps")
     oracle = enumeration.DivisibilityOracle(n)
     pool, rng = list(enumeration.all_diagrams(n)), random.Random(seed)
     pairs = (itertools.product(pool, repeat=2) if samples is None else
@@ -231,7 +197,7 @@ def check_green_preorders(
 def check_green_relations(n: int = 4):
     """D-class sizes, R/L-class counts and H-class sizes against the
     delta, rho and r! formulas, and the twisted class semantics."""
-    yield {"n": n}, _diagrams(n), "diagrams"
+    yield {"n": n}, capped_diagrams(n), "diagrams"
     # one pass over B_n, keeping per rank only the H-class sizes, keyed by
     # (kernel, cokernel), and the first six diagrams: memory grows with
     # the sum of rho^2, not with |B_n|
@@ -270,9 +236,9 @@ def check_green_relations(n: int = 4):
 @_check("regularity")
 def check_regularity(n: int = 3, twist_bound: int = 1):
     """is_regular against brute-force search for y with x*y*x = x."""
-    elements = _product(twist_bound + 1, _diagrams(n))
+    elements = (twist_bound + 1) * capped_diagrams(n)
     # a non-regular element is tried against every candidate
-    yield {"n": n, "twist_bound": twist_bound}, _product(elements, elements), "pairs"
+    yield {"n": n, "twist_bound": twist_bound}, elements * elements, "pairs"
     candidates = _truncation(n, range(twist_bound + 1))
     for x in candidates:
         found = any(star(star(x, y), x) == x for y in candidates)
@@ -289,7 +255,7 @@ def check_ideal_classification(
     membership on a twist-bounded truncation, and closure of ideals."""
     # two 2-twist truncations; the closure products below are strided to <= 2 * 80 * 80
     yield ({"n": n, "twist_bound": twist_bound, "cases": cases, "seed": seed},
-           cases + 4 * _diagrams(n), "spec pairs and truncation elements")
+           cases + 4 * capped_diagrams(n), "spec pairs and truncation elements")
     rng = random.Random(seed)
     ranks = ideals.index_set(n)
     grid = [(r, i) for r in ranks for i in range(twist_bound + 1)]
@@ -329,7 +295,7 @@ def check_rank_drop(n: int = 4):
     """D_r lies in D_{r+2} * D_{r+2} with no floating component, r <= n-4."""
     if n < 4:
         raise DiagramError(f"verify rank-drop-lemma is stated for n >= 4, got n = {n}")
-    yield {"n": n}, _diagrams(n, n - 4), "diagrams"
+    yield {"n": n}, capped_diagrams(n, n - 4), "diagrams"
     checked = 0
     for r in ideals.index_set(n)[:-2]:  # the ranks r <= n - 4
         for alpha in enumeration.d_class(n, r):
@@ -347,7 +313,7 @@ def _twist_lemma(theorem: str, n: int, lemma, tau: int):
     is singular."""
     if n < 2:
         raise DiagramError(f"verify {theorem} is stated for n >= 2, got n = {n}")
-    yield {"n": n}, _diagrams(n), "diagrams"
+    yield {"n": n}, capped_diagrams(n), "diagrams"
     checked = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:
@@ -378,7 +344,7 @@ def check_idempotent_generation(n: int = 4, r: int | None = None):
     alpha with rank-preserving twisted idempotents, all cases.  The rank
     defaults to n - 2."""
     r = n - 2 if r is None else r
-    yield ({"n": n, "r": r}, _product(_delta(n, r), math.comb(n, 2)),
+    yield ({"n": n, "r": r}, capped_delta(n, r) * math.comb(n, 2),
            "(diagram, transposition) pairs")
     checked = 0
     for alpha in enumeration.d_class(n, r):
@@ -401,10 +367,9 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     exactly when 0 < r < n."""
     if not 0 < r < n:
         raise DiagramError(f"verify idempotent-closure is stated for 0 < r < n, got r = {r}")
-    rho = ideals.rho(n, r)
     # the closure lies in the truncation; an H-class holds at most one idempotent
-    products = _product(bound + 1, _diagrams(n, r), rho, rho)
-    yield ({"n": n, "r": r, "bound": bound}, _diagrams(n) + products,
+    products = (bound + 1) * capped_diagrams(n, r) * capped_rho(n, r) ** 2
+    yield ({"n": n, "r": r, "bound": bound}, capped_diagrams(n) + products,
            "diagrams and closure products")
     gens = [d for d in enumeration.idempotents(n) if d.rank == r]
     closure = enumeration.bounded_closure(gens, bound).elements
@@ -434,7 +399,7 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
     counts = {"side": gh_report.side_size, "b": gh_report.common_degree,
               "edges": len(graph.edges)}
     if len(graph.signatures) <= 16:
-        if structure.strong_hall_check(graph) != structure.strong_hall_subset_oracle(graph):
+        if gh_report.strong_hall != structure.strong_hall_subset_oracle(graph):
             raise _Fail(reason="SCC method disagrees with subset oracle")
         counts["oracle"] = "agrees"
     b = ideals.gh_degree(n, r)
@@ -447,11 +412,14 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
 def check_rank_table(n: int = 3, max_k: int = 3):
     """The four-case rank formula, cross-checked against the materialised
     minimal generating set in every cell."""
-    cells = [(r, k) for r in ideals.index_set(n) for k in range(max_k + 1)]
-    # a proper k = 0 cell tests the delta(n, r) GH candidates; the others list generators
-    size = _total(_delta(n, r) if k == 0 and 0 < r < n else ideals.rank_of_ideal(n, r, k).rank
-                  for r, k in cells)
+    if n < 3:
+        raise DiagramError("the rank table is stated for degree >= 3")
+    # a proper k = 0 cell tests its delta(n, r) GH candidates, the others list generators
+    size = capped_sum((4 if r == n else capped_delta(n, r)) if k == 0
+                      else (k + (r == 0)) * capped_diagrams(n, r)
+                      for r in reversed(ideals.index_set(n)) for k in range(max_k + 1))
     yield {"n": n, "max_k": max_k}, size, "candidates and generators"
+    cells = [(r, k) for r in ideals.index_set(n) for k in range(max_k + 1)]
     for r, k in cells:
         info = ideals.rank_of_ideal(n, r, k)
         if info.idempotent_generated != (0 < r < n and k == 0):
@@ -476,9 +444,9 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
             f"got n = {n}, r = {r}, k = {k}")
     # the generators lie in the pool P of twists k to 2k, and the closure in
     # the truncation T of twists k to 2k + 2
-    pool = _product(k + 1, _diagrams(n, r))
-    closure_size = _product(k + 3, _diagrams(n, r))
-    yield ({"n": n, "r": r, "k": k}, _product(pool, pool + closure_size),
+    pool = (k + 1) * capped_diagrams(n, r)
+    closure_size = (k + 3) * capped_diagrams(n, r)
+    yield ({"n": n, "r": r, "k": k}, pool * (pool + closure_size),
            "pairs and closure products")
     spec = ideals.ideal_normalize(n, [(r, k)])
     gens = ideals.generating_set(spec).elements
@@ -501,9 +469,11 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
 def check_singular_rank(n: int = 3, bound: int = 2):
     """The C(n,2) + n! formula, the matching generating set, and (desk
     scale) its bounded closure covering the singular truncation."""
-    value = structure.singular_rank(n)
+    if n < 3:
+        raise DiagramError("the singular rank formula is stated for degree >= 3")
     # the GH build tests delta(n, n-2) candidates, and the set lists the n! units
-    yield {"n": n, "bound": bound}, _delta(n, n - 2) + _product(*range(2, n + 1)), "diagrams"
+    yield {"n": n, "bound": bound}, capped_delta(n, n - 2) + capped_delta(n, n), "diagrams"
+    value = structure.singular_rank(n)
     if value != math.comb(n, 2) + math.factorial(n):
         raise _Fail(value=value)
     gens = structure.singular_generating_set(n)
@@ -524,10 +494,9 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2):
     """The idempotent-generated subsemigroup is {1} u I(n-2;0) (degree >= 3);
     at degree 2 the twisted idempotents generate only {1}."""
     # the closure lies in the truncation; an H-class holds at most one idempotent
-    generators = _total(_product(ideals.rho(n, r), ideals.rho(n, r))
-                        for r in reversed(ideals.index_set(n)))
+    generators = capped_sum(capped_rho(n, r) ** 2 for r in reversed(ideals.index_set(n)))
     yield ({"n": n, "bound": bound},
-           _diagrams(n) + _product(bound + 1, _diagrams(n), generators),
+           capped_diagrams(n) + (bound + 1) * capped_diagrams(n) * generators,
            "diagrams and closure products")
     twisted_idems = list(enumeration.idempotents(n))
     closure = enumeration.bounded_closure(twisted_idems, bound).elements
@@ -552,7 +521,7 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2):
 def check_maltcev_mazorchuk(n: int = 3):
     """Every singular diagram is a zero-twist chain of twisted idempotents,
     and the idempotent-generated submonoids of the plain monoid coincide."""
-    yield {"n": n}, _diagrams(n), "diagrams"
+    yield {"n": n}, capped_diagrams(n), "diagrams"
     factored = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:

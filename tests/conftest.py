@@ -10,14 +10,7 @@ import pytest
 
 from twisted_brauer import BrauerDiagram, KernelSignature, make_diagram, multiply, transposition
 from twisted_brauer import enumeration
-from twisted_brauer.diagram import (
-    BlockSizeError,
-    DiagramError,
-    DuplicateVertexError,
-    MissingVertexError,
-    VertexRangeError,
-    is_int,
-)
+from twisted_brauer.diagram import DiagramError, is_int
 from twisted_brauer.green import PreconditionError
 from twisted_brauer.ideals import lemma_rank_drop
 from twisted_brauer.structure import GHGraph, _kernel_idempotent, _transposition_factors
@@ -221,7 +214,7 @@ def token_by_token_make_diagram(degree, blocks) -> BrauerDiagram:
 
     def token_to_index(t):
         if not is_int(t) or t == 0 or abs(t) > degree:
-            raise VertexRangeError(f"vertex token {t!r} out of range for degree {degree}")
+            raise DiagramError(f"vertex token {t!r} out of range for degree {degree}")
         return t - 1 if t > 0 else degree - t - 1
 
     def index_to_text(x):
@@ -233,14 +226,14 @@ def token_by_token_make_diagram(degree, blocks) -> BrauerDiagram:
     for block in blocks:
         block = tuple(block)
         if len(block) != 2 or block[0] == block[1]:
-            raise BlockSizeError(f"block {block!r} does not have size 2")
+            raise DiagramError(f"block {block!r} does not have size 2")
         x, y = (token_to_index(t) for t in block)
         if pairing[x] != -1 or pairing[y] != -1:
-            raise DuplicateVertexError(f"vertex repeated in block {block!r}")
+            raise DiagramError(f"vertex repeated in block {block!r}")
         pairing[x], pairing[y] = y, x
     for x, y in enumerate(pairing):
         if y == -1:
-            raise MissingVertexError(f"vertex {index_to_text(x)} is not covered")
+            raise DiagramError(f"vertex {index_to_text(x)} is not covered")
     return BrauerDiagram(degree, tuple(pairing))
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 import twisted_brauer
 
 from twisted_brauer import (
+    DiagramError,
     TwistedElement,
     identity,
     is_idempotent_twisted,
@@ -22,8 +24,9 @@ from twisted_brauer import (
 )
 from twisted_brauer.cli import main, parse_element
 from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
+from twisted_brauer.ideals import rank_of_ideal
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
-from twisted_brauer.verify import SWEEP_LIMIT
+from twisted_brauer.verify import CHECKS, SWEEP_LIMIT
 
 ALPHA10 = "n=10: (1,2)(5,8)(9,10)(3,3')(4,6')(6,7')(7,8')(1',2')(4',5')(9',10')"
 BETA10 = "n=10: (2,4)(6,7)(8,10)(1,5)(3,2')(9,9')(1',3')(4',5')(7',8')(6',10')"
@@ -72,9 +75,7 @@ def test_mul_degree_mismatch_is_domain_error(capsys):
 
 
 def test_explicit_degree_must_agree_with_text():
-    from twisted_brauer import DegreeMismatchError
-
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DiagramError, match="text declares degree 2 but degree 3 was requested"):
         parse_diagram("n=2: (1,1')(2,2')", degree=3)
 
 
@@ -492,3 +493,85 @@ def test_verify_gh_conditions_is_refused_by_its_real_size(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error:") and f"more than {GH_CANDIDATE_LIMIT}" in err
+
+
+def _run_child(argv):
+    """The CLI in a child process under a 1 GB address-space limit and a
+    short timeout, so that a request which allocates or runs unbounded
+    fails the test without harming the test process."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twisted_brauer.__file__)))
+    return subprocess.run([sys.executable, "-m", "twisted_brauer.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10, preexec_fn=limit_memory)
+
+
+# every request a size guard decides, at degrees far past every limit;
+# tau-identity samples 100,000 triples unless exhaustive, and
+# idempotent-closure takes a rank 0 < r < n
+GUARDED = ["enumerate --n {n} --count-only", "enumerate --n {n} --rank 2 --count-only",
+           "gh-graph --n {n} --r 2", "ideal gens --n {n} --r 2 --k 0",
+           "ideal gens --n {n} --r 0 --k 1",
+           *(f"verify {theorem} --n {{n}}" + {"tau-identity": " --exhaustive",
+                                               "idempotent-closure": " --r 2"}.get(theorem, "")
+             for theorem in sorted(CHECKS))]
+
+
+@pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
+@pytest.mark.parametrize("request_", GUARDED)
+def test_huge_degrees_are_refused_at_once(capsys, request_, degree):
+    argv = request_.format(n=degree).split()
+    proc = _run_child(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (1, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
+def test_huge_degree_ideal_normalizes(capsys, degree):
+    argv = ["ideal", "normalize", "--n", str(degree), "--spec", "I(2;0)"]
+    proc = _run_child(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "I(2;0)\n", "")
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (0, "I(2;0)\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):
+    assert run(capsys, "enumerate", "--n", "15", "--rank", "2") == (
+        1, "", "error: rank 2 is not in I(15) = (1, 3, 5, 7, 9, 11, 13, 15)\n")
+    assert run(capsys, "gh-graph", "--n", "16", "--r", "3") == (
+        1, "", "error: rank 3 is not in I(16) = (0, 2, ..., 16)\n")
+
+
+@pytest.mark.parametrize("request_", [
+    "ideal rank --n 5000 --r 0 --k 1",  # 2 * delta(5000, 0): 32,000 digits
+    "ideal rank --n 100000 --r 2 --k 0",  # rho(100000, 2): 230,000 digits
+    "ideal rank --n 1000000000 --r 2 --k 0",  # refused from lgamma, never computed
+    f"ideal rank --n {10**309} --r 0 --k 0",  # a degree past the float range
+])
+def test_ideal_rank_refuses_ranks_past_the_int_to_text_limit(capsys, request_):
+    proc = _run_child(request_.split())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert f"more than {sys.get_int_max_str_digits()} digits" in proc.stderr
+    start = time.perf_counter()
+    assert run(capsys, *request_.split()) == (1, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ideal_rank_prints_every_rank_within_the_limit(capsys):
+    # 2 * delta(n, 0) first exceeds 4,300 digits at n = 1560, where the
+    # lgamma estimate is close and the exact value decides
+    limit = sys.get_int_max_str_digits()
+    for n in (1556, 1558, 1560, 1562):
+        exact = rank_of_ideal(n, 0, 1).rank
+        code, out, err = run(capsys, "ideal", "rank", "--n", str(n), "--r", "0", "--k", "1")
+        if exact < 10**limit:
+            assert (code, json.loads(out)["rank"], err) == (0, exact, "")
+        else:
+            assert (code, out) == (1, "") and f"more than {limit} digits" in err
+    assert rank_of_ideal(1558, 0, 1).rank < 10**limit <= rank_of_ideal(1560, 0, 1).rank

@@ -7,14 +7,9 @@ import random
 import pytest
 
 from twisted_brauer import (
-    BlockSizeError,
     BrauerDiagram,
-    DegreeMismatchError,
     DiagramError,
-    DuplicateVertexError,
     KernelSignature,
-    MissingVertexError,
-    VertexRangeError,
     all_diagrams,
     diagram_from_json,
     diagram_from_json_obj,
@@ -40,17 +35,17 @@ def test_make_diagram_empty():
 
 
 def test_make_diagram_errors():
-    with pytest.raises(BlockSizeError):
+    with pytest.raises(DiagramError, match=r"block \(1, 1\) does not have size 2"):
         make_diagram(2, [(1, 1), (2, -1), (-2,)])
-    with pytest.raises(BlockSizeError):
+    with pytest.raises(DiagramError, match=r"block \(1, 2, -1\) does not have size 2"):
         make_diagram(2, [(1, 2, -1), (-2,)])
-    with pytest.raises(VertexRangeError):
+    with pytest.raises(DiagramError, match="vertex token 3 out of range for degree 2"):
         make_diagram(2, [(1, 3), (2, -1)])
-    with pytest.raises(VertexRangeError):
+    with pytest.raises(DiagramError, match="vertex token 0 out of range for degree 2"):
         make_diagram(2, [(0, 1), (2, -1)])
-    with pytest.raises(DuplicateVertexError):
+    with pytest.raises(DiagramError, match=r"vertex repeated in block \(1, -1\)"):
         make_diagram(2, [(1, 2), (1, -1), (-1, -2)])
-    with pytest.raises(MissingVertexError):
+    with pytest.raises(DiagramError, match="vertex 1' is not covered"):
         make_diagram(2, [(1, 2)])
 
 
@@ -75,7 +70,7 @@ def test_identity_and_units():
     assert e.rank == 4 and e.ker.hooks == frozenset()
     t = transposition(3, 1, 2)
     assert multiply(t, t) == (identity(3), 0)
-    with pytest.raises(VertexRangeError):
+    with pytest.raises(DiagramError, match="need 1 <= i < j <= n, got i=2, j=2, n=3"):
         transposition(3, 2, 2)
     with pytest.raises(DiagramError):
         permutation_diagram(3, [1, 1, 2])
@@ -129,7 +124,7 @@ def test_multiply_matches_union_find_random():
 
 
 def test_multiply_degree_mismatch():
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DiagramError, match="degrees differ: 2 vs 3"):
         multiply(identity(2), identity(3))
 
 
@@ -321,6 +316,11 @@ def _block_corpus(rng: random.Random):
         yield kinds, n, [tuple(b) for b in blocks]
 
 
+# the message of each way a block list fails to be a perfect matching
+FAILURE_MODES = ("does not have size 2", "out of range for degree", "vertex repeated in block",
+                 "is not covered")
+
+
 def test_make_diagram_matches_token_by_token_oracle():
     accepted, raised = set(), set()
     for kinds, n, blocks in _block_corpus(random.Random(2015)):
@@ -329,15 +329,14 @@ def test_make_diagram_matches_token_by_token_oracle():
         except DiagramError as exc:
             with pytest.raises(DiagramError) as got:
                 make_diagram(n, blocks)
-            assert type(got.value) is type(exc) and str(got.value) == str(exc), (n, blocks)
-            raised.add(type(exc))
+            assert str(got.value) == str(exc), (n, blocks)
+            raised.update(mode for mode in FAILURE_MODES if mode in str(exc))
             continue
         got = make_diagram(n, blocks)
         assert got == want and BrauerDiagram(n, got.pairing) == got, (n, blocks)
         accepted.update(kinds)
     assert accepted == {"valid", "subclass"}
-    assert raised == {BlockSizeError, VertexRangeError, DuplicateVertexError,
-                      MissingVertexError}
+    assert raised == set(FAILURE_MODES)
 
 
 def test_make_diagram_validates_int_subclass_tokens():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from twisted_brauer import (
-    DegreeMismatchError,
     DiagramError,
     TwistedElement,
     all_diagrams,
@@ -42,7 +41,7 @@ def test_twist_must_be_natural():
 
 
 def test_star_degree_mismatch():
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DiagramError, match="degrees differ: 2 vs 3"):
         star(identity(2), identity(3))
 
 

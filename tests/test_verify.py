@@ -1,13 +1,25 @@
 """The verification harness itself: registry coverage, report shape,
 determinism of seeded runs."""
 
+import itertools
 import json
 import time
 
 import pytest
 
 from twisted_brauer import DiagramError, all_diagrams, verify
-from twisted_brauer.ideals import double_factorial
+from twisted_brauer.enumeration import ENUMERATION_LIMIT
+from twisted_brauer.ideals import (
+    COUNT_CAP,
+    capped_delta,
+    capped_diagrams,
+    capped_rho,
+    capped_sum,
+    delta,
+    double_factorial,
+    index_set,
+    rho,
+)
 
 # the report of each check at its defaults, without the elapsed seconds
 GOLDEN = """
@@ -92,17 +104,25 @@ def test_every_check_refuses_a_negative_degree(theorem):
 
 
 def test_sweep_counts_are_exact_up_to_the_limit():
+    # one cap, |B_10| + 1, above every size limit in the package
+    assert COUNT_CAP == 654_729_076 == ENUMERATION_LIMIT + 1 > verify.SWEEP_LIMIT
     for n in range(7):
         ranks = [d.rank for d in all_diagrams(n)]
         for r in range(-1, n + 1):
-            assert verify._diagrams(n, r) == sum(1 for rank in ranks if rank <= r)
-    for n in range(9):  # |B_8| = SWEEP_LIMIT
-        assert verify._diagrams(n) == double_factorial(2 * n - 1) <= verify.SWEEP_LIMIT
-    assert verify._diagrams(9) > verify.SWEEP_LIMIT
-    # past the limit a count is capped, so products of counts stay small
-    assert verify._diagrams(10**5) == verify._product(10**9, verify._diagrams(9), 2) \
-        == verify.SWEEP_LIMIT + 1
-    assert verify._product(verify._diagrams(10**5), 0) == 0
+            assert capped_diagrams(n, r) == sum(1 for rank in ranks if rank <= r)
+    for n in range(80):
+        for r in index_set(n):
+            assert capped_rho(n, r) == min(rho(n, r), COUNT_CAP), (n, r)
+            assert capped_delta(n, r) == min(delta(n, r), COUNT_CAP), (n, r)
+        for max_rank in range(-2, n + 2):
+            exact = sum(delta(n, s) for s in index_set(n) if s <= max_rank)
+            assert capped_diagrams(n, max_rank) == min(exact, COUNT_CAP), (n, max_rank)
+        assert capped_diagrams(n) == min(double_factorial(2 * n - 1), COUNT_CAP), n
+    # past the cap a count is the cap, found in one term, and a sum stops drawing
+    for n in (10**5, 10**9):
+        assert capped_diagrams(n) == capped_diagrams(n, 2) == capped_delta(n, n) == COUNT_CAP
+        assert capped_rho(n, n) == 1 and capped_rho(n, 2) == COUNT_CAP
+    assert capped_sum(itertools.chain([COUNT_CAP - 1, 1], map(int, "x"))) == COUNT_CAP
 
 
 def test_a_failing_sweep_reports_its_witness(monkeypatch):
