@@ -246,9 +246,9 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
 
     Raises DiagramError with a message naming each failure mode: a block
     without exactly two distinct vertices, an out-of-range vertex, a vertex
-    used twice, or a vertex left uncovered.  A pairing of plain ints that passes these
-    checks is a fixed-point-free involution, so it is not validated again;
-    tokens of an int subclass keep the full validation.
+    used twice, or a vertex left uncovered.  A pairing of plain ints that
+    passes these checks is a fixed-point-free involution, so it is not
+    validated again; tokens of an int subclass keep the full validation.
 
     >>> make_diagram(2, [(1, -1), (2, -2)]) == identity(2)
     True

@@ -44,7 +44,7 @@ def _check_size(n: int, r: int | None = None) -> None:
     if n < 0:
         raise DiagramError("degree must be non-negative")
     size = capped_diagrams(n) if r is None else capped_delta(n, r)
-    if size > ENUMERATION_LIMIT:  # the size is not printed: it may exceed int-to-text limits
+    if size > ENUMERATION_LIMIT:  # the size is not printed: past the limit it is the cap
         raise DiagramError(
             f"enumeration of degree {n} refused: it streams more than {ENUMERATION_LIMIT} diagrams")
 

@@ -49,8 +49,8 @@ def double_factorial(m: int) -> int:
 
 
 def _check_rank_param(n: int, r: int) -> None:
-    if n < 0 or r not in index_set(n):
-        ranks = index_set(n)
+    ranks = index_set(n)  # empty at a negative degree
+    if r not in ranks:
         shown = tuple(ranks) if len(ranks) <= 8 else f"({ranks[0]}, {ranks[1]}, ..., {n})"
         raise DiagramError(f"rank {r} is not in I({n}) = {shown}")
 
