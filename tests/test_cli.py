@@ -548,8 +548,8 @@ def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):
 
 
 @pytest.mark.parametrize("request_", [
-    "ideal rank --n 5000 --r 0 --k 1",  # 2 * delta(5000, 0): 32,000 digits
-    "ideal rank --n 100000 --r 2 --k 0",  # rho(100000, 2): 230,000 digits
+    "ideal rank --n 5000 --r 0 --k 1",  # 2 * delta(5000, 0): 16,324 digits
+    "ideal rank --n 100000 --r 2 --k 0",  # rho(100000, 2): 228,291 digits
     "ideal rank --n 1000000000 --r 2 --k 0",  # refused from lgamma, never computed
     f"ideal rank --n {10**309} --r 0 --k 0",  # a degree past the float range
 ])
