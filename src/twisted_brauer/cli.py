@@ -127,8 +127,7 @@ def _cmd_ideal(args) -> int:
         print(spec.to_json() if args.format == "jsonl" else spec.to_text())
         return 0
     if args.ideal_cmd == "rank":
-        # a rank past Python's int-to-text limit could not be printed
-        info = ideals.rank_of_ideal(args.n, args.r, args.k, sys.get_int_max_str_digits())
+        info = ideals.rank_of_ideal(args.n, args.r, args.k)
         print(json.dumps(info.to_json_obj()))
         return 0
     spec = ideals.ideal_normalize(args.n, [(args.r, args.k)])

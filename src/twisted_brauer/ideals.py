@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .diagram import (
@@ -466,7 +467,12 @@ class IdealRank:
         }
 
 
-def rank_of_ideal(n: int, r: int, k: int, max_digits: int = 0) -> IdealRank:
+def _check_degree_3(n: int, subject: str) -> None:
+    if n < 3:
+        raise DiagramError(f"{subject} is stated for degree >= 3")
+
+
+def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     """Smallest generating-set size of I(r;k), for degree n >= 3.
 
     The value is 4 at the top (r = n, k = 0), rho(n, r) for the proper
@@ -475,15 +481,14 @@ def rank_of_ideal(n: int, r: int, k: int, max_digits: int = 0) -> IdealRank:
     otherwise.  Only the 0 < r < n, k = 0 ideals are idempotent-generated,
     and there the idempotent rank equals the rank.
 
-    A positive ``max_digits`` (an int-to-text limit) refuses a rank of more
-    digits: by an lgamma estimate of its leading term, rho(n, r) or about
-    k * delta(n, r), where that has twice as many, and else exactly.
+    A rank longer than Python's int-to-text limit (if set) is refused: by an
+    lgamma estimate where its leading term has twice as many digits, else exactly.
     """
-    if n < 3:
-        raise DiagramError("the rank table is stated for degree >= 3")
+    _check_degree_3(n, "the rank table")
     _check_rank_param(n, r)
     if k < 0:
         raise DiagramError(f"twist parameter {k} must be non-negative")
+    max_digits = sys.get_int_max_str_digits()
     too_long = (f"rank of I({r};{k}) in degree {n} refused: it has more than {max_digits} "
                 "digits, the int-to-text limit")
     h = (n - r) // 2  # ln rho(n, r) = ln n! - ln r! - h ln 2 - ln h!

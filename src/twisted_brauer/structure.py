@@ -28,7 +28,8 @@ from .diagram import (
     identity,
 )
 from .green import PreconditionError
-from .ideals import _check_rank_param, capped_delta, idempotent_factor_sigma, lemma_rank_drop, rho
+from .ideals import (_check_degree_3, _check_rank_param, capped_delta, idempotent_factor_sigma,
+                     lemma_rank_drop, rho)
 from .twisted import TwistedElement, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -281,16 +282,14 @@ def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:
 
 def singular_rank(n: int) -> int:
     """Smallest generating set size of the singular ideal: C(n, 2) + n!."""
-    if n < 3:
-        raise DiagramError("the singular rank formula is stated for degree >= 3")
+    _check_degree_3(n, "the singular rank formula")
     return math.comb(n, 2) + math.factorial(n)
 
 
 def singular_generating_set(n: int) -> list[TwistedElement]:
     """A generating set of the singular ideal matching the rank formula:
     C(n, 2) idempotents for I(n-2;0) plus every unit at twist 1."""
-    if n < 3:
-        raise DiagramError("the singular generating set is stated for degree >= 3")
+    _check_degree_3(n, "the singular generating set")
     gens = idempotent_generating_set(n, n - 2)
     gens += [TwistedElement(1, u) for u in enumeration.d_class(n, n)]
     return gens
@@ -308,8 +307,7 @@ def in_idempotent_generated(x) -> bool:
     """Membership in the subsemigroup generated by the twisted idempotents:
     the untwisted identity, plus everything of rank at most n - 2."""
     x = as_twisted(x)
-    if x.degree < 3:
-        raise DiagramError("the description is stated for degree >= 3")
+    _check_degree_3(x.degree, "the description")
     if x.rank <= x.degree - 2:
         return True
     return x.twist == 0 and x.diagram == identity(x.degree)

@@ -412,8 +412,7 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
 def check_rank_table(n: int = 3, max_k: int = 3):
     """The four-case rank formula, cross-checked against the materialised
     minimal generating set in every cell."""
-    if n < 3:
-        raise DiagramError("the rank table is stated for degree >= 3")
+    ideals._check_degree_3(n, "the rank table")
     # a proper k = 0 cell tests its delta(n, r) GH candidates, the others list generators
     size = capped_sum((4 if r == n else capped_delta(n, r)) if k == 0
                       else (k + (r == 0)) * capped_diagrams(n, r)
@@ -469,8 +468,7 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
 def check_singular_rank(n: int = 3, bound: int = 2):
     """The C(n,2) + n! formula, the matching generating set, and (desk
     scale) its bounded closure covering the singular truncation."""
-    if n < 3:
-        raise DiagramError("the singular rank formula is stated for degree >= 3")
+    ideals._check_degree_3(n, "the singular rank formula")
     # the GH build tests delta(n, n-2) candidates, and the set lists the n! units
     yield {"n": n, "bound": bound}, capped_delta(n, n - 2) + capped_delta(n, n), "diagrams"
     value = structure.singular_rank(n)

@@ -24,7 +24,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.cli import main, parse_element
 from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
-from twisted_brauer.ideals import rank_of_ideal
+from twisted_brauer.ideals import delta, rank_of_ideal
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
 from twisted_brauer.verify import CHECKS, SWEEP_LIMIT
 
@@ -568,10 +568,21 @@ def test_ideal_rank_prints_every_rank_within_the_limit(capsys):
     # lgamma estimate is close and the exact value decides
     limit = sys.get_int_max_str_digits()
     for n in (1556, 1558, 1560, 1562):
-        exact = rank_of_ideal(n, 0, 1).rank
+        exact = 2 * delta(n, 0)
         code, out, err = run(capsys, "ideal", "rank", "--n", str(n), "--r", "0", "--k", "1")
         if exact < 10**limit:
             assert (code, json.loads(out)["rank"], err) == (0, exact, "")
         else:
             assert (code, out) == (1, "") and f"more than {limit} digits" in err
-    assert rank_of_ideal(1558, 0, 1).rank < 10**limit <= rank_of_ideal(1560, 0, 1).rank
+    assert 2 * delta(1558, 0) < 10**limit <= 2 * delta(1560, 0)
+
+
+def test_rank_of_ideal_reads_the_int_to_text_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DiagramError, match=f"more than {limit} digits"):
+        rank_of_ideal(1560, 0, 1)
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert rank_of_ideal(1560, 0, 1).rank == 2 * delta(1560, 0)
+    finally:
+        sys.set_int_max_str_digits(limit)
