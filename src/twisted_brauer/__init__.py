@@ -13,7 +13,6 @@ graph analysis of the regular D-classes.
 from .diagram import (
     BrauerDiagram,
     DiagramError,
-    KernelSignature,
     diagram_from_json,
     diagram_from_json_obj,
     identity,

@@ -75,22 +75,20 @@ class BrauerDiagram:
         return tuple(i + 1 for i in range(n) if self.pairing[n + i] < n)
 
     @property
-    def ker(self) -> KernelSignature:
-        """Upper hooks of the diagram, as a kernel signature."""
+    def ker(self) -> frozenset[tuple[int, int]]:
+        """The kernel: the upper hooks (a, b), a < b.
+
+        Every non-singleton kernel class of a Brauer diagram is a hook, so
+        kernel containment is containment of these sets.
+        """
         n, p = self.degree, self.pairing
-        hooks = frozenset(
-            (i + 1, p[i] + 1) for i in range(n) if i < p[i] < n
-        )
-        return _raw_kernel(n, hooks)
+        return frozenset((i + 1, p[i] + 1) for i in range(n) if i < p[i] < n)
 
     @property
-    def coker(self) -> KernelSignature:
-        """Lower hooks of the diagram, as a kernel signature."""
+    def coker(self) -> frozenset[tuple[int, int]]:
+        """The cokernel: the lower hooks (a, b) of a' and b', a < b."""
         n, p = self.degree, self.pairing
-        hooks = frozenset(
-            (i - n + 1, p[i] - n + 1) for i in range(n, 2 * n) if i < p[i]
-        )
-        return _raw_kernel(n, hooks)
+        return frozenset((i - n + 1, p[i] - n + 1) for i in range(n, 2 * n) if i < p[i])
 
     def top_hooks(self) -> list[tuple[int, int]]:
         """Upper hooks in canonical order (sorted, smaller vertex first)."""
@@ -164,41 +162,6 @@ class BrauerDiagram:
         return f'BrauerDiagram.from_text("{self.to_text()}")'
 
 
-@dataclass(frozen=True)
-class KernelSignature:
-    """The set of same-row hooks of a diagram, i.e. its (co)kernel.
-
-    For Brauer diagrams every non-singleton kernel class has size two, so
-    containment of kernels is plain containment of hook sets.
-    """
-
-    degree: int
-    hooks: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for a, b in self.hooks:
-            if not (1 <= a < b <= self.degree):
-                raise DiagramError(f"bad hook ({a},{b}) for degree {self.degree}")
-            if a in seen or b in seen:
-                raise DiagramError("hooks are not pairwise disjoint")
-            seen.update((a, b))
-
-    @property
-    def rank(self) -> int:
-        return self.degree - 2 * len(self.hooks)
-
-    def contains(self, other: KernelSignature) -> bool:
-        """Kernel containment as equivalences: every block of ``other`` is one of ours."""
-        return other.hooks <= self.hooks
-
-    def sorted_hooks(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.hooks))
-
-    def __str__(self) -> str:
-        return "".join(f"({a},{b})" for a, b in self.sorted_hooks()) or "()"
-
-
 _new_instance = object.__new__
 _set_degree = BrauerDiagram.degree.__set__
 _set_pairing = BrauerDiagram.pairing.__set__
@@ -211,15 +174,6 @@ def _raw_diagram(degree: int, pairing: tuple[int, ...]) -> BrauerDiagram:
     _set_degree(d, degree)
     _set_pairing(d, pairing)
     return d
-
-
-def _raw_kernel(degree: int, hooks: frozenset[tuple[int, int]]) -> KernelSignature:
-    # construction bypass for hooks read off a valid pairing: they are
-    # disjoint, in range and ordered by construction
-    k = object.__new__(KernelSignature)
-    object.__setattr__(k, "degree", degree)
-    object.__setattr__(k, "hooks", hooks)
-    return k
 
 
 def _index_to_token(x: int, n: int) -> int:

@@ -33,13 +33,13 @@ def _check_degrees(alpha: BrauerDiagram, beta: BrauerDiagram) -> None:
 def leq_R(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
     """a <=_R b iff ker(a) contains ker(b), i.e. hooks(b) <= hooks(a)."""
     _check_degrees(alpha, beta)
-    return alpha.ker.contains(beta.ker)
+    return beta.ker <= alpha.ker
 
 
 def leq_L(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
     """a <=_L b iff coker(a) contains coker(b)."""
     _check_degrees(alpha, beta)
-    return alpha.coker.contains(beta.coker)
+    return beta.coker <= alpha.coker
 
 
 def leq_J(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
@@ -61,10 +61,10 @@ def factor_right(alpha: BrauerDiagram, beta: BrauerDiagram) -> BrauerDiagram:
     lower hooks.  When the kernels are equal, d is a unit.
     """
     _check_degrees(alpha, beta)
-    if not alpha.ker.contains(beta.ker):
+    beta_hooks = beta.ker
+    if not beta_hooks <= alpha.ker:
         raise PreconditionError("ker(alpha) does not contain ker(beta)")
     n = alpha.degree
-    beta_hooks = beta.ker.hooks
     split_hooks = [h for h in alpha.top_hooks() if h not in beta_hooks]  # (a_m, b_m)
     alpha_lower = alpha.bottom_hooks()
     s = len(split_hooks)
@@ -92,7 +92,7 @@ def factor_left(alpha: BrauerDiagram, beta: BrauerDiagram) -> BrauerDiagram:
     the * duality.
     """
     _check_degrees(alpha, beta)
-    if not alpha.coker.contains(beta.coker):
+    if not beta.coker <= alpha.coker:
         raise PreconditionError("coker(alpha) does not contain coker(beta)")
     return factor_right(alpha.star(), beta.star()).star()
 
@@ -175,8 +175,8 @@ def green_class(relation: str, x) -> ClassDescription:
         raise DiagramError(f"relation must be one of {RELATIONS}, not {relation!r}")
     x = as_twisted(x)
     d = x.diagram
-    ker = d.ker.sorted_hooks() if relation in ("R", "H") else None
-    coker = d.coker.sorted_hooks() if relation in ("L", "H") else None
+    ker = tuple(d.top_hooks()) if relation in ("R", "H") else None
+    coker = tuple(d.bottom_hooks()) if relation in ("L", "H") else None
     rank = d.rank if relation in ("D", "J") else None
     return ClassDescription(relation, x.twist, rank, ker, coker)
 

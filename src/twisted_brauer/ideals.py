@@ -435,12 +435,10 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     if k == 0 and 0 < r < n:
         sigma = structure.idempotent_generating_set(n, r)
         return GeneratingSet(n, (r, k), "idempotent-matching", tuple(sigma))
-    top = 2 * k + 1 if r == 0 else 2 * k  # M(0;k) includes twist 2k
     elements = tuple(
         TwistedElement(l, d)
-        for l in range(k, top)
-        for s in index_set(n)
-        if s <= r
+        for l in range(k, 2 * k + (r == 0))  # M(0;k) includes twist 2k
+        for s in index_set(r)
         for d in enumeration.d_class(n, s)
     )
     return GeneratingSet(n, (r, k), "d-class-grid", elements)
@@ -476,10 +474,10 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     """Smallest generating-set size of I(r;k), for degree n >= 3.
 
     The value is 4 at the top (r = n, k = 0), rho(n, r) for the proper
-    idempotent-generated ideals (0 < r < n, k = 0), (k+1) * delta(n, 0)
-    along the rank-0 column, and k * sum of delta(n, s) over s in I(r)
-    otherwise.  Only the 0 < r < n, k = 0 ideals are idempotent-generated,
-    and there the idempotent rank equals the rank.
+    idempotent-generated ideals (0 < r < n, k = 0), and otherwise the size
+    of the grid M(r;k): (k + [r = 0]) * sum of delta(n, s) over s in I(r).
+    Only the 0 < r < n, k = 0 ideals are idempotent-generated, and there
+    the idempotent rank equals the rank.
 
     A rank longer than Python's int-to-text limit (if set) is refused: by an
     lgamma estimate where its leading term has twice as many digits, else exactly.
@@ -504,10 +502,8 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
         value = 4
     elif k == 0 and 0 < r < n:
         value = rho(n, r)
-    elif r == 0:
-        value = (k + 1) * delta(n, 0)
-    else:
-        value = k * sum(delta(n, s) for s in index_set(r))
+    else:  # the M(r;k) grid: twists k to 2k, 2k itself only at r = 0
+        value = (k + (r == 0)) * sum(delta(n, s) for s in index_set(r))
     if max_digits and value >= 10**max_digits:
         raise DiagramError(too_long)
     ig = 0 < r < n and k == 0

@@ -2,9 +2,9 @@
 Graham-Houghton graphs, the singular ideal and idempotent generation.
 
 The Graham-Houghton graph of a rank-r D-class is bipartite: one side per
-R-class (indexed by kernel signature), one per L-class (by cokernel
-signature), with an edge wherever the intersection H-class contains a
-twisted idempotent.  When such a graph is connected, balanced and
+R-class (indexed by its kernel, a set of upper hooks), one per L-class
+(by its cokernel, a set of lower hooks), with an edge wherever the
+intersection H-class contains a twisted idempotent.  When such a graph is connected, balanced and
 satisfies the Strong Hall Condition, the rank and idempotent rank of the
 ideal generated by the D-class both equal the common side size, and an
 explicit generating set of that size is read off a perfect matching.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .diagram import (
     BrauerDiagram,
     DiagramError,
-    KernelSignature,
     _raw_diagram,
     identity,
 )
@@ -42,18 +41,17 @@ GH_CANDIDATE_LIMIT = 2_000_000
 class GHGraph:
     """Bipartite Graham-Houghton graph of the rank-r D-class in degree n.
 
-    Kernels and cokernels of a D-class range over the same signatures, so
-    ``signatures`` indexes both sides: ``edges`` holds (kernel index,
-    cokernel index) pairs, and ``witnesses`` the unique twisted idempotent
-    sitting in each edge's H-class.  Adjacency lists and the witness
-    lookup are derived from these once, on first use.
+    Kernels and cokernels of a D-class range over the same hook sets, so
+    ``signatures`` (each a sorted hook tuple, in sorted order) indexes both
+    sides.  ``edges`` maps each (kernel index, cokernel index) edge to the
+    unique twisted idempotent in its H-class.  Adjacency lists are derived
+    from it once, on first use.
     """
 
     degree: int
     rank: int
-    signatures: tuple[KernelSignature, ...]
-    edges: frozenset[tuple[int, int]]
-    witnesses: tuple[tuple[int, int, BrauerDiagram], ...]
+    signatures: tuple[tuple[tuple[int, int], ...], ...]
+    edges: dict[tuple[int, int], BrauerDiagram]
 
     @functools.cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -61,10 +59,6 @@ class GHGraph:
         for l, r in self.edges:
             adj[l].append(r)
         return tuple(tuple(sorted(rs)) for rs in adj)
-
-    @functools.cached_property
-    def _witness_of(self) -> dict[tuple[int, int], BrauerDiagram]:
-        return {(l, r): d for l, r, d in self.witnesses}
 
     def neighbors(self, li: int) -> tuple[int, ...]:
         """Cokernel neighbours of kernel vertex ``li``, in increasing order."""
@@ -89,19 +83,14 @@ class GHGraph:
             adj[size + r].append(l)
         return len(enumeration._component_reach(adj)[1]) <= 1
 
-    def witness(self, li: int, ri: int) -> BrauerDiagram:
-        d = self._witness_of.get((li, ri))
-        if d is None:
-            raise DiagramError(f"no idempotent witness on edge ({li}, {ri})")
-        return d
-
     def to_dot(self) -> str:
-        """DOT rendering; vertices carry their canonical signature strings."""
+        """DOT rendering; vertices carry their hooks, e.g. ``(1,2)(3,4)``."""
+        labels = ["".join(f"({a},{b})" for a, b in sig) or "()" for sig in self.signatures]
         lines = ["graph graham_houghton {", "  rankdir=LR;"]
-        for i, sig in enumerate(self.signatures):
-            lines.append(f'  L{i} [label="ker {sig}" shape=box];')
-        for i, sig in enumerate(self.signatures):
-            lines.append(f'  R{i} [label="coker {sig}" shape=ellipse];')
+        for i, label in enumerate(labels):
+            lines.append(f'  L{i} [label="ker {label}" shape=box];')
+        for i, label in enumerate(labels):
+            lines.append(f'  R{i} [label="coker {label}" shape=ellipse];')
         for l, r in sorted(self.edges):
             lines.append(f"  L{l} -- R{r};")
         lines.append("}")
@@ -125,22 +114,20 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
         raise DiagramError(
             f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
             f"more than {GH_CANDIDATE_LIMIT} diagrams")
-    patterns = [frozenset(hooks) for hooks, _ in enumeration.hook_patterns(n, r)]
-    signatures = tuple(sorted(
-        (KernelSignature(n, hooks) for hooks in patterns), key=KernelSignature.sorted_hooks
-    ))
-    index = {sig.hooks: i for i, sig in enumerate(signatures)}
+    patterns = [tuple(hooks) for hooks, _ in enumeration.hook_patterns(n, r)]
+    signatures = tuple(sorted(patterns))
+    index = {hooks: i for i, hooks in enumerate(signatures)}
     position = [index[hooks] for hooks in patterns]  # pattern -> signature index
     block, side = math.factorial(r), len(patterns)
-    witnesses = []
+    edges: dict[tuple[int, int], BrauerDiagram] = {}
     for k, d in enumerate(enumeration.d_class(n, r)):
         if _square_walk(d) == n:  # a twisted idempotent
             upper, lower = divmod(k // block, side)
-            witnesses.append((position[upper], position[lower], d))
-    edges = frozenset((l, r_) for l, r_, _ in witnesses)
-    if len(edges) != len(witnesses):
-        raise DiagramError("an H-class contained two idempotents")
-    return GHGraph(n, r, signatures, edges, tuple(sorted(witnesses, key=lambda w: w[:2])))
+            edge = position[upper], position[lower]
+            if edge in edges:
+                raise DiagramError("an H-class contained two idempotents")
+            edges[edge] = d
+    return GHGraph(n, r, signatures, edges)
 
 
 def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
@@ -277,7 +264,7 @@ def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:
     matching = perfect_matching(graph)
     if matching is None:
         raise DiagramError(f"Graham-Houghton graph of D_{r} has no perfect matching")
-    return [as_twisted(graph.witness(l, r_)) for l, r_ in sorted(matching.items())]
+    return [as_twisted(graph.edges[edge]) for edge in sorted(matching.items())]
 
 
 def singular_rank(n: int) -> int:

@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from twisted_brauer import BrauerDiagram, KernelSignature, make_diagram, multiply, transposition
+from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
 from twisted_brauer import enumeration
 from twisted_brauer.diagram import DiagramError, is_int
 from twisted_brauer.green import PreconditionError
@@ -139,19 +139,15 @@ def kernel_keyed_gh_graph(n: int, r: int) -> GHGraph:
     """Reference Graham-Houghton graph: every twisted idempotent of the
     D-class, bucketed by the ``ker`` and ``coker`` computed from the
     diagram itself rather than read off its place in the stream."""
-    signatures = tuple(sorted(
-        (KernelSignature(n, frozenset(hooks)) for hooks, _ in enumeration.hook_patterns(n, r)),
-        key=KernelSignature.sorted_hooks,
-    ))
-    index = {sig: i for i, sig in enumerate(signatures)}
-    witnesses = [
-        (index[d.ker], index[d.coker], d)
-        for d in enumeration.d_class(n, r)
-        if is_idempotent_twisted(d)
-    ]
-    edges = frozenset((l, r_) for l, r_, _ in witnesses)
-    assert len(edges) == len(witnesses), "an H-class contained two idempotents"
-    return GHGraph(n, r, signatures, edges, tuple(sorted(witnesses, key=lambda w: w[:2])))
+    signatures = tuple(sorted(tuple(hooks) for hooks, _ in enumeration.hook_patterns(n, r)))
+    index = {frozenset(hooks): i for i, hooks in enumerate(signatures)}
+    edges = {}
+    for d in enumeration.d_class(n, r):
+        if is_idempotent_twisted(d):
+            edge = index[d.ker], index[d.coker]
+            assert edge not in edges, "an H-class contained two idempotents"
+            edges[edge] = d
+    return GHGraph(n, r, signatures, edges)
 
 
 def recursive_matching(graph):

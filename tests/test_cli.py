@@ -209,6 +209,65 @@ def test_gh_graph_report_and_dot(capsys):
     assert code == 0 and out.startswith("graph graham_houghton {")
 
 
+# the degree-4, rank-2 graph: each R- and L-class labelled by its hooks
+GH_DOT_4_2 = """\
+graph graham_houghton {
+  rankdir=LR;
+  L0 [label="ker (1,2)" shape=box];
+  L1 [label="ker (1,3)" shape=box];
+  L2 [label="ker (1,4)" shape=box];
+  L3 [label="ker (2,3)" shape=box];
+  L4 [label="ker (2,4)" shape=box];
+  L5 [label="ker (3,4)" shape=box];
+  R0 [label="coker (1,2)" shape=ellipse];
+  R1 [label="coker (1,3)" shape=ellipse];
+  R2 [label="coker (1,4)" shape=ellipse];
+  R3 [label="coker (2,3)" shape=ellipse];
+  R4 [label="coker (2,4)" shape=ellipse];
+  R5 [label="coker (3,4)" shape=ellipse];
+  L0 -- R1;
+  L0 -- R2;
+  L0 -- R3;
+  L0 -- R4;
+  L1 -- R0;
+  L1 -- R2;
+  L1 -- R3;
+  L1 -- R5;
+  L2 -- R0;
+  L2 -- R1;
+  L2 -- R4;
+  L2 -- R5;
+  L3 -- R0;
+  L3 -- R1;
+  L3 -- R4;
+  L3 -- R5;
+  L4 -- R0;
+  L4 -- R2;
+  L4 -- R3;
+  L4 -- R5;
+  L5 -- R1;
+  L5 -- R2;
+  L5 -- R3;
+  L5 -- R4;
+}
+"""
+
+
+def test_gh_graph_dot_golden(capsys):
+    assert run(capsys, "gh-graph", "--n", "4", "--r", "2", "--format", "dot") == (
+        0, GH_DOT_4_2, "")
+
+
+def test_green_class_h_golden(capsys):
+    # hooks on both rows, each listed in canonical order
+    x = "2 * n=6: (5,6)(2,1')(1,3)(4,2')(4',5')(3',6')"
+    assert run(capsys, "green", "class", "--rel", "H", "--n", "6", x) == (
+        0, "H-class twist=2 ker=(1,3)(5,6) coker=(3,6)(4,5)\n", "")
+    assert run(capsys, "green", "class", "--rel", "H", "--n", "4",
+               "n=4: (1,2)(3,1')(4,4')(2',3')") == (
+        0, "H-class twist=0 ker=(1,2) coker=(2,3)\n", "")
+
+
 def test_gh_graph_guard(capsys):
     for extra in ((), ("--format", "dot")):
         code, out, err = run(capsys, "gh-graph", "--n", "9", "--r", "3", *extra)
@@ -538,6 +597,17 @@ def test_huge_degree_ideal_normalizes(capsys, degree):
     start = time.perf_counter()
     assert run(capsys, *argv) == (0, "I(2;0)\n", "")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("request_", [
+    "verify tau-identity --n 1000000000 --samples 1",  # samples diagrams of degree 10^9
+    "ideal gens --n 1000000000 --r 1000000000 --k 0",  # the four top generators
+])
+def test_running_out_of_memory_is_an_error(request_):
+    # no size guard bounds these two; only the child process runs them,
+    # since in-process they would claim gigabytes
+    proc = _run_child(request_.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):

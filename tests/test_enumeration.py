@@ -13,7 +13,6 @@ from twisted_brauer import (
     ClosureResult,
     DiagramError,
     DivisibilityOracle,
-    KernelSignature,
     TwistedElement,
     all_diagrams,
     as_twisted,
@@ -129,7 +128,7 @@ def test_d_class_block_order():
     # diagram k has the kernel of pattern (k // r!) // rho and the cokernel
     # of pattern (k // r!) % rho: the order build_gh_graph relies on
     for n, r in _attainable(6):
-        patterns = [KernelSignature(n, frozenset(h)) for h, _ in hook_patterns(n, r)]
+        patterns = [frozenset(h) for h, _ in hook_patterns(n, r)]
         block, side = math.factorial(r), len(patterns)
         for k, d in enumerate(d_class(n, r)):
             upper, lower = divmod(k // block, side)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from twisted_brauer import (
     DiagramError,
     GHGraph,
-    KernelSignature,
     PreconditionError,
     TwistedElement,
     all_diagrams,
@@ -72,7 +71,7 @@ def test_gh_graph_shape_n4_r2():
     # per-vertex counts match bucketing the idempotents by kernel
     idems = [d for d in d_class(4, 2) if is_idempotent_twisted(d)]
     for li, sig in enumerate(graph.signatures):
-        in_r_class = sum(1 for d in idems if d.ker == sig)
+        in_r_class = sum(1 for d in idems if d.ker == frozenset(sig))
         assert in_r_class == len(graph.neighbors(li)) == 4
 
 
@@ -95,8 +94,9 @@ def test_gh_graph_matches_kernel_keyed_oracle(n, r):
     graph = build_gh_graph(n, r)
     assert graph == kernel_keyed_gh_graph(n, r)
     assert graph.common_degree() == gh_degree(n, r)
-    for l, r_, w in graph.witnesses:
-        assert graph.signatures[l] == w.ker and graph.signatures[r_] == w.coker
+    for (l, r_), w in graph.edges.items():
+        assert frozenset(graph.signatures[l]) == w.ker
+        assert frozenset(graph.signatures[r_]) == w.coker
 
 
 def test_gh_graph_rejects_extreme_ranks():
@@ -121,8 +121,7 @@ def test_h_class_idempotent_is_unique():
 
 def _synthetic_graph(edges, size=2):
     hooks = [((1, 2),), ((3, 4),)]
-    sigs = tuple(KernelSignature(4, frozenset(h)) for h in hooks[:size])
-    return GHGraph(4, 2, sigs, frozenset(edges), ())
+    return GHGraph(4, 2, tuple(hooks[:size]), dict.fromkeys(edges))
 
 
 def test_strong_hall_path_graph_fails():
@@ -157,7 +156,6 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
     rng = random.Random(4)
     outcomes = set()
     hooks = [((1, 2),), ((1, 3),), ((1, 4),), ((2, 3),), ((2, 4),), ((3, 4),)]
-    sigs = tuple(KernelSignature(4, frozenset(h)) for h in hooks)
     for _ in range(300):
         size = rng.randrange(1, 6)
         edges = frozenset(
@@ -166,7 +164,7 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
             for r in range(size)
             if rng.random() < 0.45
         )
-        graph = GHGraph(4, 2, sigs[:size], edges, ())
+        graph = GHGraph(4, 2, tuple(hooks[:size]), dict.fromkeys(edges))
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
         assert _same_matching(perfect_matching(graph), recursive_matching(graph))
         # connectivity by union-find over kernel vertices 0..size-1 and
@@ -200,12 +198,7 @@ def test_matching_adjacency_and_witnesses_on_built_graphs():
         assert _same_matching(perfect_matching(graph), recursive_matching(graph)), (n, r)
         for l in range(len(graph.signatures)):
             assert graph.neighbors(l) == tuple(sorted(k for j, k in graph.edges if j == l))
-        for l, r_, d in graph.witnesses:
-            assert graph.witness(l, r_) is d
-    graph = build_gh_graph(4, 2)
-    absent = min(set(range(6)) - set(graph.neighbors(0)))
-    with pytest.raises(DiagramError):
-        graph.witness(0, absent)
+        assert all(is_idempotent_twisted(d) for d in graph.edges.values())
 
 
 def test_perfect_matching_follows_a_long_augmenting_path():
@@ -214,8 +207,7 @@ def test_perfect_matching_follows_a_long_augmenting_path():
     # interpreter's recursion limit for a recursive search
     size = 1500
     edges = frozenset((i, j) for i in range(size - 1) for j in (i, i + 1)) | {(size - 1, 0)}
-    sig = KernelSignature(4, frozenset({(1, 2)}))
-    graph = GHGraph(4, 2, (sig,) * size, edges, ())
+    graph = GHGraph(4, 2, (((1, 2),),) * size, dict.fromkeys(edges))
     matching = perfect_matching(graph)
     assert matching == {i: (i + 1) % size for i in range(size)}
 
