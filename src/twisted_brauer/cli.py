@@ -32,7 +32,7 @@ from .diagram import (
     multiply,
     parse_diagram,
 )
-from .twisted import TwistedElement, as_twisted, star, star_chain
+from .twisted import TwistedElement, as_twisted, star_chain
 
 _TWIST_PREFIX = re.compile(r"^\s*(\d+)\s*\*\s*")
 

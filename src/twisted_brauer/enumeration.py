@@ -92,18 +92,21 @@ def all_diagrams_split(n: int, first_partner: int):
         yield _raw_diagram(n, full)
 
 
-def _partial_matchings(points: list[int]):
-    """All sets of disjoint pairs on ``points`` (including the empty set),
-    yielded as (pairs, unmatched)."""
-    if not points:
-        yield [], []
+def _partial_matchings(points: list[int], hooks: int):
+    """All sets of ``hooks`` disjoint pairs on ``points``, yielded as
+    (pairs, unmatched): the first point is left unmatched before it is
+    paired with each later point."""
+    if len(points) < 2 * hooks:
+        return
+    if not hooks:
+        yield [], list(points)
         return
     first, rest = points[0], points[1:]
-    for pairs, unmatched in _partial_matchings(rest):
+    for pairs, unmatched in _partial_matchings(rest, hooks):
         yield pairs, [first] + unmatched
     for idx in range(len(rest)):
         partner = rest[idx]
-        for pairs, unmatched in _partial_matchings(rest[:idx] + rest[idx + 1 :]):
+        for pairs, unmatched in _partial_matchings(rest[:idx] + rest[idx + 1 :], hooks - 1):
             yield [(first, partner)] + pairs, unmatched
 
 
@@ -111,10 +114,7 @@ def hook_patterns(n: int, r: int):
     """All rho(n, r) ways to choose (n-r)/2 disjoint hooks on [n],
     as (hooks, leftover) with both parts sorted."""
     _check_rank_param(n, r)
-    s = (n - r) // 2
-    for pairs, unmatched in _partial_matchings(list(range(1, n + 1))):
-        if len(pairs) == s:
-            yield pairs, unmatched
+    yield from _partial_matchings(list(range(1, n + 1)), (n - r) // 2)
 
 
 def d_class(n: int, r: int):

@@ -16,8 +16,8 @@ components at all.
 
 from __future__ import annotations
 
-import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .diagram import (
@@ -43,44 +43,74 @@ class GHGraph:
 
     Kernels and cokernels of a D-class range over the same hook sets, so
     ``signatures`` (each a sorted hook tuple, in sorted order) indexes both
-    sides.  ``edges`` maps each (kernel index, cokernel index) edge to the
-    unique twisted idempotent in its H-class.  Adjacency lists are derived
-    from it once, on first use.
+    sides.  The edges are an int adjacency in compressed sparse row form:
+    kernel l meets the cokernels ``edges[starts[l]:starts[l + 1]]``, each
+    row increasing, so ``len(edges)`` counts the edges.  The twisted
+    idempotent of an edge's H-class is built on demand by ``idempotent``.
     """
 
     degree: int
     rank: int
     signatures: tuple[tuple[tuple[int, int], ...], ...]
-    edges: dict[tuple[int, int], BrauerDiagram]
+    starts: array  # array("i"), one more entry than signatures
+    edges: array  # array("i") of cokernel indices
 
-    @functools.cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in self.signatures]
-        for l, r in self.edges:
-            adj[l].append(r)
-        return tuple(tuple(sorted(rs)) for rs in adj)
-
-    def neighbors(self, li: int) -> tuple[int, ...]:
+    def neighbors(self, li: int) -> array:
         """Cokernel neighbours of kernel vertex ``li``, in increasing order."""
-        return self._adjacency[li]
+        return self.edges[self.starts[li]:self.starts[li + 1]]
+
+    def idempotent(self, li: int, ri: int) -> BrauerDiagram:
+        """The twisted idempotent of the H-class of kernel ``li`` and
+        cokernel ``ri``, built from the two hook sets by the path rule.
+
+        With upper hooks U and lower hooks C, the H-class holds a twisted
+        idempotent exactly when every component of U u C is a path from a
+        U-free point to a C-free point.  Its transversals then join each
+        U-free top u to the bottom of the C-free end of u's path.  Anything
+        else (a cycle, or a path with two U-free ends) is a non-edge and
+        raises DiagramError.
+        """
+        n, size = self.degree, len(self.signatures)
+        if not (0 <= li < size and 0 <= ri < size):
+            raise DiagramError(f"({li}, {ri}) is not a vertex pair of the graph")
+        # 0-based vertices: top v is index v, bottom v' is n + v
+        pairing = [-1] * (2 * n)
+        for a, b in self.signatures[li]:
+            pairing[a - 1], pairing[b - 1] = b - 1, a - 1
+        for c, d in self.signatures[ri]:
+            pairing[n + c - 1], pairing[n + d - 1] = n + d - 1, n + c - 1
+        covered = 0
+        for u in range(n):
+            if pairing[u] >= 0:
+                continue
+            v, covered = u, covered + 1
+            while pairing[n + v] >= 0:  # a lower hook, then the upper hook onward
+                w = pairing[n + v] - n
+                if pairing[w] < 0:  # w is U-free: the path has two U-free ends
+                    raise DiagramError(f"({li}, {ri}) is not an edge: no idempotent")
+                v, covered = pairing[w], covered + 2
+            pairing[u], pairing[n + v] = n + v, u
+        if covered != n:  # the points no path reached lie on cycles
+            raise DiagramError(f"({li}, {ri}) is not an edge: no idempotent")
+        return _raw_diagram(n, tuple(pairing))
 
     def common_degree(self) -> int | None:
         """The shared vertex degree if the graph is regular, else None."""
-        size = len(self.signatures)
-        counts = [0] * (2 * size)  # kernel vertices, then cokernel vertices
-        for l, r in self.edges:
-            counts[l] += 1
-            counts[size + r] += 1
-        degrees = set(counts)
+        starts = self.starts
+        counts = [0] * len(self.signatures)  # cokernel vertices
+        for r in self.edges:
+            counts[r] += 1
+        degrees = set(counts).union(b - a for a, b in zip(starts, starts[1:]))
         return degrees.pop() if len(degrees) == 1 else None
 
     def is_connected(self) -> bool:
         """Whether the edges, taken both ways, leave one component or none."""
         size = len(self.signatures)
-        adj: list[list[int]] = [[] for _ in range(2 * size)]
-        for l, r in self.edges:
-            adj[l].append(size + r)
-            adj[size + r].append(l)
+        adj = [array("i", [size + r for r in self.neighbors(l)]) for l in range(size)]
+        adj += [array("i") for _ in range(size)]
+        for l in range(size):
+            for r in self.neighbors(l):
+                adj[size + r].append(l)
         return len(enumeration._component_reach(adj)[1]) <= 1
 
     def to_dot(self) -> str:
@@ -91,20 +121,20 @@ class GHGraph:
             lines.append(f'  L{i} [label="ker {label}" shape=box];')
         for i, label in enumerate(labels):
             lines.append(f'  R{i} [label="coker {label}" shape=ellipse];')
-        for l, r in sorted(self.edges):
-            lines.append(f"  L{l} -- R{r};")
+        for l in range(len(labels)):
+            lines.extend(f"  L{l} -- R{r};" for r in self.neighbors(l))
         lines.append("}")
         return "\n".join(lines)
 
 
 def build_gh_graph(n: int, r: int) -> GHGraph:
-    """Enumerate the twisted idempotents of the rank-r D-class and bucket
-    them by (kernel, cokernel).  Requires n >= 3 and 0 < r < n, and
+    """Enumerate the twisted idempotents of the rank-r D-class and record
+    each one's (kernel, cokernel) pair.  Requires n >= 3 and 0 < r < n, and
     refuses D-classes of more than GH_CANDIDATE_LIMIT diagrams.
 
     Each candidate's H-class is read off its place in the d_class stream
     (whose docstring fixes the block order), so no kernel is computed from
-    a diagram."""
+    a diagram, and only the two signature indices are kept."""
     if n < 3:
         raise PreconditionError("Graham-Houghton analysis needs degree >= 3")
     _check_rank_param(n, r)
@@ -119,15 +149,20 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     index = {hooks: i for i, hooks in enumerate(signatures)}
     position = [index[hooks] for hooks in patterns]  # pattern -> signature index
     block, side = math.factorial(r), len(patterns)
-    edges: dict[tuple[int, int], BrauerDiagram] = {}
+    rows = [array("i") for _ in signatures]  # cokernels per kernel, in stream order
     for k, d in enumerate(enumeration.d_class(n, r)):
         if _square_walk(d) == n:  # a twisted idempotent
             upper, lower = divmod(k // block, side)
-            edge = position[upper], position[lower]
-            if edge in edges:
+            row, c = rows[position[upper]], position[lower]
+            # an H-class is one block of the stream, so a repeat is adjacent
+            if row and row[-1] == c:
                 raise DiagramError("an H-class contained two idempotents")
-            edges[edge] = d
-    return GHGraph(n, r, signatures, edges)
+            row.append(c)
+    starts, edges = array("i", [0]), array("i")
+    for row in rows:
+        edges.extend(sorted(row))
+        starts.append(len(edges))
+    return GHGraph(n, r, signatures, starts, edges)
 
 
 def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
@@ -137,14 +172,21 @@ def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
     canonical signature order.  Each search is a depth-first search on an
     explicit stack, so path length is not bounded by the recursion limit.
     """
+    size = len(graph.signatures)
+    # the searches scan each row many times: scan tuples of one shared int
+    # per vertex, as iterating the array would make a new int per entry
+    vertex = list(range(size))
+    rows = [tuple(map(vertex.__getitem__, graph.neighbors(l))) for l in range(size)]
     match_right: dict[int, int] = {}
-    for root in range(len(graph.signatures)):
+    for root in range(size):
         banned: set[int] = set()
-        stack = [(root, iter(graph.neighbors(root)))]
+        stack = [(root, iter(rows[root]))]
         path: list[int] = []  # the right vertex taken from each stack frame
         while stack:
-            r = next((r for r in stack[-1][1] if r not in banned), None)
-            if r is None:  # this frame is exhausted: back up one step
+            for r in stack[-1][1]:
+                if r not in banned:
+                    break
+            else:  # this frame is exhausted: back up one step
                 stack.pop()
                 if path:
                     path.pop()
@@ -153,7 +195,7 @@ def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
             path.append(r)
             if r in match_right:
                 l = match_right[r]
-                stack.append((l, iter(graph.neighbors(l))))
+                stack.append((l, iter(rows[l])))
                 continue
             for (l, _), r in zip(stack, path):  # flip the augmenting path
                 match_right[r] = l
@@ -187,9 +229,7 @@ def strong_hall_subset_oracle(graph: GHGraph) -> bool:
     size = len(graph.signatures)
     if size > 16:
         raise DiagramError(f"subset oracle refused for |J| = {size} > 16")
-    masks = [0] * size
-    for l, r in graph.edges:
-        masks[l] |= 1 << r
+    masks = [sum(1 << r for r in graph.neighbors(l)) for l in range(size)]
     # nbhd[S] = nbhd[S minus its lowest member] | masks[lowest member]
     nbhd = [0] * ((1 << size) - 1)
     for subset in range(1, (1 << size) - 1):
@@ -264,7 +304,7 @@ def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:
     matching = perfect_matching(graph)
     if matching is None:
         raise DiagramError(f"Graham-Houghton graph of D_{r} has no perfect matching")
-    return [as_twisted(graph.edges[edge]) for edge in sorted(matching.items())]
+    return [as_twisted(graph.idempotent(l, r)) for l, r in sorted(matching.items())]
 
 
 def singular_rank(n: int) -> int:

@@ -1,10 +1,11 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
 multiplication example, plus independent oracles for diagram construction,
-the product, the closures, reachability, the D-class stream, the
-Graham-Houghton graph, the perfect matching, the absorption of a
+the product, the closures, reachability, the hook patterns, the D-class
+stream, the Graham-Houghton graph, the perfect matching, the absorption of a
 transposition and the idempotent chain."""
 
 import itertools
+from array import array
 
 import pytest
 
@@ -135,10 +136,24 @@ def copy_per_candidate_d_class(n: int, r: int):
                 yield BrauerDiagram(n, tuple(pairing))
 
 
-def kernel_keyed_gh_graph(n: int, r: int) -> GHGraph:
+def csr_graph(n: int, r: int, signatures, edges) -> GHGraph:
+    """A GHGraph on ``signatures`` whose CSR arrays hold ``edges``, any
+    collection of (kernel index, cokernel index) pairs."""
+    rows = [[] for _ in signatures]
+    for l, c in edges:
+        rows[l].append(c)
+    starts, flat = array("i", [0]), array("i")
+    for row in rows:
+        flat.extend(sorted(row))
+        starts.append(len(flat))
+    return GHGraph(n, r, tuple(signatures), starts, flat)
+
+
+def kernel_keyed_idempotents(n: int, r: int):
     """Reference Graham-Houghton graph: every twisted idempotent of the
     D-class, bucketed by the ``ker`` and ``coker`` computed from the
-    diagram itself rather than read off its place in the stream."""
+    diagram itself rather than read off its place in the stream.  Returns
+    the sorted signatures and a dict from each edge to its idempotent."""
     signatures = tuple(sorted(tuple(hooks) for hooks, _ in enumeration.hook_patterns(n, r)))
     index = {frozenset(hooks): i for i, hooks in enumerate(signatures)}
     edges = {}
@@ -147,7 +162,7 @@ def kernel_keyed_gh_graph(n: int, r: int) -> GHGraph:
             edge = index[d.ker], index[d.coker]
             assert edge not in edges, "an H-class contained two idempotents"
             edges[edge] = d
-    return GHGraph(n, r, signatures, edges)
+    return signatures, edges
 
 
 def recursive_matching(graph):
@@ -156,7 +171,7 @@ def recursive_matching(graph):
     match_right = {}
 
     def augment(l, banned):
-        for r in sorted(r for k, r in graph.edges if k == l):
+        for r in sorted(graph.edges[graph.starts[l]:graph.starts[l + 1]]):
             if r in banned:
                 continue
             banned.add(r)
@@ -169,6 +184,27 @@ def recursive_matching(graph):
         if not augment(l, set()):
             return None
     return {l: r for r, l in match_right.items()}
+
+
+def filtered_hook_patterns(n: int, r: int):
+    """Reference hook patterns: every partial matching of [n], the first
+    point left unmatched before it is paired with each later point, kept
+    when it has (n - r) / 2 hooks."""
+
+    def partial_matchings(points):
+        if not points:
+            yield [], []
+            return
+        first, rest = points[0], points[1:]
+        for pairs, unmatched in partial_matchings(rest):
+            yield pairs, [first] + unmatched
+        for idx, partner in enumerate(rest):
+            for pairs, unmatched in partial_matchings(rest[:idx] + rest[idx + 1:]):
+                yield [(first, partner)] + pairs, unmatched
+
+    for pairs, unmatched in partial_matchings(list(range(1, n + 1))):
+        if len(pairs) == (n - r) // 2:
+            yield pairs, unmatched
 
 
 def closure_oracle(generators, product, keep=lambda p: True):

@@ -12,16 +12,11 @@ import time
 from twisted_brauer import (
     TwistedElement,
     all_diagrams,
-    as_twisted,
-    bounded_closure,
-    d_class,
     delta,
     factor_left,
     factor_right,
     factor_two_sided,
-    identity,
     index_set,
-    is_idempotent_twisted,
     leq_J,
     leq_L,
     leq_R,

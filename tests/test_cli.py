@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, verification reports."""
 
+import functools
 import io
 import json
 import os
@@ -554,16 +555,44 @@ def test_verify_gh_conditions_is_refused_by_its_real_size(capsys):
     assert err.startswith("error:") and f"more than {GH_CANDIDATE_LIMIT}" in err
 
 
-def _run_child(argv):
-    """The CLI in a child process under a 1 GB address-space limit and a
-    short timeout, so that a request which allocates or runs unbounded
-    fails the test without harming the test process."""
+def _child_process(args, timeout):
+    """The interpreter with ``args`` in a child process under a 1 GB
+    address-space limit and a timeout, so that a request which allocates or
+    runs unbounded fails the test without harming the test process."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twisted_brauer.__file__)))
-    return subprocess.run([sys.executable, "-m", "twisted_brauer.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=10, preexec_fn=limit_memory)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit_memory)
+
+
+def _run_child(argv):
+    """One CLI request in a child process, with 10 s to run."""
+    return _child_process(["-m", "twisted_brauer.cli", *argv], timeout=10)
+
+
+# runs each JSON-listed argv through cli.main in turn and prints, per
+# request, [exit status, stdout, stderr, seconds]; anything main lets
+# escape leaves its traceback on that request's stderr, as it would at the
+# top level of a process of its own
+_RUN_IN_TURN = """
+import contextlib, io, json, sys, time, traceback
+from twisted_brauer.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    seconds = time.perf_counter() - start
+    print(json.dumps([code, out.getvalue(), err.getvalue(), seconds]), flush=True)
+"""
 
 
 # every request a size guard decides, at degrees far past every limit;
@@ -577,16 +606,37 @@ GUARDED = ["enumerate --n {n} --count-only", "enumerate --n {n} --rank 2 --count
              for theorem in sorted(CHECKS))]
 
 
+@functools.lru_cache(maxsize=None)
+def _guarded_in_one_child(degree):
+    """Every GUARDED request at ``degree``, run in turn in one child process
+    (under the limits of _child_process, with 10 s a request): a dict from
+    request to its [exit status, stdout, stderr, seconds]."""
+    requests = [request_.format(n=degree).split() for request_ in GUARDED]
+    proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)],
+                          timeout=10 * len(requests))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return dict(zip(GUARDED, (json.loads(line) for line in proc.stdout.splitlines())))
+
+
 @pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
 @pytest.mark.parametrize("request_", GUARDED)
 def test_huge_degrees_are_refused_at_once(capsys, request_, degree):
+    code, out, err, seconds = _guarded_in_one_child(degree)[request_]
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert seconds < 10
     argv = request_.format(n=degree).split()
-    proc = _run_child(argv)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     start = time.perf_counter()
-    assert run(capsys, *argv) == (1, "", proc.stderr)
+    assert run(capsys, *argv) == (1, "", err)
     assert time.perf_counter() - start < 1.0
+
+
+def test_ideal_rank_is_exact_at_large_degree_near_the_top(capsys):
+    # rho(3000, 2998) = C(3000, 2); its lgamma estimate must not refuse it
+    code, out, err = run(capsys, "ideal", "rank", "--n", "3000", "--r", "2998", "--k", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 3000, "r": 2998, "k": 0, "rank": 4_498_500,
+                               "idempotent_generated": True, "idrank": 4_498_500}
 
 
 @pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from conftest import closure_oracle, copy_per_candidate_d_class, searched_reach
+from conftest import (closure_oracle, copy_per_candidate_d_class, filtered_hook_patterns,
+                      searched_reach)
 from twisted_brauer import (
     BrauerDiagram,
-    ClosureResult,
     DiagramError,
     DivisibilityOracle,
     TwistedElement,
@@ -93,6 +93,14 @@ def test_hook_patterns_count():
     for n in (3, 4, 5):
         for r in index_set(n):
             assert sum(1 for _ in hook_patterns(n, r)) == rho(n, r)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_hook_patterns_keep_the_filtered_order(n):
+    # the pruned recursion yields exactly the partial matchings of [n] with
+    # (n - r) / 2 hooks, in the order of the filter over all of them
+    for r in index_set(n):
+        assert list(hook_patterns(n, r)) == list(filtered_hook_patterns(n, r))
 
 
 def test_d_class_counts():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from twisted_brauer import (
     DiagramError,
-    GHGraph,
     PreconditionError,
     TwistedElement,
     all_diagrams,
@@ -51,8 +50,9 @@ from twisted_brauer.structure import (
     _transposition_factors,
 )
 from conftest import (
+    csr_graph,
     factor_into_idempotents_bfs,
-    kernel_keyed_gh_graph,
+    kernel_keyed_idempotents,
     product_absorption_chain,
     recursive_matching,
 )
@@ -90,13 +90,25 @@ def test_gh_graph_regular_degrees_up_to_6():
 
 @pytest.mark.parametrize("n, r", _gh_cases(7) + [(8, 6)])
 def test_gh_graph_matches_kernel_keyed_oracle(n, r):
-    # H-classes read off the stream position agree with ker and coker
+    # H-classes read off the stream position agree with ker and coker, and
+    # the path rule builds each edge's enumerated idempotent
     graph = build_gh_graph(n, r)
-    assert graph == kernel_keyed_gh_graph(n, r)
+    signatures, idems = kernel_keyed_idempotents(n, r)
+    assert graph == csr_graph(n, r, signatures, idems)
     assert graph.common_degree() == gh_degree(n, r)
-    for (l, r_), w in graph.edges.items():
-        assert frozenset(graph.signatures[l]) == w.ker
-        assert frozenset(graph.signatures[r_]) == w.coker
+    for l, r_ in itertools.product(range(len(signatures)), repeat=2):
+        if (l, r_) in idems:
+            w = graph.idempotent(l, r_)
+            assert w == idems[l, r_]
+            assert frozenset(graph.signatures[l]) == w.ker
+            assert frozenset(graph.signatures[r_]) == w.coker
+        else:
+            with pytest.raises(DiagramError, match="not an edge"):
+                graph.idempotent(l, r_)
+    size = len(signatures)
+    for l, r_ in ((-1, 0), (0, -1), (size, 0), (0, size)):
+        with pytest.raises(DiagramError, match="not a vertex pair"):
+            graph.idempotent(l, r_)
 
 
 def test_gh_graph_rejects_extreme_ranks():
@@ -121,7 +133,7 @@ def test_h_class_idempotent_is_unique():
 
 def _synthetic_graph(edges, size=2):
     hooks = [((1, 2),), ((3, 4),)]
-    return GHGraph(4, 2, tuple(hooks[:size]), dict.fromkeys(edges))
+    return csr_graph(4, 2, hooks[:size], edges)
 
 
 def test_strong_hall_path_graph_fails():
@@ -164,7 +176,7 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
             for r in range(size)
             if rng.random() < 0.45
         )
-        graph = GHGraph(4, 2, tuple(hooks[:size]), dict.fromkeys(edges))
+        graph = csr_graph(4, 2, hooks[:size], edges)
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
         assert _same_matching(perfect_matching(graph), recursive_matching(graph))
         # connectivity by union-find over kernel vertices 0..size-1 and
@@ -196,9 +208,13 @@ def test_matching_adjacency_and_witnesses_on_built_graphs():
     for n, r in _gh_cases(7):
         graph = build_gh_graph(n, r)
         assert _same_matching(perfect_matching(graph), recursive_matching(graph)), (n, r)
-        for l in range(len(graph.signatures)):
-            assert graph.neighbors(l) == tuple(sorted(k for j, k in graph.edges if j == l))
-        assert all(is_idempotent_twisted(d) for d in graph.edges.values())
+        size = len(graph.signatures)
+        assert len(graph.starts) == size + 1 and graph.starts[0] == 0
+        assert graph.starts[-1] == len(graph.edges)
+        for l in range(size):
+            row = list(graph.neighbors(l))
+            assert row == sorted(set(row)) and all(0 <= k < size for k in row)
+            assert all(is_idempotent_twisted(graph.idempotent(l, k)) for k in row)
 
 
 def test_perfect_matching_follows_a_long_augmenting_path():
@@ -207,7 +223,7 @@ def test_perfect_matching_follows_a_long_augmenting_path():
     # interpreter's recursion limit for a recursive search
     size = 1500
     edges = frozenset((i, j) for i in range(size - 1) for j in (i, i + 1)) | {(size - 1, 0)}
-    graph = GHGraph(4, 2, (((1, 2),),) * size, dict.fromkeys(edges))
+    graph = csr_graph(4, 2, (((1, 2),),) * size, edges)
     matching = perfect_matching(graph)
     assert matching == {i: (i + 1) % size for i in range(size)}
 
