@@ -173,31 +173,30 @@ def perfect_matching(graph: GHGraph) -> dict[int, int] | None:
     explicit stack, so path length is not bounded by the recursion limit.
     """
     size = len(graph.signatures)
-    # the searches scan each row many times: scan tuples of one shared int
-    # per vertex, as iterating the array would make a new int per entry
-    vertex = list(range(size))
-    rows = [tuple(map(vertex.__getitem__, graph.neighbors(l))) for l in range(size)]
+    masks = [sum(1 << r for r in graph.neighbors(l)) for l in range(size)]
     match_right: dict[int, int] = {}
     for root in range(size):
-        banned: set[int] = set()
-        stack = [(root, iter(rows[root]))]
+        # rows and unbanned vertices are bitmasks; a frame's next candidate is
+        # the lowest unbanned vertex of its row, since rows increase and every
+        # vertex a frame has passed is already banned
+        unbanned = (1 << size) - 1
+        stack = [root]
         path: list[int] = []  # the right vertex taken from each stack frame
         while stack:
-            for r in stack[-1][1]:
-                if r not in banned:
-                    break
-            else:  # this frame is exhausted: back up one step
+            free = masks[stack[-1]] & unbanned
+            if not free:  # this frame is exhausted: back up one step
                 stack.pop()
                 if path:
                     path.pop()
                 continue
-            banned.add(r)
+            low = free & -free
+            unbanned ^= low
+            r = low.bit_length() - 1
             path.append(r)
             if r in match_right:
-                l = match_right[r]
-                stack.append((l, iter(rows[l])))
+                stack.append(match_right[r])
                 continue
-            for (l, _), r in zip(stack, path):  # flip the augmenting path
+            for l, r in zip(stack, path):  # flip the augmenting path
                 match_right[r] = l
             break
         else:
@@ -227,17 +226,21 @@ def strong_hall_check(graph: GHGraph) -> bool:
 
 
 def strong_hall_subset_oracle(graph: GHGraph) -> bool:
-    """The 2^|J| definition, kept as an independent check for |J| <= 16."""
+    """The 2^|J| definition in O(|J|) ints, an independent check for |J| <= 16."""
     size = len(graph.signatures)
     if size > 16:
         raise DiagramError(f"subset oracle refused for |J| = {size} > 16")
     masks = [sum(1 << r for r in graph.neighbors(l)) for l in range(size)]
-    # nbhd[S] = nbhd[S minus its lowest member] | masks[lowest member]
-    nbhd = [0] * ((1 << size) - 1)
+    # level[t]: neighbourhood of the latest subset with lowest member t, and
+    # level[-1] = 0 for the empty set.  In increasing order, S - low(S) is the
+    # latest subset seen with its lowest member, so N(S) is one union away.
+    level = [0] * (size + 1)
     for subset in range(1, (1 << size) - 1):
         low = subset & -subset
-        nbhd[subset] = nbhd[subset ^ low] | masks[low.bit_length() - 1]
-        if nbhd[subset].bit_count() <= subset.bit_count():
+        rest = subset ^ low
+        t = low.bit_length() - 1
+        level[t] = level[(rest & -rest).bit_length() - 1] | masks[t]
+        if level[t].bit_count() <= subset.bit_count():
             return False
     return True
 

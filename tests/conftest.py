@@ -1,8 +1,8 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
 multiplication example, plus independent oracles for diagram construction,
 the product, the closures, reachability, the hook patterns, the D-class
-stream, the Graham-Houghton graph, the perfect matching, the absorption of a
-transposition and the idempotent chain."""
+stream, the Graham-Houghton graph, the perfect matching, the Strong Hall
+Condition, the absorption of a transposition and the idempotent chain."""
 
 import itertools
 from array import array
@@ -184,6 +184,15 @@ def recursive_matching(graph):
         if not augment(l, set()):
             return None
     return {l: r for r, l in match_right.items()}
+
+
+def subset_strong_hall(graph) -> bool:
+    """Reference Strong Hall Condition, read straight off its definition:
+    |N(S)| > |S| for every proper nonempty set S of left vertices."""
+    size = len(graph.signatures)
+    rows = [set(graph.edges[graph.starts[l]:graph.starts[l + 1]]) for l in range(size)]
+    return all(len(set().union(*(rows[l] for l in subset))) > k
+               for k in range(1, size) for subset in itertools.combinations(range(size), k))
 
 
 def filtered_hook_patterns(n: int, r: int):

@@ -241,6 +241,46 @@ def test_twist_keep_smallest_degrees():
     assert beta.rank == 2 and multiply(hook, beta) == (hook, 0)
 
 
+# alpha (rank <= n - 4), then the witnesses of lemma_rank_drop (beta, gamma),
+# lemma_twist_raise and lemma_twist_keep, all in canonical text
+LEMMA_GOLDEN = [
+    ("n=8: (1,3')(2,4)(3,8)(5,7')(6,7)(1',5')(2',8')(4',6')",
+     ("n=8: (1,3')(2,1')(3,8)(4,5')(5,7')(6,7)(2',8')(4',6')",
+      "n=8: (1,5)(2,2')(3,3')(4,8)(6,8')(7,7')(1',5')(4',6')"),
+     "n=8: (1,6)(2,5)(3,3')(4,8)(7,7')(1',5')(2',8')(4',6')",
+     "n=8: (1,7)(2,5)(3,3')(4,8)(6,7')(1',5')(2',8')(4',6')"),
+    ("n=8: (1,2')(2,7)(3,8')(4,5)(6,1')(8,5')(3',6')(4',7')",
+     ("n=8: (1,2')(2,3')(3,8')(4,5)(6,1')(7,6')(8,5')(4',7')",
+      "n=8: (1,1')(2,2')(3,6)(4,4')(5,5')(7,7')(8,8')(3',6')"),
+     "n=8: (1,1')(2,2')(3,7)(4,6)(5,5')(8,8')(3',6')(4',7')",
+     "n=8: (1,1')(2,2')(3,5)(4,6)(7,5')(8,8')(3',6')(4',7')"),
+    ("n=9: (1,7)(2,9)(3,5)(4,6')(6,8)(1',3')(2',9')(4',7')(5',8')",
+     ("n=9: (1,1')(2,9)(3,5)(4,6')(6,8)(7,3')(2',9')(4',7')(5',8')",
+      "n=9: (1,3)(2,2')(4,9)(5,7)(6,6')(8,9')(1',3')(4',7')(5',8')"),
+     "n=9: (1,8)(2,3)(4,9)(5,7)(6,6')(1',3')(2',9')(4',7')(5',8')",
+     "n=9: (1,6)(2,3)(4,9)(5,7)(8,6')(1',3')(2',9')(4',7')(5',8')"),
+    ("n=10: (1,6)(2,3)(4,10)(5,8)(7,9)(1',10')(2',7')(3',5')(4',9')(6',8')",
+     ("n=10: (1,1')(2,3)(4,10)(5,8)(6,10')(7,9)(2',7')(3',5')(4',9')(6',8')",
+      "n=10: (1,10)(2,2')(3,7)(4,5)(6,9)(8,7')(1',10')(3',5')(4',9')(6',8')"),
+     "n=10: (1,8)(2,10)(3,7)(4,5)(6,9)(1',10')(2',7')(3',5')(4',9')(6',8')",
+     "n=10: (1,1')(2,10)(3,7)(4,5)(6,9)(8,10')(2',7')(3',5')(4',9')(6',8')"),
+]
+
+
+@pytest.mark.parametrize("alpha, drop, raise_, keep", LEMMA_GOLDEN,
+                         ids=["8-rank2", "8-rank4", "9-rank1", "10-rank0"])
+def test_lemma_witnesses_are_the_canonical_ones(alpha, drop, raise_, keep):
+    # the lemmas admit other valid witnesses; these pin the canonical ones
+    alpha = BrauerDiagram.from_text(alpha)
+    beta, gamma = lemma_rank_drop(alpha)
+    assert (beta.to_text(), gamma.to_text()) == drop
+    assert multiply(beta, gamma) == (alpha, 0)
+    beta = lemma_twist_raise(alpha)
+    assert beta.to_text() == raise_ and multiply(alpha, beta) == (alpha, 1)
+    beta = lemma_twist_keep(alpha)
+    assert beta.to_text() == keep and multiply(alpha, beta) == (alpha, 0)
+
+
 # -- sigma absorption --------------------------------------------------------
 
 

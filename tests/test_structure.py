@@ -4,6 +4,7 @@ generation end to end."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,7 @@ from conftest import (
     kernel_keyed_idempotents,
     product_absorption_chain,
     recursive_matching,
+    subset_strong_hall,
 )
 
 
@@ -199,6 +201,36 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
     assert outcomes == {(c, irregular) for c in (True, False) for irregular in (True, False)}
 
 
+def test_subset_oracle_matches_the_definition_on_random_bipartite():
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        size = rng.randrange(1, 11)
+        density = rng.uniform(0.2, 0.95)
+        edges = {(l, r) for l in range(size) for r in range(size) if rng.random() < density}
+        graph = csr_graph(4, 2, (((1, 2),),) * size, edges)
+        expected = subset_strong_hall(graph)
+        assert strong_hall_subset_oracle(graph) == expected == strong_hall_check(graph)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_subset_oracle_keeps_one_neighbourhood_per_vertex():
+    # the complete graph passes, so every proper subset of 16 is visited;
+    # a table of all 2^16 neighbourhoods would take megabytes
+    side = (((1, 2),),) * 16
+    complete = csr_graph(4, 2, side, itertools.product(range(16), repeat=2))
+    tracemalloc.start()
+    try:
+        assert strong_hall_subset_oracle(complete)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(DiagramError, match="refused for .J. = 17 > 16"):
+        strong_hall_subset_oracle(csr_graph(4, 2, side + side[:1], []))
+
+
 def _same_matching(got, expected):
     # the same pairs, inserted in the same order
     return got == expected and (got is None or list(got.items()) == list(expected.items()))
@@ -226,6 +258,20 @@ def test_perfect_matching_follows_a_long_augmenting_path():
     graph = csr_graph(4, 2, (((1, 2),),) * size, edges)
     matching = perfect_matching(graph)
     assert matching == {i: (i + 1) % size for i in range(size)}
+
+
+def test_perfect_matching_matches_recursive_matcher_on_larger_graphs():
+    rng = random.Random(9)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        size = rng.randrange(8, 61)
+        density = rng.uniform(0.03, 0.5)
+        edges = {(l, r) for l in range(size) for r in range(size) if rng.random() < density}
+        graph = csr_graph(4, 2, (((1, 2),),) * size, edges)
+        expected = recursive_matching(graph)
+        assert _same_matching(perfect_matching(graph), expected), (size, sorted(edges))
+        outcomes[expected is None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_gh_graph_size_guard():
