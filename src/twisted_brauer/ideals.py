@@ -24,7 +24,6 @@ from .diagram import (
     DiagramError,
     _raw_diagram,
     identity,
-    make_diagram,
     permutation_diagram,
     transposition,
 )
@@ -221,6 +220,35 @@ def parse_ideal(text: str, degree: int) -> IdealSpec:
 # ---------------------------------------------------------------------------
 
 
+def _bottoms_and_hooks(alpha: BrauerDiagram) -> tuple[list[int], list[tuple[int, int]]]:
+    """alpha's transversal bottoms in top order and its lower hooks in
+    canonical order, 0-based: top v is index v, bottom v' is n + v."""
+    n, p = alpha.degree, alpha.pairing
+    return ([q - n for q in p[:n] if q >= n],
+            [(x - n, p[x] - n) for x in range(n, 2 * n) if x < p[x]])
+
+
+def _pairing(n, through, chain, lower, blocks):
+    """The diagram with through-lines v - v' for v in ``through``, upper
+    hooks d_m - c_{m+1} along consecutive hooks of ``chain``, the lower
+    hooks ``lower`` and the point-index pairs ``blocks``; all vertices
+    0-based.  The caller covers each point exactly once."""
+    out = [0] * (2 * n)
+    for x, y in blocks:  # first: a later part that overlaps a block breaks the involution
+        out[x] = y
+        out[y] = x
+    for v in through:
+        out[v] = n + v
+        out[n + v] = v
+    for (_, d), (c, _) in zip(chain, chain[1:]):
+        out[d] = c
+        out[c] = d
+    for c, d in lower:
+        out[n + c] = n + d
+        out[n + d] = n + c
+    return _raw_diagram(n, tuple(out))
+
+
 def lemma_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDiagram]:
     """Diagrams (b, g) of rank r+2 with b*g = alpha and no floating component.
 
@@ -228,28 +256,18 @@ def lemma_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDiagram]
     promoted to two transversals; g repairs the bottom row with a chain of
     shifted hooks so that the product closes back up without cycles.
     """
-    n, r = alpha.degree, alpha.rank
-    if r > n - 4:
-        raise PreconditionError(f"rank {r} exceeds {n} - 4; cannot drop from above")
-    tv = alpha.transversal_pairs()
-    A = alpha.top_hooks()
-    C = alpha.bottom_hooks()
-    s = len(C)
-
-    beta_blocks = [(i, -j) for i, j in tv]
-    beta_blocks += [(A[0][0], -C[0][0]), (A[0][1], -C[0][1])]
-    beta_blocks += [(a, b) for a, b in A[1:]]
-    beta_blocks += [(-c, -d) for c, d in C[1:]]
-    beta = make_diagram(n, beta_blocks)
-
-    gamma_blocks = [(j, -j) for _, j in tv]
-    gamma_blocks += [(C[1][0], -C[1][0]), (C[s - 1][1], -C[1][1])]
-    gamma_blocks.append((C[0][0], C[0][1]))
-    gamma_blocks += [(C[m][1], C[m + 1][0]) for m in range(1, s - 1)]
-    gamma_blocks.append((-C[0][0], -C[0][1]))
-    gamma_blocks += [(-C[m][0], -C[m][1]) for m in range(2, s)]
-    gamma = make_diagram(n, gamma_blocks)
-    return beta, gamma
+    n, p = alpha.degree, alpha.pairing
+    bottoms, C = _bottoms_and_hooks(alpha)
+    if len(bottoms) > n - 4:
+        raise PreconditionError(f"rank {len(bottoms)} exceeds {n} - 4; cannot drop from above")
+    # b: the first upper hook (a, e) and the first lower hook (c, d) become a - c', e - d'
+    a = next(x for x in range(n) if x < p[x] < n)
+    (c, d), e = C[0], p[a]
+    beta = list(p)
+    beta[a], beta[e], beta[n + c], beta[n + d] = n + c, n + d, a, e
+    gamma = _pairing(n, bottoms, C[1:], C[:1] + C[2:],
+                     [(C[1][0], n + C[1][0]), (C[-1][1], n + C[1][1]), C[0]])
+    return _raw_diagram(n, tuple(beta)), gamma
 
 
 def lemma_twist_raise(alpha: BrauerDiagram) -> BrauerDiagram:
@@ -259,17 +277,11 @@ def lemma_twist_raise(alpha: BrauerDiagram) -> BrauerDiagram:
     alpha's lower hooks with one long bridging hook, closing a single
     middle cycle in the product.
     """
-    n, r = alpha.degree, alpha.rank
-    if r == n:
+    n = alpha.degree
+    bottoms, C = _bottoms_and_hooks(alpha)
+    if len(bottoms) == n:
         raise PreconditionError("units admit no twist-raising right identity")
-    tv = alpha.transversal_pairs()
-    C = alpha.bottom_hooks()
-    s = len(C)
-    blocks = [(j, -j) for _, j in tv]
-    blocks.append((C[0][0], C[s - 1][1]))
-    blocks += [(C[m][1], C[m + 1][0]) for m in range(s - 1)]
-    blocks += [(-c, -d) for c, d in C]
-    return make_diagram(n, blocks)
+    return _pairing(n, bottoms, C, C, [(C[0][0], C[-1][1])])
 
 
 def lemma_twist_keep(alpha: BrauerDiagram) -> BrauerDiagram:
@@ -280,24 +292,14 @@ def lemma_twist_keep(alpha: BrauerDiagram) -> BrauerDiagram:
     transversal; for rank 0, b has rank 2 and threads it through the
     first and last lower-hook vertices.
     """
-    n, r = alpha.degree, alpha.rank
-    if r == n:
+    n = alpha.degree
+    bottoms, C = _bottoms_and_hooks(alpha)
+    if len(bottoms) == n:
         raise PreconditionError("units are excluded from the twist-keeping lemma")
-    tv = alpha.transversal_pairs()
-    C = alpha.bottom_hooks()
-    s = len(C)
-    if r > 0:
-        j_r = tv[-1][1]
-        blocks = [(j, -j) for _, j in tv[:-1]]
-        blocks.append((C[s - 1][1], -j_r))
-        blocks.append((tv[-1][1], C[0][0]))
-        blocks += [(C[m][1], C[m + 1][0]) for m in range(s - 1)]
-        blocks += [(-c, -d) for c, d in C]
-    else:
-        blocks = [(C[0][0], -C[0][0]), (C[s - 1][1], -C[0][1])]
-        blocks += [(C[m][1], C[m + 1][0]) for m in range(s - 1)]
-        blocks += [(-c, -d) for c, d in C[1:]]
-    return make_diagram(n, blocks)
+    if bottoms:
+        *keep, last = bottoms
+        return _pairing(n, keep, C, C, [(C[-1][1], n + last), (last, C[0][0])])
+    return _pairing(n, [], C, C[1:], [(C[0][0], n + C[0][0]), (C[-1][1], n + C[0][1])])
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +330,13 @@ def idempotent_factor_sigma(
     is a perfect matching by construction, so none is validated again.
     """
     n, p = alpha.degree, alpha.pairing
-    # 0-based vertices from here on: top v is index v, bottom v' is n + v
-    bottoms = [q - n for q in p[:n] if q >= n]
+    bottoms, hooks = _bottoms_and_hooks(alpha)  # 0-based from here on
     r = len(bottoms)
     if not 0 < r < n:
         raise PreconditionError(f"need 0 < rank < degree, got rank {r} in degree {n}")
     if not 1 <= i < j <= n:
         raise PreconditionError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     i, j = i - 1, j - 1
-    hooks = [(x - n, p[x] - n) for x in range(n, 2 * n) if x < p[x]]
     i_codom, j_codom = p[n + i] < n, p[n + j] < n
 
     if i_codom and j_codom:  # two idempotents are needed
@@ -366,30 +366,12 @@ def idempotent_factor_sigma(
                      [(chain[-1][1], n + last), (last, oi), (n + oi, n + j), (n + i, n + oj)])]
 
 
-def _pairing(n, through, chain, lower, blocks):
-    """The diagram with through-lines v - v' for v in ``through``, upper
-    hooks d_m - c_{m+1} along consecutive hooks of ``chain``, the lower
-    hooks ``lower`` and the point-index pairs ``blocks``; all vertices
-    0-based.  The caller covers each point exactly once."""
-    out = [0] * (2 * n)
-    for v in through:
-        out[v] = n + v
-        out[n + v] = v
-    for (_, d), (c, _) in zip(chain, chain[1:]):
-        out[d] = c
-        out[c] = d
-    for c, d in lower:
-        out[n + c] = n + d
-        out[n + d] = n + c
-    for x, y in blocks:
-        out[x] = y
-        out[y] = x
-    return _raw_diagram(n, tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # Generating sets and the rank table
 # ---------------------------------------------------------------------------
+
+
+GRID_LIMIT = double_factorial(15)  # |B_8|, as verify's sweeps: every grid they take fits
 
 
 @dataclass(frozen=True)
@@ -413,7 +395,7 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     0 < r < n, k = 0 it is a set of rho(n, r) twisted idempotents read off
     a perfect matching of the Graham-Houghton graph; otherwise it is
     M(r;k), the grid of D-classes with twist between k and 2k (inclusive
-    on both ends when r = 0, exclusive above otherwise).
+    on both ends when r = 0, exclusive above otherwise), refused past GRID_LIMIT elements.
     """
     if not spec.is_principal():
         raise DiagramError("generating sets are computed for principal ideals only")
@@ -435,6 +417,9 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     if k == 0 and 0 < r < n:
         sigma = structure.idempotent_generating_set(n, r)
         return GeneratingSet(n, (r, k), "idempotent-matching", tuple(sigma))
+    if (k + (r == 0)) * capped_diagrams(n, r) > GRID_LIMIT:
+        raise DiagramError(f"M({r};{k}) in degree {n} refused: it has more than "
+                           f"{GRID_LIMIT} elements")
     elements = tuple(
         TwistedElement(l, d)
         for l in range(k, 2 * k + (r == 0))  # M(0;k) includes twist 2k

@@ -284,8 +284,9 @@ def rank_idrank_report(graph: GHGraph) -> GHReport:
     expected = rho(n, r)
     balanced = len(graph.signatures) == expected
     b = graph.common_degree()
-    connected = graph.is_connected()
     hall = strong_hall_check(graph)
+    # Strong Hall implies connectivity on two or more kernels; on one, an edge decides
+    connected = hall and len(graph.edges) >= len(graph.signatures) or graph.is_connected()
     good = balanced and connected and hall and b is not None and b >= 2
     return GHReport(
         n, r, len(graph.signatures), expected, balanced, b, connected, hall,

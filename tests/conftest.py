@@ -2,7 +2,8 @@
 multiplication example, plus independent oracles for diagram construction,
 the product, the closures, reachability, the hook patterns, the D-class
 stream, the Graham-Houghton graph, the perfect matching, the Strong Hall
-Condition, the absorption of a transposition and the idempotent chain."""
+Condition, the three constructive lemmas, the absorption of a
+transposition and the idempotent chain."""
 
 import itertools
 from array import array
@@ -13,7 +14,6 @@ from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
 from twisted_brauer import enumeration
 from twisted_brauer.diagram import DiagramError, is_int
 from twisted_brauer.green import PreconditionError
-from twisted_brauer.ideals import lemma_rank_drop
 from twisted_brauer.structure import GHGraph, _kernel_idempotent, _transposition_factors
 from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
 
@@ -278,6 +278,74 @@ def token_by_token_make_diagram(degree, blocks) -> BrauerDiagram:
     return BrauerDiagram(degree, tuple(pairing))
 
 
+def block_list_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDiagram]:
+    """Reference rank drop: (beta, gamma) of ``lemma_rank_drop`` written as
+    lists of signed blocks over alpha's transversal pairs and canonical
+    hooks, and built through the validating ``make_diagram``."""
+    n, r = alpha.degree, alpha.rank
+    if r > n - 4:
+        raise PreconditionError(f"rank {r} exceeds {n} - 4; cannot drop from above")
+    tv = alpha.transversal_pairs()
+    A = alpha.top_hooks()
+    C = alpha.bottom_hooks()
+    s = len(C)
+
+    beta_blocks = [(i, -j) for i, j in tv]
+    beta_blocks += [(A[0][0], -C[0][0]), (A[0][1], -C[0][1])]
+    beta_blocks += [(a, b) for a, b in A[1:]]
+    beta_blocks += [(-c, -d) for c, d in C[1:]]
+    beta = make_diagram(n, beta_blocks)
+
+    gamma_blocks = [(j, -j) for _, j in tv]
+    gamma_blocks += [(C[1][0], -C[1][0]), (C[s - 1][1], -C[1][1])]
+    gamma_blocks.append((C[0][0], C[0][1]))
+    gamma_blocks += [(C[m][1], C[m + 1][0]) for m in range(1, s - 1)]
+    gamma_blocks.append((-C[0][0], -C[0][1]))
+    gamma_blocks += [(-C[m][0], -C[m][1]) for m in range(2, s)]
+    gamma = make_diagram(n, gamma_blocks)
+    return beta, gamma
+
+
+def block_list_twist_raise(alpha: BrauerDiagram) -> BrauerDiagram:
+    """Reference twist raise: ``lemma_twist_raise`` written as a list of
+    signed blocks and built through the validating ``make_diagram``."""
+    n, r = alpha.degree, alpha.rank
+    if r == n:
+        raise PreconditionError("units admit no twist-raising right identity")
+    tv = alpha.transversal_pairs()
+    C = alpha.bottom_hooks()
+    s = len(C)
+    blocks = [(j, -j) for _, j in tv]
+    blocks.append((C[0][0], C[s - 1][1]))
+    blocks += [(C[m][1], C[m + 1][0]) for m in range(s - 1)]
+    blocks += [(-c, -d) for c, d in C]
+    return make_diagram(n, blocks)
+
+
+def block_list_twist_keep(alpha: BrauerDiagram) -> BrauerDiagram:
+    """Reference twist keep: both branches of ``lemma_twist_keep`` written
+    as lists of signed blocks and built through the validating
+    ``make_diagram``."""
+    n, r = alpha.degree, alpha.rank
+    if r == n:
+        raise PreconditionError("units are excluded from the twist-keeping lemma")
+    tv = alpha.transversal_pairs()
+    C = alpha.bottom_hooks()
+    s = len(C)
+    if r > 0:
+        j_r = tv[-1][1]
+        blocks = [(j, -j) for _, j in tv[:-1]]
+        blocks.append((C[s - 1][1], -j_r))
+        blocks.append((tv[-1][1], C[0][0]))
+        blocks += [(C[m][1], C[m + 1][0]) for m in range(s - 1)]
+        blocks += [(-c, -d) for c, d in C]
+    else:
+        blocks = [(C[0][0], -C[0][0]), (C[s - 1][1], -C[0][1])]
+        blocks += [(C[m][1], C[m + 1][0]) for m in range(s - 1)]
+        blocks += [(-c, -d) for c, d in C[1:]]
+    return make_diagram(n, blocks)
+
+
 def block_list_sigma(alpha: BrauerDiagram, i: int, j: int) -> list[BrauerDiagram]:
     """Reference absorption of sigma_ij: each idempotent is written as a
     list of signed blocks over relabelled transversal bottoms and lower
@@ -354,7 +422,7 @@ def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     if is_idempotent_twisted(alpha):
         return [alpha]
     if r == 0:
-        beta, gamma = lemma_rank_drop(alpha)
+        beta, gamma = block_list_rank_drop(alpha)
         return product_absorption_chain(beta) + product_absorption_chain(gamma)
     current, images = _kernel_idempotent(alpha)
     chain = [current]

@@ -25,7 +25,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.cli import main, parse_element
 from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
-from twisted_brauer.ideals import delta, rank_of_ideal
+from twisted_brauer.ideals import GRID_LIMIT, delta, rank_of_ideal
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
 from twisted_brauer.verify import CHECKS, SWEEP_LIMIT
 
@@ -658,6 +658,25 @@ def test_running_out_of_memory_is_an_error(request_):
     # since in-process they would claim gigabytes
     proc = _run_child(request_.split())
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+# M(r;k) has (k + [r = 0]) * |D_r u D_(r-2) u ...| elements: 9(k + [r = 0])
+# at (3, 1) and (4, 0), so k = 225,225 and 225,224 build |B_8| = 2,027,025
+GRIDS_PAST_THE_LIMIT = ["ideal gens --n 3 --r 1 --k 225226", "ideal gens --n 4 --r 0 --k 225225",
+                        "ideal gens --n 3 --r 1 --k 1000000", f"ideal gens --n 5 --r 3 --k {10**100}"]
+
+
+def test_ideal_gens_refuses_a_grid_past_the_limit(capsys):
+    assert GRID_LIMIT == SWEEP_LIMIT == 2_027_025  # every grid a verify check takes is built
+    requests = [request_.split() for request_ in GRIDS_PAST_THE_LIMIT]
+    proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)], timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv, line in zip(requests, proc.stdout.splitlines(), strict=True):
+        code, out, err, seconds = json.loads(line)
+        assert (code, out) == (1, "") and seconds < 1.0
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "refused: it has more than 2027025 elements" in err
+        assert run(capsys, *argv) == (1, "", err)
 
 
 def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):

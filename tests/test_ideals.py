@@ -40,8 +40,10 @@ from twisted_brauer import (
     transposition,
 )
 from twisted_brauer.enumeration import random_diagram
+from twisted_brauer import ideals
 from twisted_brauer.ideals import double_factorial
-from conftest import block_list_sigma
+from conftest import (block_list_rank_drop, block_list_sigma, block_list_twist_keep,
+                      block_list_twist_raise)
 
 
 def test_rho_delta_golden_values():
@@ -281,6 +283,58 @@ def test_lemma_witnesses_are_the_canonical_ones(alpha, drop, raise_, keep):
     assert beta.to_text() == keep and multiply(alpha, beta) == (alpha, 0)
 
 
+def _lemmas_agree_with_block_lists(alpha):
+    """Compare the three lemmas with their block-list references and
+    re-validate every witness.  Returns the number of witnesses."""
+    n = alpha.degree
+    got = [lemma_twist_raise(alpha), lemma_twist_keep(alpha)]
+    expected = [block_list_twist_raise(alpha), block_list_twist_keep(alpha)]
+    if alpha.rank <= n - 4:
+        got += lemma_rank_drop(alpha)
+        expected += block_list_rank_drop(alpha)
+    assert got == expected
+    for w in got:
+        assert BrauerDiagram(n, w.pairing) == w
+    return len(got)
+
+
+def test_lemmas_match_block_lists_exhaustive():
+    # every singular diagram with n <= 6: 10,591, of which 4,509 have rank <= n - 4
+    sizes = collections.Counter()
+    for n in range(1, 7):
+        for alpha in all_diagrams(n):
+            if alpha.rank < n:
+                sizes[_lemmas_agree_with_block_lists(alpha)] += 1
+    assert sizes == {2: 6_082, 4: 4_509}
+
+
+def test_lemmas_match_block_lists_random():
+    rng = random.Random(18)
+    sizes = collections.Counter()
+    while sum(sizes.values()) < 2000:
+        alpha = random_diagram(rng.randrange(4, 65), rng)
+        if alpha.rank < alpha.degree:
+            sizes[_lemmas_agree_with_block_lists(alpha)] += 1
+    assert set(sizes) == {2, 4}
+
+
+def test_lemma_preconditions_match_block_lists():
+    for n in range(5):
+        for lemma, reference in ((lemma_rank_drop, block_list_rank_drop),
+                                 (lemma_twist_raise, block_list_twist_raise),
+                                 (lemma_twist_keep, block_list_twist_keep)):
+            with pytest.raises(PreconditionError) as got:
+                lemma(identity(n))
+            with pytest.raises(PreconditionError) as expected:
+                reference(identity(n))
+            assert str(got.value) == str(expected.value)
+    high = next(iter(d_class(6, 4)))
+    with pytest.raises(PreconditionError, match="rank 4 exceeds 6 - 4"):
+        block_list_rank_drop(high)
+    with pytest.raises(PreconditionError, match="rank 4 exceeds 6 - 4"):
+        lemma_rank_drop(high)
+
+
 # -- sigma absorption --------------------------------------------------------
 
 
@@ -412,6 +466,17 @@ def test_generating_set_sizes():
     matched = generating_set(ideal_normalize(4, [(2, 0)]))
     assert matched.kind == "idempotent-matching" and matched.size == 6
     assert all(is_idempotent_twisted(x.diagram) and x.twist == 0 for x in matched.elements)
+
+
+def test_generating_set_builds_a_grid_of_exactly_the_limit(monkeypatch):
+    # M(1;k) in degree 3 and M(0;k) in degree 4 have 9(k + [r = 0]) elements
+    monkeypatch.setattr(ideals, "GRID_LIMIT", 9)
+    assert generating_set(ideal_normalize(3, [(1, 1)])).size == 9
+    assert generating_set(ideal_normalize(4, [(0, 0)])).size == 9
+    for n, r, k in ((3, 1, 2), (4, 0, 1)):
+        with pytest.raises(DiagramError, match=f"M.{r};{k}. in degree {n} refused: it has "
+                                               "more than 9 elements"):
+            generating_set(ideal_normalize(n, [(r, k)]))
 
 
 def test_generating_set_rejects_non_principal():

@@ -49,6 +49,7 @@ from twisted_brauer.structure import (
     _kernel_idempotent,
     _swap_points,
     _transposition_factors,
+    rank_idrank_report,
 )
 from conftest import (
     csr_graph,
@@ -166,6 +167,20 @@ def test_strong_hall_scc_matches_subset_oracle_on_built_graphs():
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
 
 
+def _union_find_connected(size, edges):
+    # kernel vertices 0..size-1, cokernel vertices size..2*size-1
+    parent = list(range(2 * size))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for l, r in edges:
+        parent[find(l)] = find(size + r)
+    return len({find(v) for v in range(2 * size)}) <= 1
+
+
 def test_strong_hall_scc_matches_oracle_on_random_bipartite():
     rng = random.Random(4)
     outcomes = set()
@@ -181,24 +196,34 @@ def test_strong_hall_scc_matches_oracle_on_random_bipartite():
         graph = csr_graph(4, 2, hooks[:size], edges)
         assert strong_hall_check(graph) == strong_hall_subset_oracle(graph)
         assert _same_matching(perfect_matching(graph), recursive_matching(graph))
-        # connectivity by union-find over kernel vertices 0..size-1 and
-        # cokernel vertices size..2*size-1
-        parent = list(range(2 * size))
-
-        def find(v):
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
-        for l, r in edges:
-            parent[find(l)] = find(size + r)
-        connected = len({find(v) for v in range(2 * size)}) == 1
+        connected = _union_find_connected(size, edges)
         assert graph.is_connected() == connected
         degrees = {sum(1 for e in edges if e[side] == v) for side in (0, 1) for v in range(size)}
         regular = next(iter(degrees)) if len(degrees) == 1 else None
         assert graph.common_degree() == regular
         outcomes.add((connected, regular is None))
     assert outcomes == {(c, irregular) for c in (True, False) for irregular in (True, False)}
+
+
+def test_report_connectivity_matches_union_find():
+    # the report takes connectivity from Strong Hall where it implies it;
+    # the 1 x 1 graph with no edge is Strong Hall yet disconnected
+    rng = random.Random(18)
+    cases = [(0, set()), (1, set()), (1, {(0, 0)})]
+    for _ in range(400):
+        size = rng.randrange(0, 9)
+        density = rng.uniform(0.05, 0.9)
+        cases.append((size, {(l, r) for l in range(size) for r in range(size)
+                             if rng.random() < density}))
+    outcomes = set()
+    for size, edges in cases:
+        graph = csr_graph(4, 2, (((1, 2),),) * size, edges)
+        report = rank_idrank_report(graph)
+        expected = _union_find_connected(size, edges)
+        assert report.connected == expected == graph.is_connected(), (size, sorted(edges))
+        outcomes.add((report.strong_hall, expected))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert not rank_idrank_report(csr_graph(4, 2, (((1, 2),),), [])).connected
 
 
 def test_subset_oracle_matches_the_definition_on_random_bipartite():
