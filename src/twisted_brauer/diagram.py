@@ -44,15 +44,21 @@ class BrauerDiagram:
     pairing: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n2 = 2 * self.degree
-        p = self.pairing
-        if self.degree < 0 or len(p) != n2:
+        n, p = self.degree, self.pairing
+        if not is_int(n) or type(p) is not tuple:  # no bool or float degree, no list to hash
+            raise DiagramError(f"need an int degree and a tuple pairing, got {n!r} and a "
+                               f"{type(p).__name__}")
+        n2 = 2 * n
+        if n < 0 or len(p) != n2:
             raise DiagramError(f"pairing must have length {n2}, got {len(p)}")
-        for x, y in enumerate(p):
-            if not 0 <= y < n2:
-                raise DiagramError(f"pairing entry {y} out of range")
-            if y == x or p[y] != x:
-                raise DiagramError("pairing is not a fixed-point-free involution")
+        try:
+            for x, y in enumerate(p):
+                if not 0 <= y < n2:
+                    raise DiagramError(f"pairing entry {y} out of range")
+                if y == x or p[y] != x:
+                    raise DiagramError("pairing is not a fixed-point-free involution")
+        except TypeError:  # an entry that is no int can neither be compared nor index p
+            raise DiagramError("pairing entries must be integers") from None
 
     # -- structural invariants ------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import BrauerDiagram, DiagramError, make_diagram, permutation_diagram
-from .twisted import as_twisted
+from .twisted import _hook_idempotent, as_twisted
 
 RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -210,8 +210,6 @@ def canonical_idempotent(n: int, r: int) -> BrauerDiagram:
     """
     if not (0 < r <= n and (n - r) % 2 == 0):
         raise PreconditionError(f"no canonical idempotent for degree {n}, rank {r}")
-    blocks = [(i, -i) for i in range(1, r)]
-    blocks.append((r, -n))
-    blocks += [(a, a + 1) for a in range(r + 1, n, 2)]
-    blocks += [(-c, -(c + 1)) for c in range(r, n - 1, 2)]
-    return make_diagram(n, blocks)
+    # 0-based hooks; the path rule draws the transversals
+    return _hook_idempotent(n, [(a, a + 1) for a in range(r, n - 1, 2)],
+                            [(c, c + 1) for c in range(r - 1, n - 2, 2)])

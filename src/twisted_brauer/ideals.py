@@ -28,7 +28,7 @@ from .diagram import (
     transposition,
 )
 from .green import PreconditionError, canonical_idempotent
-from .twisted import TwistedElement, as_twisted
+from .twisted import TwistedElement, _hook_idempotent, as_twisted
 
 
 def index_set(n: int) -> range:
@@ -228,24 +228,31 @@ def _bottoms_and_hooks(alpha: BrauerDiagram) -> tuple[list[int], list[tuple[int,
             [(x - n, p[x] - n) for x in range(n, 2 * n) if x < p[x]])
 
 
+def _links(chain):
+    """The upper hooks d_m - c_{m+1} along consecutive hooks (c_m, d_m) of ``chain``."""
+    return [(d, c) for (_, d), (c, _) in zip(chain, chain[1:])]
+
+
 def _pairing(n, through, chain, lower, blocks):
-    """The diagram with through-lines v - v' for v in ``through``, upper
-    hooks d_m - c_{m+1} along consecutive hooks of ``chain``, the lower
-    hooks ``lower`` and the point-index pairs ``blocks``; all vertices
-    0-based.  The caller covers each point exactly once."""
-    out = [0] * (2 * n)
-    for x, y in blocks:  # first: a later part that overlaps a block breaks the involution
+    """The diagram with through-lines v - v' for v in ``through``, the upper
+    hooks ``_links(chain)``, the lower hooks ``lower`` and the point-index
+    pairs ``blocks``; all vertices 0-based.  The caller covers each point
+    exactly once; a point left unpaired raises DiagramError."""
+    out = [-1] * (2 * n)
+    for x, y in blocks:  # first: a later part that overlaps a block leaves a point unpaired
         out[x] = y
         out[y] = x
     for v in through:
         out[v] = n + v
         out[n + v] = v
-    for (_, d), (c, _) in zip(chain, chain[1:]):
+    for d, c in _links(chain):
         out[d] = c
         out[c] = d
     for c, d in lower:
         out[n + c] = n + d
         out[n + d] = n + c
+    if -1 in out:
+        raise DiagramError("a witness left a point unpaired")
     return _raw_diagram(n, tuple(out))
 
 
@@ -320,14 +327,12 @@ def idempotent_factor_sigma(
     cokernel hook is absorbed outright (empty list).  Requires
     0 < rank(alpha) < n.
 
-    Each idempotent is written straight into a pairing array from one
-    read of alpha's pairing: its transversal bottoms in top order, its
-    lower hooks in canonical order, and whether i' and j' lie in the
-    codomain.  The lower hooks, with the one or two holding i or j moved
-    to the front, are strung into a chain of upper hooks d_m - c_{m+1};
-    a few blocks at i, j and the chain's ends close it up, and every
-    other transversal bottom v stays a through-line v - v'.  Each output
-    is a perfect matching by construction, so none is validated again.
+    Each idempotent is stated by its hooks alone, read from alpha's
+    pairing, and built by the path rule (``_hook_idempotent``).  The lower
+    hooks, with the one or two holding i or j moved to the front, are
+    strung into a chain of upper hooks d_m - c_{m+1} (``_links``); one
+    more upper hook and one or two lower hooks at i, j and the chain's
+    ends close it up.
     """
     n, p = alpha.degree, alpha.pairing
     bottoms, hooks = _bottoms_and_hooks(alpha)  # 0-based from here on
@@ -340,30 +345,21 @@ def idempotent_factor_sigma(
     i_codom, j_codom = p[n + i] < n, p[n + j] < n
 
     if i_codom and j_codom:  # two idempotents are needed
-        keep = [v for v in bottoms if v != i and v != j]
-        (c0, _), (cl, dl) = hooks[0], hooks[-1]
-        return [
-            _pairing(n, keep, hooks, hooks[:-1],
-                     [(i, n + j), (dl, n + dl), (j, c0), (n + i, n + cl)]),
-            _pairing(n, keep, hooks, hooks, [(j, n + j), (c0, n + i), (i, dl)]),
-        ]
+        links, (c0, _), (cl, dl) = _links(hooks), hooks[0], hooks[-1]
+        return [_hook_idempotent(n, links + [(j, c0)], hooks[:-1] + [(i, cl)]),
+                _hook_idempotent(n, links + [(i, dl)], hooks)]
     if i_codom or j_codom:  # u is in the codomain, v sits in a lower hook
         u, v = (i, j) if i_codom else (j, i)
         w = p[n + v] - n
         rest = [h for h in hooks if v not in h]
-        chain = [(v, w)] + rest
-        keep = [b for b in bottoms if b != u]
-        return [_pairing(n, keep, chain, rest,
-                         [(chain[-1][1], n + v), (u, v), (n + u, n + w)])]
+        return [_hook_idempotent(n, _links([(v, w)] + rest) + [(u, v)], rest + [(u, w)])]
     if p[n + i] == n + j:
         return []  # sigma_ij permutes a lower hook of alpha: alpha sigma_ij = alpha
     # i and j sit in two different lower hooks
     oi, oj = p[n + i] - n, p[n + j] - n
     rest = [h for h in hooks if i not in h and j not in h]
-    chain = [(oi, i), (j, oj)] + rest
-    last = bottoms[-1]
-    return [_pairing(n, bottoms[:-1], chain, rest,
-                     [(chain[-1][1], n + last), (last, oi), (n + oi, n + j), (n + i, n + oj)])]
+    return [_hook_idempotent(n, _links([(oi, i), (j, oj)] + rest) + [(bottoms[-1], oi)],
+                             rest + [(oi, j), (i, oj)])]
 
 
 # ---------------------------------------------------------------------------

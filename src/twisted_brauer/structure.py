@@ -29,7 +29,7 @@ from .diagram import (
 from .green import PreconditionError
 from .ideals import (_check_degree_3, _check_rank_param, capped_delta, idempotent_factor_sigma,
                      lemma_rank_drop, rho)
-from .twisted import TwistedElement, _square_walk, as_twisted, is_idempotent_twisted
+from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
 # delta(8, 4) = 1,058,400 is the largest D-class of degree <= 8;
@@ -61,38 +61,13 @@ class GHGraph:
 
     def idempotent(self, li: int, ri: int) -> BrauerDiagram:
         """The twisted idempotent of the H-class of kernel ``li`` and
-        cokernel ``ri``, built from the two hook sets by the path rule.
-
-        With upper hooks U and lower hooks C, the H-class holds a twisted
-        idempotent exactly when every component of U u C is a path from a
-        U-free point to a C-free point.  Its transversals then join each
-        U-free top u to the bottom of the C-free end of u's path.  Anything
-        else (a cycle, or a path with two U-free ends) is a non-edge and
-        raises DiagramError.
-        """
-        n, size = self.degree, len(self.signatures)
+        cokernel ``ri``, built from the two hook sets by the path rule
+        (``twisted._hook_idempotent``); a non-edge raises DiagramError."""
+        size = len(self.signatures)
         if not (0 <= li < size and 0 <= ri < size):
             raise DiagramError(f"({li}, {ri}) is not a vertex pair of the graph")
-        # 0-based vertices: top v is index v, bottom v' is n + v
-        pairing = [-1] * (2 * n)
-        for a, b in self.signatures[li]:
-            pairing[a - 1], pairing[b - 1] = b - 1, a - 1
-        for c, d in self.signatures[ri]:
-            pairing[n + c - 1], pairing[n + d - 1] = n + d - 1, n + c - 1
-        covered = 0
-        for u in range(n):
-            if pairing[u] >= 0:
-                continue
-            v, covered = u, covered + 1
-            while pairing[n + v] >= 0:  # a lower hook, then the upper hook onward
-                w = pairing[n + v] - n
-                if pairing[w] < 0:  # w is U-free: the path has two U-free ends
-                    raise DiagramError(f"({li}, {ri}) is not an edge: no idempotent")
-                v, covered = pairing[w], covered + 2
-            pairing[u], pairing[n + v] = n + v, u
-        if covered != n:  # the points no path reached lie on cycles
-            raise DiagramError(f"({li}, {ri}) is not an edge: no idempotent")
-        return _raw_diagram(n, tuple(pairing))
+        return _hook_idempotent(self.degree, [(a - 1, b - 1) for a, b in self.signatures[li]],
+                                [(c - 1, d - 1) for c, d in self.signatures[ri]])
 
     def common_degree(self) -> int | None:
         """The shared vertex degree if the graph is regular, else None."""
@@ -396,33 +371,26 @@ def _kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
     unit rho (an image list) with alpha = eps * rho.  Requires 0 < rank < n.
 
     With transversal tops t_1 < ... < t_r and upper hooks (a_1, b_1), ...,
-    (a_k, b_k) in canonical order, eps keeps those hooks and the lines
-    t - t' for t < t_r, strings t_r through the hooks by the lower hooks
-    t_r' - a_1', b_1' - a_2', ..., b_{k-1}' - a_k' and ends in t_r - b_k'.
-    The middle row of eps * eps is one path from t_r to b_k', so eps is a
-    twisted idempotent.  rho sends the m-th lower hook of eps onto the
+    (a_k, b_k) in canonical order, eps keeps those hooks and takes the
+    lower hooks t_r' - a_1', b_1' - a_2', ..., b_{k-1}' - a_k'.  Their
+    union is one path from t_r to b_k, so the path rule
+    (``_hook_idempotent``) gives the lines t - t' for t < t_r and
+    t_r - b_k'.  rho sends the m-th lower hook of eps onto the
     m-th of alpha, and each transversal bottom onto alpha's.
     """
     n, p = alpha.degree, alpha.pairing
-    # 0-based vertices from here on: top v is index v, bottom v' is n + v
-    tops, path = [], []  # the path runs a_1, b_1, ..., a_k, b_k
-    for v in range(n):
-        if p[v] >= n:
-            tops.append(v)
-        elif v < p[v]:
-            path += (v, p[v])
-    lowers = [(c - n + 1, p[c] - n + 1) for c in range(n, 2 * n) if c < p[c]]
-    t, last = tops.pop(), path.pop()
-    out, images = list(p[:n]) + [0] * n, [0] * n
+    tops = [v for v in range(n) if p[v] >= n]  # 0-based points from here on
+    upper = [(a, p[a]) for a in range(n) if a < p[a] < n]  # (a_m, b_m)
+    t = tops.pop()
+    chain = list(zip([t] + [b for _, b in upper], [a for a, _ in upper]))  # t_r' - a_1', ...
+    images = [0] * n
     for v in tops:
-        out[v], out[n + v] = n + v, v
         images[v] = p[v] - n + 1
-    out[t], out[n + last] = n + last, t
-    images[last] = p[t] - n + 1
-    for x, y, (c, d) in zip([t] + path[1::2], path[::2], lowers):
-        out[n + x], out[n + y] = n + y, n + x
+    images[upper[-1][1]] = p[t] - n + 1
+    lowers = [(c - n + 1, p[c] - n + 1) for c in range(n, 2 * n) if c < p[c]]
+    for (x, y), (c, d) in zip(chain, lowers):
         images[x], images[y] = c, d
-    return _raw_diagram(n, tuple(out)), images
+    return _hook_idempotent(n, upper, chain), images
 
 
 def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:

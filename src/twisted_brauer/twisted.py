@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DiagramError, is_int, multiply
+from .diagram import BrauerDiagram, DiagramError, _raw_diagram, is_int, multiply
 
 
 @dataclass(frozen=True, order=True)
@@ -115,6 +115,36 @@ def _square_walk(alpha: BrauerDiagram) -> int:
         if q != j:
             return -1
     return covered
+
+
+def _hook_idempotent(n: int, upper, lower) -> BrauerDiagram:
+    """The twisted idempotent with upper hooks ``upper`` and lower hooks
+    ``lower``, 0-based point pairs (top v and bottom v' are point v), by
+    the path rule: an H-class holds one exactly when every component of
+    U u C is a path from a U-free point to a C-free point, and its
+    transversals join each U-free top u to the C-free end of u's path.  A
+    hook on a point already used, a path with two U-free ends or a cycle
+    raises DiagramError."""
+    out = [-1] * (2 * n)
+    for hooks, row in ((upper, 0), (lower, n)):  # row: the index of point 0 in the row
+        for x, y in hooks:
+            x, y = row + x, row + y
+            if out[x] >= 0 or out[y] >= 0 or x == y:
+                raise DiagramError("a hook meets a point already used")
+            out[x], out[y] = y, x
+    covered = 0
+    for u in range(n):
+        if out[u] < 0:  # a U-free top: walk its path
+            v, covered = u, covered + 1
+            while (w := out[n + v]) >= 0:  # a lower hook to w, then the upper hook onward
+                v = out[w - n]
+                if v < 0:  # w is U-free: the path has two U-free ends
+                    raise DiagramError("the hooks are not an edge: no twisted idempotent")
+                covered += 2
+            out[u], out[n + v] = n + v, u
+    if covered != n:  # the points no path reached lie on cycles
+        raise DiagramError("the hooks are not an edge: no twisted idempotent")
+    return _raw_diagram(n, tuple(out))
 
 
 def is_idempotent_plain(alpha: BrauerDiagram) -> bool:

@@ -3,7 +3,7 @@ multiplication example, plus independent oracles for diagram construction,
 the product, the closures, reachability, the hook patterns, the D-class
 stream, the Graham-Houghton graph, the perfect matching, the Strong Hall
 Condition, the three constructive lemmas, the absorption of a
-transposition and the idempotent chain."""
+transposition, the kernel's idempotent and the idempotent chain."""
 
 import itertools
 from array import array
@@ -14,7 +14,8 @@ from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
 from twisted_brauer import enumeration
 from twisted_brauer.diagram import DiagramError, is_int
 from twisted_brauer.green import PreconditionError
-from twisted_brauer.structure import GHGraph, _kernel_idempotent, _transposition_factors
+from twisted_brauer.diagram import _raw_diagram
+from twisted_brauer.structure import GHGraph, _transposition_factors
 from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
 
 
@@ -412,19 +413,47 @@ def block_list_sigma(alpha: BrauerDiagram, i: int, j: int) -> list[BrauerDiagram
     return [make_diagram(n, blocks)]
 
 
+def hand_written_kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
+    """Reference ``_kernel_idempotent``: the twisted idempotent on alpha's
+    own kernel and domain written straight into a pairing array, with the
+    lines t - t' for t < t_r, the lower hooks t_r' - a_1', b_1' - a_2', ...
+    and t_r - b_k', and the image list of the unit that carries it to
+    alpha.  Requires 0 < rank < n."""
+    n, p = alpha.degree, alpha.pairing
+    # 0-based vertices from here on: top v is index v, bottom v' is n + v
+    tops, path = [], []  # the path runs a_1, b_1, ..., a_k, b_k
+    for v in range(n):
+        if p[v] >= n:
+            tops.append(v)
+        elif v < p[v]:
+            path += (v, p[v])
+    lowers = [(c - n + 1, p[c] - n + 1) for c in range(n, 2 * n) if c < p[c]]
+    t, last = tops.pop(), path.pop()
+    out, images = list(p[:n]) + [0] * n, [0] * n
+    for v in tops:
+        out[v], out[n + v] = n + v, v
+        images[v] = p[v] - n + 1
+    out[t], out[n + last] = n + last, t
+    images[last] = p[t] - n + 1
+    for x, y, (c, d) in zip([t] + path[1::2], path[::2], lowers):
+        out[n + x], out[n + y] = n + y, n + x
+        images[x], images[y] = c, d
+    return _raw_diagram(n, tuple(out)), images
+
+
 def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     """Reference idempotent chain: the constructive pipeline of
-    ``factor_into_idempotents`` from the same start idempotent and unit
-    (``_kernel_idempotent``, checked against products on its own), with
-    each transposition absorbed by ``block_list_sigma`` and the partial
-    product moved on by multiplying by the transposition diagram."""
+    ``factor_into_idempotents`` from the same start idempotent and unit,
+    written by ``hand_written_kernel_idempotent``, with each transposition
+    absorbed by ``block_list_sigma`` and the partial product moved on by
+    multiplying by the transposition diagram."""
     n, r = alpha.degree, alpha.rank
     if is_idempotent_twisted(alpha):
         return [alpha]
     if r == 0:
         beta, gamma = block_list_rank_drop(alpha)
         return product_absorption_chain(beta) + product_absorption_chain(gamma)
-    current, images = _kernel_idempotent(alpha)
+    current, images = hand_written_kernel_idempotent(alpha)
     chain = [current]
     for i, j in _transposition_factors(images):
         chain.extend(block_list_sigma(current, i, j))

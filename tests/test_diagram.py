@@ -55,6 +55,20 @@ def test_pairing_invariant_rejected():
         BrauerDiagram(1, (1, 0, 3, 2))  # wrong length
 
 
+def test_constructor_refuses_bad_types():
+    # each once built a diagram that printed wrong or failed later on hash,
+    # or raised TypeError
+    for degree, pairing, message in (
+        (2.0, (1, 0, 3, 2), "need an int degree and a tuple pairing, got 2.0 and a tuple"),
+        (True, (1, 0), "need an int degree and a tuple pairing, got True and a tuple"),
+        (1, [1, 0], "need an int degree and a tuple pairing, got 1 and a list"),
+        (1, (1.0, 0), "pairing entries must be integers"),
+        (1, ("1", 0), "pairing entries must be integers"),
+    ):
+        with pytest.raises(DiagramError, match=message):
+            BrauerDiagram(degree, pairing)
+
+
 def test_structural_invariants(alpha6):
     assert alpha6.rank == 2
     assert alpha6.dom == (2, 4)

@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -282,6 +283,20 @@ def test_lemma_witnesses_are_the_canonical_ones(alpha, drop, raise_, keep):
     beta = lemma_twist_keep(alpha)
     assert beta.to_text() == keep and multiply(alpha, beta) == (alpha, 0)
 
+
+
+def test_pairing_refuses_a_point_left_unpaired():
+    # lemma_rank_drop's gamma with C[:1] slipped to C[:0] leaves two bottom
+    # points unpaired, and multiply never returns on such a pairing
+    alpha = BrauerDiagram.from_text(LEMMA_GOLDEN[0][0])
+    n = alpha.degree
+    bottoms, C = ideals._bottoms_and_hooks(alpha)
+    blocks = [(C[1][0], n + C[1][0]), (C[-1][1], n + C[1][1]), C[0]]
+    assert ideals._pairing(n, bottoms, C[1:], C[:1] + C[2:], blocks) == lemma_rank_drop(alpha)[1]
+    start = time.perf_counter()
+    with pytest.raises(DiagramError, match="left a point unpaired"):
+        ideals._pairing(n, bottoms, C[1:], C[:0] + C[2:], blocks)
+    assert time.perf_counter() - start < 0.5
 
 def _lemmas_agree_with_block_lists(alpha):
     """Compare the three lemmas with their block-list references and

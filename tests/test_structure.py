@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twisted_brauer import (
+    BrauerDiagram,
     DiagramError,
     PreconditionError,
     TwistedElement,
@@ -54,6 +55,7 @@ from twisted_brauer.structure import (
 from conftest import (
     csr_graph,
     factor_into_idempotents_bfs,
+    hand_written_kernel_idempotent,
     kernel_keyed_idempotents,
     product_absorption_chain,
     recursive_matching,
@@ -438,14 +440,60 @@ def test_factor_into_idempotents_matches_product_absorption():
 
 
 def test_kernel_idempotent_rebuilds_alpha_by_products():
-    # the chain and its oracle share the start idempotent, so it is checked
-    # here against products alone
+    # the start idempotent is checked against products alone, as well as
+    # against its hand-written reference below
     for alpha in _singular_diagrams(41, 500, min_rank=1):
         n = alpha.degree
         eps, images = _kernel_idempotent(alpha)
         assert multiply(eps, eps) == (eps, 0)
         assert (eps.ker, eps.dom) == (alpha.ker, alpha.dom)
         assert multiply(eps, permutation_diagram(n, images)) == (alpha, 0)
+
+
+def test_kernel_idempotent_matches_hand_written():
+    alphas = [a for n in range(2, 7) for a in all_diagrams(n) if 0 < a.rank < n]
+    total, rng = len(alphas) + 2000, random.Random(43)
+    while len(alphas) < total:
+        alpha = random_diagram(rng.randrange(3, 65), rng)
+        if 0 < alpha.rank < alpha.degree:
+            alphas.append(alpha)
+    for alpha in alphas:
+        assert _kernel_idempotent(alpha) == hand_written_kernel_idempotent(alpha)
+
+
+# alpha, then its factor_into_idempotents chain, all in canonical text; the
+# first transposition absorbed puts two codomain points, mixed points, points
+# of two lower hooks or the points of one lower hook of the partial product
+FACTOR_GOLDEN = [
+    ("n=8: (1,5)(2,2')(3,8)(4,6')(6,1')(7,8')(3',4')(5',7')",
+     ["n=8: (1,5)(2,2')(3,8)(4,4')(6,6')(7,8')(1',7')(3',5')",
+      "n=8: (1,6)(2,2')(3,7)(4,6')(5,5')(8,8')(1',7')(3',4')",
+      "n=8: (1,4')(2,2')(3,7)(4,5)(6,6')(8,8')(1',7')(3',5')",
+      "n=8: (1,4)(2,2')(3,7)(5,1')(6,6')(8,8')(3',5')(4',7')",
+      "n=8: (1,1')(2,2')(3,7)(4,8')(5,8)(6,6')(3',4')(5',7')"]),
+    ("n=9: (1,1')(2,8)(3,6)(4,4')(5,5')(7,7')(9,9')(2',6')(3',8')",
+     ["n=9: (1,1')(2,8)(3,6)(4,4')(5,5')(7,7')(9,6')(2',9')(3',8')",
+      "n=9: (1,1')(2,3)(4,4')(5,5')(6,9)(7,7')(8,9')(2',6')(3',8')"]),
+    ("n=10: (1,7)(2,7')(3,4)(5,5')(6,6')(8,9)(10,9')(1',3')(2',10')(4',8')",
+     ["n=10: (1,7)(2,2')(3,4)(5,5')(6,6')(8,9)(10,9')(1',10')(3',7')(4',8')",
+      "n=10: (1,4)(2,2')(3,10)(5,5')(6,6')(7,9)(8,9')(1',3')(4',8')(7',10')",
+      "n=10: (1,10)(2,7)(3,4)(5,5')(6,6')(8,7')(9,9')(1',3')(2',10')(4',8')"]),
+    ("n=10: (1,2)(3,6)(4,10)(5,10')(7,9')(8,9)(1',7')(2',6')(3',4')(5',8')",
+     ["n=10: (1,2)(3,6)(4,10)(5,5')(7,9')(8,9)(1',7')(2',3')(4',6')(8',10')",
+      "n=10: (1,4)(2,9)(3,6)(5,5')(7,8)(10,9')(1',7')(2',6')(3',4')(8',10')",
+      "n=10: (1,8)(2,7)(3,6)(4,10')(5,10)(9,9')(1',7')(2',6')(3',4')(5',8')"]),
+]
+
+
+@pytest.mark.parametrize("alpha, chain", FACTOR_GOLDEN,
+                         ids=["8-codomain", "9-mixed", "10-split", "10-shared"])
+def test_idempotent_chains_are_the_canonical_ones(alpha, chain):
+    # other chains are valid too; these pin the canonical ones
+    alpha = BrauerDiagram.from_text(alpha)
+    got = factor_into_idempotents(alpha)
+    assert [e.to_text() for e in got] == chain
+    assert all(is_idempotent_twisted(e) for e in got)
+    assert star_chain(got) == TwistedElement(0, alpha)
 
 
 def test_kernel_idempotent_of_a_canonical_kernel_is_canonical():

@@ -19,8 +19,10 @@ from twisted_brauer import (
     star,
     star_chain,
 )
-from twisted_brauer.enumeration import random_diagram
+from twisted_brauer.enumeration import hook_patterns, random_diagram
+from twisted_brauer.ideals import gh_degree, index_set
 from twisted_brauer.structure import factor_into_idempotents
+from twisted_brauer.twisted import _hook_idempotent, _square_walk
 
 
 def test_star_figure1(figure1):
@@ -173,3 +175,32 @@ def test_text_and_json_forms():
     x = TwistedElement(2, make_diagram(2, [(1, 2), (-1, -2)]))
     assert x.to_text() == "2 * n=2: (1,2)(1',2')"
     assert x.to_json_obj() == {"n": 2, "blocks": [[1, 2], [-1, -2]], "twist": 2}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_hook_idempotent_on_every_hook_pair(n):
+    # each (U, C) pair of a rank either raises or gives a twisted idempotent
+    # on exactly those hooks, and each U meets gh_degree(n, r) such C
+    for r in index_set(n):
+        patterns = [hooks for hooks, _ in hook_patterns(n, r)]
+        for upper in patterns:
+            built = 0
+            for lower in patterns:
+                try:
+                    e = _hook_idempotent(n, [(a - 1, b - 1) for a, b in upper],
+                                         [(c - 1, d - 1) for c, d in lower])
+                except DiagramError as exc:
+                    assert "not an edge" in str(exc)
+                    continue
+                built += 1
+                assert (e.ker, e.coker) == (frozenset(upper), frozenset(lower))
+                assert _square_walk(e) == n and multiply(e, e) == (e, 0)
+            assert built == gh_degree(n, r)
+
+
+def test_hook_idempotent_refuses_overlapping_hooks():
+    # a first or a second end on a used point, and a hook on one point
+    for upper, lower in (([(0, 1), (1, 2)], []), ([(0, 1), (2, 1)], []), ([(3, 3)], []),
+                         ([], [(0, 2), (2, 3)]), ([], [(0, 2), (3, 0)]), ([], [(1, 1)])):
+        with pytest.raises(DiagramError, match="meets a point already used"):
+            _hook_idempotent(4, upper, lower)
