@@ -111,14 +111,6 @@ class BrauerDiagram:
         n, p = self.degree, self.pairing
         return [(i + 1, p[i] - n + 1) for i in range(n) if p[i] >= n]
 
-    def image(self, i: int) -> int:
-        """Bottom vertex paired with top vertex ``i``; error if i is hooked."""
-        n = self.degree
-        q = self.pairing[i - 1]
-        if q < n:
-            raise DiagramError(f"top vertex {i} is not in the domain")
-        return q - n + 1
-
     # -- involution and operators ---------------------------------------
 
     def star(self) -> BrauerDiagram:
@@ -180,6 +172,19 @@ def _raw_diagram(degree: int, pairing: tuple[int, ...]) -> BrauerDiagram:
     _set_degree(d, degree)
     _set_pairing(d, pairing)
     return d
+
+
+def _from_pairs(n: int, pairs: list[tuple[int, int]]) -> BrauerDiagram:
+    """The diagram whose blocks are the 0-based point pairs ``pairs``, the
+    one writer of the constructive witnesses.  With in-range points, n
+    pairs that leave no point unpaired are a fixed-point-free involution:
+    a repeated point or an (x, x) pair leaves another point unpaired."""
+    out = [-1] * (2 * n)
+    for x, y in pairs:
+        out[x], out[y] = y, x
+    if len(pairs) != n or -1 in out:
+        raise DiagramError("a witness left a point unpaired")
+    return _raw_diagram(n, tuple(out))
 
 
 def _index_to_token(x: int, n: int) -> int:

@@ -8,14 +8,14 @@ component.  The pre-order proofs are constructive, and the witnesses are
 materialised here: ``factor_right(a, b)`` returns a specific d with
 a = bd and tau(b, d) = 0, and similarly for the left and two-sided
 versions.  Witnesses are not unique; the ones returned are the canonical
-block layouts fixed by the module's notation ordering.
+pairings fixed by the module's notation ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DiagramError, make_diagram, permutation_diagram
+from .diagram import BrauerDiagram, DiagramError, _from_pairs
 from .twisted import _hook_idempotent, as_twisted
 
 RELATIONS = ("R", "L", "H", "D", "J")
@@ -51,6 +51,30 @@ def leq_J(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
 _LEQ = {"R": leq_R, "L": leq_L, "J": leq_J}
 
 
+def _right_pairs(alpha: BrauerDiagram, beta: BrauerDiagram) -> list[tuple[int, int]]:
+    """The 0-based point pairs of factor_right(alpha, beta), in one pass
+    over the two pairings; raises PreconditionError unless ker(alpha)
+    contains ker(beta)."""
+    n, pa, pb = alpha.degree, alpha.pairing, beta.pairing
+    pairs, split = [], 0
+    for x in range(n):
+        y = pa[x]
+        if pb[x] < n:  # beta's upper hook at x must be alpha's
+            if y != pb[x]:
+                raise PreconditionError("ker(alpha) does not contain ker(beta)")
+        elif y >= n:  # alpha's transversal x - y leaves beta's image of x
+            pairs.append((pb[x] - n, y))
+        elif x < y:  # an upper hook of alpha that beta lacks, on beta's images
+            pairs.append((pb[x] - n, pb[y] - n))
+            split += 1
+    lower = [(c, pa[c]) for c in range(n, 2 * n) if c < pa[c]]
+    pairs += lower[:split]  # d's own lower hooks
+    beta_lower = [e for e in range(n, 2 * n) if e < pb[e]]
+    for e, (c, d) in zip(beta_lower, lower[split:]):  # beta's lower hooks feed the rest
+        pairs += ((e - n, c), (pb[e] - n, d))
+    return pairs
+
+
 def factor_right(alpha: BrauerDiagram, beta: BrauerDiagram) -> BrauerDiagram:
     """A diagram d with alpha = beta*d and tau(beta, d) = 0.
 
@@ -61,28 +85,7 @@ def factor_right(alpha: BrauerDiagram, beta: BrauerDiagram) -> BrauerDiagram:
     lower hooks.  When the kernels are equal, d is a unit.
     """
     _check_degrees(alpha, beta)
-    beta_hooks = beta.ker
-    if not beta_hooks <= alpha.ker:
-        raise PreconditionError("ker(alpha) does not contain ker(beta)")
-    n = alpha.degree
-    split_hooks = [h for h in alpha.top_hooks() if h not in beta_hooks]  # (a_m, b_m)
-    alpha_lower = alpha.bottom_hooks()
-    s = len(split_hooks)
-    own_lower = alpha_lower[:s]  # become d's lower hooks (c_m, d_m)
-    routed_lower = alpha_lower[s:]  # reached through beta's lower hooks
-    beta_lower = beta.bottom_hooks()  # (e_{s+m}, f_{s+m})
-
-    blocks: list[tuple[int, int]] = []
-    for top, bottom in alpha.transversal_pairs():
-        blocks.append((beta.image(top), -bottom))
-    for (e, f), (c, d) in zip(beta_lower, routed_lower):
-        blocks.append((e, -c))
-        blocks.append((f, -d))
-    for a, b in split_hooks:
-        blocks.append((beta.image(a), beta.image(b)))
-    for c, d in own_lower:
-        blocks.append((-c, -d))
-    return make_diagram(n, blocks)
+    return _from_pairs(alpha.degree, _right_pairs(alpha, beta))
 
 
 def factor_left(alpha: BrauerDiagram, beta: BrauerDiagram) -> BrauerDiagram:
@@ -110,34 +113,24 @@ def factor_two_sided(
     unit carrying alpha's top structure onto e's.
     """
     _check_degrees(alpha, beta)
-    r = alpha.rank
-    if r > beta.rank:
+    n, pa, pb = alpha.degree, alpha.pairing, beta.pairing
+    alpha_tops = [x for x in range(n) if pa[x] >= n]
+    beta_tops = [x for x in range(n) if pb[x] >= n]
+    r = len(alpha_tops)
+    if r > len(beta_tops):
         raise PreconditionError("rank(alpha) exceeds rank(beta)")
-    n = alpha.degree
+    kept, spare = beta_tops[:r], beta_tops[r:]
+    eps_upper = list(zip(spare[::2], spare[1::2]))  # beta's spare tops closed pairwise
+    eps_upper += [(x, pb[x]) for x in range(n) if x < pb[x] < n]
+    eps = _from_pairs(n, [(t, pa[i]) for i, t in zip(alpha_tops, kept)] + eps_upper
+                      + [(c, pa[c]) for c in range(n, 2 * n) if c < pa[c]])
+    delta = _from_pairs(n, _right_pairs(eps, beta))
 
-    beta_tv = beta.transversal_pairs()
-    kept, spare = beta_tv[:r], beta_tv[r:]
-    paired_tops = [
-        (spare[m][0], spare[m + 1][0]) for m in range(0, len(spare), 2)
-    ]  # (g_m, h_m)
-    eps_upper = paired_tops + list(beta.top_hooks())
-    alpha_tv = alpha.transversal_pairs()
-    eps_blocks: list[tuple[int, int]] = []
-    for (l, _), (_, j) in zip(kept, alpha_tv):
-        eps_blocks.append((l, -j))
-    eps_blocks += [(g, h) for g, h in eps_upper]
-    eps_blocks += [(-c, -d) for c, d in alpha.bottom_hooks()]
-    eps = make_diagram(n, eps_blocks)
-
-    delta = factor_right(eps, beta)
-
-    images = [0] * n  # the unit g as a function on [n]
-    for (i, _), (l, _) in zip(alpha_tv, kept):
-        images[i - 1] = l
-    for (a, b), (g, h) in zip(alpha.top_hooks(), eps_upper):
-        images[a - 1], images[b - 1] = g, h
-    gamma = permutation_diagram(n, images)
-    return gamma, delta
+    unit = [(i, n + t) for i, t in zip(alpha_tops, kept)]
+    alpha_upper = [(x, pa[x]) for x in range(n) if x < pa[x] < n]
+    for (a, b), (g, h) in zip(alpha_upper, eps_upper):
+        unit += ((a, n + g), (b, n + h))
+    return _from_pairs(n, unit), delta
 
 
 def twisted_leq(relation: str, x, y) -> bool:

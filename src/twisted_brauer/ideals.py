@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .diagram import (
     BrauerDiagram,
     DiagramError,
-    _raw_diagram,
+    _from_pairs,
     identity,
     permutation_diagram,
     transposition,
@@ -238,22 +238,8 @@ def _pairing(n, through, chain, lower, blocks):
     hooks ``_links(chain)``, the lower hooks ``lower`` and the point-index
     pairs ``blocks``; all vertices 0-based.  The caller covers each point
     exactly once; a point left unpaired raises DiagramError."""
-    out = [-1] * (2 * n)
-    for x, y in blocks:  # first: a later part that overlaps a block leaves a point unpaired
-        out[x] = y
-        out[y] = x
-    for v in through:
-        out[v] = n + v
-        out[n + v] = v
-    for d, c in _links(chain):
-        out[d] = c
-        out[c] = d
-    for c, d in lower:
-        out[n + c] = n + d
-        out[n + d] = n + c
-    if -1 in out:
-        raise DiagramError("a witness left a point unpaired")
-    return _raw_diagram(n, tuple(out))
+    return _from_pairs(n, blocks + [(v, n + v) for v in through] + _links(chain)
+                       + [(n + c, n + d) for c, d in lower])
 
 
 def lemma_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDiagram]:
@@ -270,11 +256,10 @@ def lemma_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDiagram]
     # b: the first upper hook (a, e) and the first lower hook (c, d) become a - c', e - d'
     a = next(x for x in range(n) if x < p[x] < n)
     (c, d), e = C[0], p[a]
-    beta = list(p)
-    beta[a], beta[e], beta[n + c], beta[n + d] = n + c, n + d, a, e
+    beta = [(x, p[x]) for x in range(2 * n) if x < p[x] and x != a and x != n + c]
     gamma = _pairing(n, bottoms, C[1:], C[:1] + C[2:],
                      [(C[1][0], n + C[1][0]), (C[-1][1], n + C[1][1]), C[0]])
-    return _raw_diagram(n, tuple(beta)), gamma
+    return _from_pairs(n, beta + [(a, n + c), (e, n + d)]), gamma
 
 
 def lemma_twist_raise(alpha: BrauerDiagram) -> BrauerDiagram:

@@ -142,7 +142,7 @@ def _hook_idempotent(n: int, upper, lower) -> BrauerDiagram:
                     raise DiagramError("the hooks are not an edge: no twisted idempotent")
                 covered += 2
             out[u], out[n + v] = n + v, u
-    if covered != n:  # the points no path reached lie on cycles
+    if covered != n or -1 in out:  # points on cycles, or a slip multiply would hang on
         raise DiagramError("the hooks are not an edge: no twisted idempotent")
     return _raw_diagram(n, tuple(out))
 

@@ -3,17 +3,24 @@ multiplication example, plus independent oracles for diagram construction,
 the product, the closures, reachability, the hook patterns, the D-class
 stream, the Graham-Houghton graph, the perfect matching, the Strong Hall
 Condition, the three constructive lemmas, the absorption of a
-transposition, the kernel's idempotent and the idempotent chain."""
+transposition, the kernel's idempotent, the idempotent chain and Green's
+right and two-sided factorizations."""
 
 import itertools
 from array import array
 
 import pytest
 
-from twisted_brauer import BrauerDiagram, make_diagram, multiply, transposition
+from twisted_brauer import (
+    BrauerDiagram,
+    make_diagram,
+    multiply,
+    permutation_diagram,
+    transposition,
+)
 from twisted_brauer import enumeration
 from twisted_brauer.diagram import DiagramError, is_int
-from twisted_brauer.green import PreconditionError
+from twisted_brauer.green import PreconditionError, _check_degrees
 from twisted_brauer.diagram import _raw_diagram
 from twisted_brauer.structure import GHGraph, _transposition_factors
 from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
@@ -472,3 +479,79 @@ def factor_into_idempotents_bfs(alpha: BrauerDiagram) -> list[BrauerDiagram] | N
     if target not in graph.index:
         return None
     return [idems[j].diagram for j in graph.word(target)]
+
+
+def image(beta: BrauerDiagram, i: int) -> int:
+    """The removed ``BrauerDiagram.image``: the bottom vertex paired with
+    top vertex ``i``, an error if i is hooked."""
+    n = beta.degree
+    q = beta.pairing[i - 1]
+    if q < n:
+        raise DiagramError(f"top vertex {i} is not in the domain")
+    return q - n + 1
+
+
+def block_list_factor_right(alpha: BrauerDiagram, beta: BrauerDiagram) -> BrauerDiagram:
+    """Reference ``factor_right``: d written as a list of signed blocks over
+    1-based accessors and beta's images, and built through the validating
+    ``make_diagram``."""
+    _check_degrees(alpha, beta)
+    beta_hooks = beta.ker
+    if not beta_hooks <= alpha.ker:
+        raise PreconditionError("ker(alpha) does not contain ker(beta)")
+    n = alpha.degree
+    split_hooks = [h for h in alpha.top_hooks() if h not in beta_hooks]  # (a_m, b_m)
+    alpha_lower = alpha.bottom_hooks()
+    s = len(split_hooks)
+    own_lower = alpha_lower[:s]  # become d's lower hooks (c_m, d_m)
+    routed_lower = alpha_lower[s:]  # reached through beta's lower hooks
+    beta_lower = beta.bottom_hooks()  # (e_{s+m}, f_{s+m})
+
+    blocks: list[tuple[int, int]] = []
+    for top, bottom in alpha.transversal_pairs():
+        blocks.append((image(beta, top), -bottom))
+    for (e, f), (c, d) in zip(beta_lower, routed_lower):
+        blocks.append((e, -c))
+        blocks.append((f, -d))
+    for a, b in split_hooks:
+        blocks.append((image(beta, a), image(beta, b)))
+    for c, d in own_lower:
+        blocks.append((-c, -d))
+    return make_diagram(n, blocks)
+
+
+def block_list_factor_two_sided(
+    alpha: BrauerDiagram, beta: BrauerDiagram
+) -> tuple[BrauerDiagram, BrauerDiagram]:
+    """Reference ``factor_two_sided``: e as a list of signed blocks through
+    the validating ``make_diagram``, d from ``block_list_factor_right`` and
+    the unit g through ``permutation_diagram``."""
+    _check_degrees(alpha, beta)
+    r = alpha.rank
+    if r > beta.rank:
+        raise PreconditionError("rank(alpha) exceeds rank(beta)")
+    n = alpha.degree
+
+    beta_tv = beta.transversal_pairs()
+    kept, spare = beta_tv[:r], beta_tv[r:]
+    paired_tops = [
+        (spare[m][0], spare[m + 1][0]) for m in range(0, len(spare), 2)
+    ]  # (g_m, h_m)
+    eps_upper = paired_tops + list(beta.top_hooks())
+    alpha_tv = alpha.transversal_pairs()
+    eps_blocks: list[tuple[int, int]] = []
+    for (l, _), (_, j) in zip(kept, alpha_tv):
+        eps_blocks.append((l, -j))
+    eps_blocks += [(g, h) for g, h in eps_upper]
+    eps_blocks += [(-c, -d) for c, d in alpha.bottom_hooks()]
+    eps = make_diagram(n, eps_blocks)
+
+    delta = block_list_factor_right(eps, beta)
+
+    images = [0] * n  # the unit g as a function on [n]
+    for (i, _), (l, _) in zip(alpha_tv, kept):
+        images[i - 1] = l
+    for (a, b), (g, h) in zip(alpha.top_hooks(), eps_upper):
+        images[a - 1], images[b - 1] = g, h
+    gamma = permutation_diagram(n, images)
+    return gamma, delta

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twisted_brauer import (
     DiagramError,
@@ -35,6 +36,8 @@ from twisted_brauer import (
     twisted_leq,
 )
 from twisted_brauer.enumeration import random_diagram
+
+from conftest import block_list_factor_right, block_list_factor_two_sided
 
 
 def test_preorders_reflexive_transitive_n3():
@@ -135,6 +138,55 @@ def test_factor_two_sided_random_n5():
         g, d = factor_two_sided(a, b)
         assert star_chain(g, b, d) == TwistedElement(0, a)
         done += 1
+
+
+def _outcome(factor, alpha, beta):
+    """A factorization's witness, or the message of its PreconditionError."""
+    try:
+        return factor(alpha, beta)
+    except PreconditionError as refusal:
+        return "refused: " + str(refusal)
+
+
+def _block_list_factor_left(alpha, beta):
+    """Reference factor_left: its coker check and the * duality over
+    ``block_list_factor_right``."""
+    if not beta.coker <= alpha.coker:
+        raise PreconditionError("coker(alpha) does not contain coker(beta)")
+    return block_list_factor_right(alpha.star(), beta.star()).star()
+
+
+def _factors_agree_with_block_lists(alpha, beta):
+    """Compare the three factorizations of (alpha, beta) with their
+    block-list references; returns the number of refusals."""
+    refused = 0
+    for factor, reference in ((factor_right, block_list_factor_right),
+                              (factor_left, _block_list_factor_left),
+                              (factor_two_sided, block_list_factor_two_sided)):
+        got = _outcome(factor, alpha, beta)
+        assert got == _outcome(reference, alpha, beta)
+        refused += isinstance(got, str)
+    return refused
+
+
+def test_factors_match_block_lists_exhaustive():
+    # every pair with n <= 4: 11,261 pairs, 33,783 factorizations, 17,664 refused
+    refused = 0
+    for n in range(5):
+        pool = list(all_diagrams(n))
+        for a, b in itertools.product(pool, repeat=2):
+            refused += _factors_agree_with_block_lists(a, b)
+    assert refused == 17_664
+
+
+def test_factors_match_block_lists_random():
+    # 2,000 pairs at degrees 1-64: b*d, g*b and g*b*d in turn against b, so
+    # the right, left and two-sided pre-orders hold by construction
+    rng = random.Random(20)
+    for k in range(2000):
+        n = rng.randrange(1, 65)
+        b, d, g = (random_diagram(n, rng) for _ in range(3))
+        _factors_agree_with_block_lists((b * d, g * b, g * b * d)[k % 3], b)
 
 
 def test_twisted_leq_statement():
@@ -252,3 +304,18 @@ def test_canonical_idempotent_shapes():
             assert eps.rank == r
             assert is_idempotent_twisted(eps)
     assert canonical_idempotent(5, 5) == identity(5)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_factor_postconditions_property(n, seed):
+    rng = random.Random(seed)
+    b, d, g = (random_diagram(n, rng) for _ in range(3))
+    alpha = b * d
+    assert multiply(b, factor_right(alpha, b)) == (alpha, 0)
+    alpha = g * b
+    assert multiply(factor_left(alpha, b), b) == (alpha, 0)
+    alpha = g * b * d
+    gamma, dlt = factor_two_sided(alpha, b)
+    assert star_chain(gamma, b, dlt) == TwistedElement(0, alpha)
+    assert gamma.rank == n  # a unit

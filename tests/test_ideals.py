@@ -41,6 +41,7 @@ from twisted_brauer import (
     transposition,
 )
 from twisted_brauer.enumeration import random_diagram
+from twisted_brauer.diagram import _from_pairs
 from twisted_brauer import ideals
 from twisted_brauer.ideals import double_factorial
 from conftest import (block_list_rank_drop, block_list_sigma, block_list_twist_keep,
@@ -297,6 +298,12 @@ def test_pairing_refuses_a_point_left_unpaired():
     with pytest.raises(DiagramError, match="left a point unpaired"):
         ideals._pairing(n, bottoms, C[1:], C[:0] + C[2:], blocks)
     assert time.perf_counter() - start < 0.5
+    # the writer itself: n - 1 pairs, a point used twice (in n pairs and in
+    # n + 1 pairs that leave no point at -1), an (x, x) pair
+    assert _from_pairs(2, [(0, 3), (1, 2)]) == BrauerDiagram(2, (3, 2, 1, 0))
+    for pairs in ([(0, 3)], [(0, 3), (0, 2)], [(0, 3), (1, 2), (0, 2)], [(0, 3), (1, 1)]):
+        with pytest.raises(DiagramError, match="left a point unpaired"):
+            _from_pairs(2, pairs)
 
 def _lemmas_agree_with_block_lists(alpha):
     """Compare the three lemmas with their block-list references and
