@@ -46,11 +46,9 @@ from .green import (
     twisted_leq,
 )
 from .ideals import (
-    GeneratingSet,
     IdealRank,
     IdealSpec,
     delta,
-    generating_set,
     ideal_contains,
     ideal_equal,
     ideal_normalize,
@@ -75,10 +73,12 @@ from .enumeration import (
     random_diagram,
 )
 from .structure import (
+    GeneratingSet,
     GHGraph,
     GHReport,
     build_gh_graph,
     factor_into_idempotents,
+    generating_set,
     idempotent_generating_set,
     ig_subsemigroup_rank,
     in_idempotent_generated,

@@ -131,7 +131,7 @@ def _cmd_ideal(args) -> int:
         print(json.dumps(info.to_json_obj()))
         return 0
     spec = ideals.ideal_normalize(args.n, [(args.r, args.k)])
-    gens = ideals.generating_set(spec)
+    gens = structure.generating_set(spec)
     print(f"size={gens.size} kind={gens.kind}")
     if args.list:
         for g in gens.elements:
@@ -285,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream diagrams, D-classes or idempotents")
     add_common(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--idempotents", choices=("plain", "twisted"))
+    stream = p.add_mutually_exclusive_group()  # a D-class or the idempotents
+    stream.add_argument("--rank", type=int)
+    stream.add_argument("--idempotents", choices=("plain", "twisted"))
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -176,13 +176,14 @@ def _raw_diagram(degree: int, pairing: tuple[int, ...]) -> BrauerDiagram:
 
 def _from_pairs(n: int, pairs: list[tuple[int, int]]) -> BrauerDiagram:
     """The diagram whose blocks are the 0-based point pairs ``pairs``, the
-    one writer of the constructive witnesses.  With in-range points, n
-    pairs that leave no point unpaired are a fixed-point-free involution:
-    a repeated point or an (x, x) pair leaves another point unpaired."""
+    one writer of the constructive witnesses.  With points below 2n, n
+    pairs that leave no entry negative are a fixed-point-free involution:
+    a repeated point or an (x, x) pair leaves another point unpaired (-1),
+    and a negative point writes itself into an entry."""
     out = [-1] * (2 * n)
     for x, y in pairs:
         out[x], out[y] = y, x
-    if len(pairs) != n or -1 in out:
+    if len(pairs) != n or min(out, default=0) < 0:
         raise DiagramError("a witness left a point unpaired")
     return _raw_diagram(n, tuple(out))
 
@@ -276,6 +277,9 @@ def permutation_diagram(n: int, images) -> BrauerDiagram:
     return BrauerDiagram(n, tuple(pairing))
 
 
+_WALK_REPEAT = "a product walk met a middle point twice: a pairing is no involution"
+
+
 def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Product diagram together with its floating-component count.
 
@@ -287,7 +291,8 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     the top row run first; the bottom points they leave over lie on paths
     that never reach the top row.  The middle points no walk visits lie
     on cycles; each cycle is one floating component and only contributes
-    to the twist.
+    to the twist.  A walk that enters a middle point twice raises
+    DiagramError, so a pairing that is no involution cannot make it loop.
     """
     n = alpha.degree
     if beta.degree != n:
@@ -301,10 +306,14 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
         end = pa[start]
         while end >= n:  # alpha edge into the middle row
             end -= n
+            if seen[end]:
+                raise DiagramError(_WALK_REPEAT)
             seen[end] = True
             end = pb[end]
             if end >= n:  # beta edge down to the bottom row
                 break
+            if seen[end]:
+                raise DiagramError(_WALK_REPEAT)
             seen[end] = True
             end = pa[end + n]
         out[start], out[end] = end, start
@@ -315,8 +324,12 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
         # edge on this one joins two middle points
         end = pb[start]
         while end < n:  # beta edge into the middle row
+            if seen[end]:
+                raise DiagramError(_WALK_REPEAT)
             seen[end] = True
             end = pa[end + n] - n
+            if seen[end]:
+                raise DiagramError(_WALK_REPEAT)
             seen[end] = True
             end = pb[end]
         out[start], out[end] = end, start

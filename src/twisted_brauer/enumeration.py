@@ -15,15 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .diagram import (
-    BrauerDiagram,
-    DiagramError,
-    _raw_diagram,
-    identity,
-    make_diagram,
-    permutation_diagram,
-    transposition,
-)
+from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, make_diagram,
+                      permutation_diagram, transposition)
 from .ideals import COUNT_CAP, _check_rank_param, capped_delta, capped_diagrams
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
@@ -49,16 +42,24 @@ def _check_size(n: int, r: int | None = None) -> None:
             f"enumeration of degree {n} refused: it streams more than {ENUMERATION_LIMIT} diagrams")
 
 
-def _complete_pairings(pairing: list[int], free: list[int]):
-    if not free:
-        yield tuple(pairing)
+def _matchings(pairing: list[int], free: list[int], hooks: int):
+    """Every set of ``hooks`` disjoint pairs on the points ``free``, written
+    into the shared array ``pairing`` (each pair both ways, a point left
+    single as -1), which is yielded as is.  The first free point is left
+    single before it is paired with each later point, so with every point
+    paired the arrays come out lexicographically sorted."""
+    if not hooks:
+        for p in free:
+            pairing[p] = -1
+        yield pairing
         return
     first, rest = free[0], free[1:]
-    for idx in range(len(rest)):
-        partner = rest[idx]
+    if len(rest) >= 2 * hooks:
+        pairing[first] = -1
+        yield from _matchings(pairing, rest, hooks)
+    for idx, partner in enumerate(rest):
         pairing[first], pairing[partner] = partner, first
-        yield from _complete_pairings(pairing, rest[:idx] + rest[idx + 1 :])
-    # entries for first/partner are overwritten by the next branch
+        yield from _matchings(pairing, rest[:idx] + rest[idx + 1 :], hooks - 1)
 
 
 def all_diagrams(n: int):
@@ -72,8 +73,8 @@ def all_diagrams(n: int):
     [1, 1, 3, 15, 105]
     """
     _check_size(n)
-    for pairing in _complete_pairings([0] * (2 * n), list(range(2 * n))):
-        yield _raw_diagram(n, pairing)
+    for pairing in _matchings([0] * (2 * n), list(range(2 * n)), n):
+        yield _raw_diagram(n, tuple(pairing))
 
 
 def all_diagrams_split(n: int, first_partner: int):
@@ -88,33 +89,17 @@ def all_diagrams_split(n: int, first_partner: int):
     pairing = [0] * (2 * n)
     pairing[0], pairing[first_partner] = first_partner, 0
     free = [p for p in range(1, 2 * n) if p != first_partner]
-    for full in _complete_pairings(pairing, free):
-        yield _raw_diagram(n, full)
-
-
-def _partial_matchings(points: list[int], hooks: int):
-    """All sets of ``hooks`` disjoint pairs on ``points``, yielded as
-    (pairs, unmatched): the first point is left unmatched before it is
-    paired with each later point."""
-    if len(points) < 2 * hooks:
-        return
-    if not hooks:
-        yield [], list(points)
-        return
-    first, rest = points[0], points[1:]
-    for pairs, unmatched in _partial_matchings(rest, hooks):
-        yield pairs, [first] + unmatched
-    for idx in range(len(rest)):
-        partner = rest[idx]
-        for pairs, unmatched in _partial_matchings(rest[:idx] + rest[idx + 1 :], hooks - 1):
-            yield [(first, partner)] + pairs, unmatched
+    for full in _matchings(pairing, free, n - 1):
+        yield _raw_diagram(n, tuple(full))
 
 
 def hook_patterns(n: int, r: int):
     """All rho(n, r) ways to choose (n-r)/2 disjoint hooks on [n],
     as (hooks, leftover) with both parts sorted."""
     _check_rank_param(n, r)
-    yield from _partial_matchings(list(range(1, n + 1)), (n - r) // 2)
+    for pairing in _matchings([-1] * n, list(range(n)), (n - r) // 2):
+        yield ([(a + 1, b + 1) for a, b in enumerate(pairing) if a < b],
+               [a + 1 for a, b in enumerate(pairing) if b < 0])
 
 
 def d_class(n: int, r: int):
@@ -123,8 +108,9 @@ def d_class(n: int, r: int):
     by construction, so the diagrams skip validation.
 
     The order is part of the contract: the stream runs through the pairs
-    of hook_patterns(n, r), upper hooks in the outer loop and lower hooks
-    in the inner one, and yields a block of r! bijections for each pair.
+    of hook_patterns(n, r) (the rows below, in the same order), upper hooks
+    in the outer loop and lower hooks in the inner one, and yields a block
+    of r! bijections for each pair.
     So diagram k has the upper hooks (kernel) of pattern
     (k // r!) // rho(n, r) and the lower hooks (cokernel) of pattern
     (k // r!) % rho(n, r).
@@ -135,18 +121,14 @@ def d_class(n: int, r: int):
     [([(2, 3)], [(2, 3)]), ([(2, 3)], [(1, 2)]), ([(2, 3)], [(1, 3)]), ([(1, 2)], [(2, 3)])]
     """
     _check_size(n, r)
-    lower = list(hook_patterns(n, r))
-    for upper_hooks, dom in hook_patterns(n, r):
-        tops = [i - 1 for i in dom]
-        for lower_hooks, codom in lower:
+    rows = [list(p) for p in _matchings([-1] * n, list(range(n)), (n - r) // 2)]
+    for upper in rows:
+        tops = [v for v in range(n) if upper[v] < 0]
+        for lower in rows:
             # one list per block: every bijection rewrites all 2r
             # transversal slots, so the hook slots are written once
-            pairing = [0] * (2 * n)
-            for a, b in upper_hooks:
-                pairing[a - 1], pairing[b - 1] = b - 1, a - 1
-            for c, d in lower_hooks:
-                pairing[n + c - 1], pairing[n + d - 1] = n + d - 1, n + c - 1
-            for image in itertools.permutations([n + v - 1 for v in codom]):
+            pairing = upper + [n + v for v in lower]
+            for image in itertools.permutations([n + v for v in range(n) if lower[v] < 0]):
                 for x, y in zip(tops, image):
                     pairing[x], pairing[y] = y, x
                 yield _raw_diagram(n, tuple(pairing))

@@ -5,10 +5,10 @@ A principal ideal I(r;k) consists of all elements of rank at most r and
 twist at least k; every ideal is a finite union of principal ones, and
 has a unique canonical form with both the rank and the twist parameters
 strictly decreasing.  This module also houses the counting formulas
-rho(n, r) and delta(n, r), the minimal generating sets M(r;k), the rank
-table for principal ideals, and the constructive lemmas used to build
-generators: rank-dropping products, twist-raising and twist-keeping
-right identities, and the idempotent absorption of transpositions.
+rho(n, r) and delta(n, r), the rank table for principal ideals, and the
+constructive lemmas used to build generators: rank-dropping products,
+twist-raising and twist-keeping right identities, and the idempotent
+absorption of transpositions.
 """
 
 from __future__ import annotations
@@ -19,16 +19,9 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .diagram import (
-    BrauerDiagram,
-    DiagramError,
-    _from_pairs,
-    identity,
-    permutation_diagram,
-    transposition,
-)
-from .green import PreconditionError, canonical_idempotent
-from .twisted import TwistedElement, _hook_idempotent, as_twisted
+from .diagram import BrauerDiagram, DiagramError, _from_pairs
+from .green import PreconditionError
+from .twisted import _hook_idempotent, as_twisted
 
 
 def index_set(n: int) -> range:
@@ -70,6 +63,9 @@ def delta(n: int, r: int) -> int:
 # |B_10| = 19!!, the largest size limit in the package, and equal COUNT_CAP
 # above it, so no refusal computes a huge integer.
 COUNT_CAP = double_factorial(19) + 1
+# |B_8| = 15!!: the most items a verify check visits, and so the most
+# elements of an M(r;k) grid that structure.generating_set builds
+SWEEP_LIMIT = double_factorial(15)
 
 
 def capped_rho(n: int, r: int) -> int:
@@ -348,66 +344,8 @@ def idempotent_factor_sigma(
 
 
 # ---------------------------------------------------------------------------
-# Generating sets and the rank table
+# The rank table
 # ---------------------------------------------------------------------------
-
-
-GRID_LIMIT = double_factorial(15)  # |B_8|, as verify's sweeps: every grid they take fits
-
-
-@dataclass(frozen=True)
-class GeneratingSet:
-    """A generating set for a principal ideal, with its provenance."""
-
-    degree: int
-    term: tuple[int, int]
-    kind: str  # "top-four" | "idempotent-matching" | "d-class-grid"
-    elements: tuple[TwistedElement, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def generating_set(spec: IdealSpec) -> GeneratingSet:
-    """The minimal generating set of a principal ideal, materialised.
-
-    For the whole monoid (r = n, k = 0) this is a four-element set; for
-    0 < r < n, k = 0 it is a set of rho(n, r) twisted idempotents read off
-    a perfect matching of the Graham-Houghton graph; otherwise it is
-    M(r;k), the grid of D-classes with twist between k and 2k (inclusive
-    on both ends when r = 0, exclusive above otherwise), refused past GRID_LIMIT elements.
-    """
-    if not spec.is_principal():
-        raise DiagramError("generating sets are computed for principal ideals only")
-    from . import enumeration, structure  # deferred: structure builds on this module
-
-    n = spec.degree
-    (r, k), = spec.terms
-    if k == 0 and r == n:
-        if n < 3:
-            raise DiagramError("the four-generator description needs degree >= 3")
-        cycle = permutation_diagram(n, list(range(2, n + 1)) + [1])
-        elements = (
-            as_twisted(transposition(n, 1, 2)),
-            as_twisted(cycle),
-            as_twisted(canonical_idempotent(n, n - 2)),
-            TwistedElement(1, identity(n)),
-        )
-        return GeneratingSet(n, (r, k), "top-four", elements)
-    if k == 0 and 0 < r < n:
-        sigma = structure.idempotent_generating_set(n, r)
-        return GeneratingSet(n, (r, k), "idempotent-matching", tuple(sigma))
-    if (k + (r == 0)) * capped_diagrams(n, r) > GRID_LIMIT:
-        raise DiagramError(f"M({r};{k}) in degree {n} refused: it has more than "
-                           f"{GRID_LIMIT} elements")
-    elements = tuple(
-        TwistedElement(l, d)
-        for l in range(k, 2 * k + (r == 0))  # M(0;k) includes twist 2k
-        for s in index_set(r)
-        for d in enumeration.d_class(n, s)
-    )
-    return GeneratingSet(n, (r, k), "d-class-grid", elements)
 
 
 @dataclass(frozen=True)

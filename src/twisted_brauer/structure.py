@@ -1,5 +1,6 @@
 """
-Graham-Houghton graphs, the singular ideal and idempotent generation.
+Graham-Houghton graphs, generating sets, the singular ideal and
+idempotent generation.
 
 The Graham-Houghton graph of a rank-r D-class is bipartite: one side per
 R-class (indexed by its kernel, a set of upper hooks), one per L-class
@@ -7,7 +8,8 @@ R-class (indexed by its kernel, a set of upper hooks), one per L-class
 intersection H-class contains a twisted idempotent.  When such a graph is connected, balanced and
 satisfies the Strong Hall Condition, the rank and idempotent rank of the
 ideal generated by the D-class both equal the common side size, and an
-explicit generating set of that size is read off a perfect matching.
+explicit generating set of that size is read off a perfect matching;
+``generating_set`` gives the minimal generating set of any principal ideal.
 
 This module also carries the end-to-end factorization of any singular
 diagram into twisted idempotents whose chain product creates no floating
@@ -20,15 +22,11 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .diagram import (
-    BrauerDiagram,
-    DiagramError,
-    _raw_diagram,
-    identity,
-)
-from .green import PreconditionError
-from .ideals import (_check_degree_3, _check_rank_param, capped_delta, idempotent_factor_sigma,
-                     lemma_rank_drop, rho)
+from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, permutation_diagram,
+                      transposition)
+from .green import PreconditionError, canonical_idempotent
+from .ideals import (SWEEP_LIMIT, IdealSpec, _check_degree_3, _check_rank_param, capped_delta,
+                     capped_diagrams, idempotent_factor_sigma, index_set, lemma_rank_drop, rho)
 from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -288,6 +286,60 @@ def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:
     return [as_twisted(graph.idempotent(l, r)) for l, r in sorted(matching.items())]
 
 
+@dataclass(frozen=True)
+class GeneratingSet:
+    """A generating set for a principal ideal, with its provenance."""
+
+    degree: int
+    term: tuple[int, int]
+    kind: str  # "top-four" | "idempotent-matching" | "d-class-grid"
+    elements: tuple[TwistedElement, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+
+def generating_set(spec: IdealSpec) -> GeneratingSet:
+    """The minimal generating set of a principal ideal, materialised.
+
+    For the whole monoid (r = n, k = 0) this is a four-element set; for
+    0 < r < n, k = 0 it is a set of rho(n, r) twisted idempotents read off
+    a perfect matching of the Graham-Houghton graph; otherwise it is
+    M(r;k), the grid of D-classes with twist between k and 2k (inclusive
+    on both ends when r = 0, exclusive above otherwise), refused past
+    SWEEP_LIMIT elements.
+    """
+    if not spec.is_principal():
+        raise DiagramError("generating sets are computed for principal ideals only")
+    n = spec.degree
+    (r, k), = spec.terms
+    if k == 0 and r == n:
+        if n < 3:
+            raise DiagramError("the four-generator description needs degree >= 3")
+        cycle = permutation_diagram(n, list(range(2, n + 1)) + [1])
+        elements = (
+            as_twisted(transposition(n, 1, 2)),
+            as_twisted(cycle),
+            as_twisted(canonical_idempotent(n, n - 2)),
+            TwistedElement(1, identity(n)),
+        )
+        return GeneratingSet(n, (r, k), "top-four", elements)
+    if k == 0 and 0 < r < n:
+        return GeneratingSet(n, (r, k), "idempotent-matching",
+                             tuple(idempotent_generating_set(n, r)))
+    if (k + (r == 0)) * capped_diagrams(n, r) > SWEEP_LIMIT:
+        raise DiagramError(f"M({r};{k}) in degree {n} refused: it has more than "
+                           f"{SWEEP_LIMIT} elements")
+    elements = tuple(
+        TwistedElement(l, d)
+        for l in range(k, 2 * k + (r == 0))  # M(0;k) includes twist 2k
+        for s in index_set(r)
+        for d in enumeration.d_class(n, s)
+    )
+    return GeneratingSet(n, (r, k), "d-class-grid", elements)
+
+
 def singular_rank(n: int) -> int:
     """Smallest generating set size of the singular ideal: C(n, 2) + n!."""
     _check_degree_3(n, "the singular rank formula")
@@ -327,25 +379,17 @@ def in_idempotent_generated(x) -> bool:
 
 
 def _transposition_factors(images: list[int]) -> list[tuple[int, int]]:
-    """Transpositions whose left-to-right product is the given permutation."""
-    n = len(images)
-    image_of = {i + 1: v for i, v in enumerate(images)}
-    seen: set[int] = set()
+    """Transpositions (i, j), i < j, whose left-to-right product is the
+    permutation v -> images[v] of 0, ..., n-1: a cycle (c_0 c_1 ... c_m)
+    from its least point gives (c_(m-1), c_m), ..., (c_0, c_1)."""
+    images = list(images)  # each point walked is marked fixed
     factors: list[tuple[int, int]] = []
-    for start in range(1, n + 1):
-        if start in seen or image_of[start] == start:
-            seen.add(start)
-            continue
+    for start, v in enumerate(images):
         cycle = [start]
-        seen.add(start)
-        nxt = image_of[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = image_of[nxt]
-        for idx in range(len(cycle) - 1, 0, -1):
-            a, b = cycle[idx - 1], cycle[idx]
-            factors.append((min(a, b), max(a, b)))
+        while v != start:
+            cycle.append(v)
+            images[v], v = v, images[v]
+        factors += [(min(a, b), max(a, b)) for a, b in zip(cycle[-2::-1], cycle[:0:-1])]
     return factors
 
 
@@ -368,7 +412,8 @@ def _swap_points(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
 
 def _kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
     """The twisted idempotent eps on alpha's own kernel and domain, and the
-    unit rho (an image list) with alpha = eps * rho.  Requires 0 < rank < n.
+    unit rho with alpha = eps * rho, as the list of its 0-based images.
+    Requires 0 < rank < n.
 
     With transversal tops t_1 < ... < t_r and upper hooks (a_1, b_1), ...,
     (a_k, b_k) in canonical order, eps keeps those hooks and takes the
@@ -379,15 +424,12 @@ def _kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
     m-th of alpha, and each transversal bottom onto alpha's.
     """
     n, p = alpha.degree, alpha.pairing
-    tops = [v for v in range(n) if p[v] >= n]  # 0-based points from here on
+    t = max(v for v in range(n) if p[v] >= n)  # 0-based points from here on
     upper = [(a, p[a]) for a in range(n) if a < p[a] < n]  # (a_m, b_m)
-    t = tops.pop()
     chain = list(zip([t] + [b for _, b in upper], [a for a, _ in upper]))  # t_r' - a_1', ...
-    images = [0] * n
-    for v in tops:
-        images[v] = p[v] - n + 1
-    images[upper[-1][1]] = p[t] - n + 1
-    lowers = [(c - n + 1, p[c] - n + 1) for c in range(n, 2 * n) if c < p[c]]
+    images = [q - n for q in p[:n]]  # right at each top but t_r; chain points are rewritten
+    images[upper[-1][1]] = p[t] - n
+    lowers = [(c - n, p[c] - n) for c in range(n, 2 * n) if c < p[c]]
     for (x, y), (c, d) in zip(chain, lowers):
         images[x], images[y] = c, d
     return _hook_idempotent(n, upper, chain), images
@@ -420,6 +462,6 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     current, images = _kernel_idempotent(alpha)
     chain = [current]
     for i, j in _transposition_factors(images):
-        chain.extend(idempotent_factor_sigma(current, i, j))
-        current = _swap_points(current, n + i - 1, n + j - 1)
+        chain.extend(idempotent_factor_sigma(current, i + 1, j + 1))
+        current = _swap_points(current, n + i, n + j)
     return chain

@@ -137,12 +137,11 @@ def _hook_idempotent(n: int, upper, lower) -> BrauerDiagram:
         if out[u] < 0:  # a U-free top: walk its path
             v, covered = u, covered + 1
             while (w := out[n + v]) >= 0:  # a lower hook to w, then the upper hook onward
-                v = out[w - n]
-                if v < 0:  # w is U-free: the path has two U-free ends
+                v, covered = out[w - n], covered + 2
+                if v < 0 or covered > n:  # w is U-free (two U-free ends), or a slip loops
                     raise DiagramError("the hooks are not an edge: no twisted idempotent")
-                covered += 2
             out[u], out[n + v] = n + v, u
-    if covered != n or -1 in out:  # points on cycles, or a slip multiply would hang on
+    if covered != n or min(out, default=0) < 0:  # points on cycles, or a negative slip
         raise DiagramError("the hooks are not an edge: no twisted idempotent")
     return _raw_diagram(n, tuple(out))
 

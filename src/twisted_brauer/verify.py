@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import enumeration, green, ideals, structure
 from .diagram import BrauerDiagram, DiagramError, identity, multiply, transposition
-from .ideals import capped_delta, capped_diagrams, capped_rho, capped_sum
+from .ideals import SWEEP_LIMIT, capped_delta, capped_diagrams, capped_rho, capped_sum
 from .twisted import (
     TwistedElement,
     as_twisted,
@@ -58,10 +58,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps({**asdict(self), "seconds": round(self.seconds, 6)})
 
-
-# |B_8| = 15!!: the most items one check may visit.  Every D-class that
-# structure.GH_CANDIDATE_LIMIT admits (at most 2,000,000 diagrams) fits.
-SWEEP_LIMIT = 2_027_025
 
 # the least value of each parameter: below it a sweep crashes or checks nothing
 _MINIMA = {"n": 0, "k": 0, "max_k": 0, "bound": 0, "twist_bound": 0, "samples": 1, "cases": 1}
@@ -425,7 +421,7 @@ def check_rank_table(n: int = 3, max_k: int = 3):
             raise _Fail(r=r, k=k, reason="idempotent-generated flag")
         if info.idempotent_generated and info.idrank != info.rank:
             raise _Fail(r=r, k=k, reason="idrank differs from rank")
-        gens = ideals.generating_set(ideals.ideal_normalize(n, [(r, k)]))
+        gens = structure.generating_set(ideals.ideal_normalize(n, [(r, k)]))
         if gens.size != info.rank:
             raise _Fail(r=r, k=k, got=gens.size, expected=info.rank,
                         reason="materialised set size")
@@ -448,7 +444,7 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     yield ({"n": n, "r": r, "k": k}, pool * (pool + closure_size),
            "pairs and closure products")
     spec = ideals.ideal_normalize(n, [(r, k)])
-    gens = ideals.generating_set(spec).elements
+    gens = structure.generating_set(spec).elements
     gen_set = set(gens)
     for x, y in itertools.product(_truncation(n, range(k, 2 * k + 1), r), repeat=2):
         if star(x, y) in gen_set:

@@ -1,12 +1,16 @@
 """Shared golden data: the worked example of degree 6 and the degree-10
 multiplication example, plus independent oracles for diagram construction,
-the product, the closures, reachability, the hook patterns, the D-class
+the product (and the product walk as it was before it checked for a
+repeated middle point), the closures, reachability, the hook patterns, the D-class
 stream, the Graham-Houghton graph, the perfect matching, the Strong Hall
 Condition, the three constructive lemmas, the absorption of a
-transposition, the kernel's idempotent, the idempotent chain and Green's
-right and two-sided factorizations."""
+transposition, the kernel's idempotent, the walk that splits a
+permutation into transpositions, the idempotent chain and Green's right
+and two-sided factorizations."""
 
+import contextlib
 import itertools
+import signal
 from array import array
 
 import pytest
@@ -22,7 +26,7 @@ from twisted_brauer import enumeration
 from twisted_brauer.diagram import DiagramError, is_int
 from twisted_brauer.green import PreconditionError, _check_degrees
 from twisted_brauer.diagram import _raw_diagram
-from twisted_brauer.structure import GHGraph, _transposition_factors
+from twisted_brauer.structure import GHGraph
 from twisted_brauer.twisted import as_twisted, is_idempotent_twisted, star
 
 
@@ -51,6 +55,22 @@ def figure1():
          (-1, -3), (-4, -5), (-7, -8), (-6, -10)],
     )
     return a, b, product
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Interrupt the block with TimeoutError once ``seconds`` have passed,
+    so a walk that never ends fails its test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def product_oracle(a: BrauerDiagram, b: BrauerDiagram):
@@ -122,6 +142,50 @@ def union_find_product(a: BrauerDiagram, b: BrauerDiagram):
             out[mate], out[prod] = prod, mate
     floating = set(roots[n:n2]) - set(roots[:n]) - set(roots[n2:])
     return BrauerDiagram(n, tuple(out)), len(floating)
+
+
+def unchecked_walk_product(alpha: BrauerDiagram, beta: BrauerDiagram):
+    """Reference product: the path walk of ``multiply`` as it was before
+    each step checked the middle point it enters.  On two valid diagrams
+    it must agree with ``multiply`` exactly; on a pairing that is no
+    involution it may never return."""
+    n = alpha.degree
+    pa, pb = alpha.pairing, beta.pairing
+    out = [-1] * (2 * n)
+    seen = [False] * n
+    for start in range(n):
+        if out[start] >= 0:
+            continue
+        end = pa[start]
+        while end >= n:
+            end -= n
+            seen[end] = True
+            end = pb[end]
+            if end >= n:
+                break
+            seen[end] = True
+            end = pa[end + n]
+        out[start], out[end] = end, start
+    for start in range(n, 2 * n):
+        if out[start] >= 0:
+            continue
+        end = pb[start]
+        while end < n:
+            seen[end] = True
+            end = pa[end + n] - n
+            seen[end] = True
+            end = pb[end]
+        out[start], out[end] = end, start
+    floating = 0
+    for m in range(n):
+        if not seen[m]:
+            floating += 1
+            while not seen[m]:
+                seen[m] = True
+                m = pb[m]
+                seen[m] = True
+                m = pa[m + n] - n
+    return _raw_diagram(n, tuple(out)), floating
 
 
 def copy_per_candidate_d_class(n: int, r: int):
@@ -448,12 +512,38 @@ def hand_written_kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram,
     return _raw_diagram(n, tuple(out)), images
 
 
+def dict_walk_transposition_factors(images: list[int]) -> list[tuple[int, int]]:
+    """Reference split of the permutation i -> images[i - 1] of 1, ..., n
+    into transpositions (i, j), i < j, whose left-to-right product it is:
+    a dict and a set walk each cycle from its least point."""
+    n = len(images)
+    image_of = {i + 1: v for i, v in enumerate(images)}
+    seen: set[int] = set()
+    factors: list[tuple[int, int]] = []
+    for start in range(1, n + 1):
+        if start in seen or image_of[start] == start:
+            seen.add(start)
+            continue
+        cycle = [start]
+        seen.add(start)
+        nxt = image_of[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen.add(nxt)
+            nxt = image_of[nxt]
+        for idx in range(len(cycle) - 1, 0, -1):
+            a, b = cycle[idx - 1], cycle[idx]
+            factors.append((min(a, b), max(a, b)))
+    return factors
+
+
 def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     """Reference idempotent chain: the constructive pipeline of
     ``factor_into_idempotents`` from the same start idempotent and unit,
-    written by ``hand_written_kernel_idempotent``, with each transposition
-    absorbed by ``block_list_sigma`` and the partial product moved on by
-    multiplying by the transposition diagram."""
+    written by ``hand_written_kernel_idempotent`` and split into
+    transpositions by ``dict_walk_transposition_factors``, with each
+    transposition absorbed by ``block_list_sigma`` and the partial product
+    moved on by multiplying by the transposition diagram."""
     n, r = alpha.degree, alpha.rank
     if is_idempotent_twisted(alpha):
         return [alpha]
@@ -462,7 +552,7 @@ def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
         return product_absorption_chain(beta) + product_absorption_chain(gamma)
     current, images = hand_written_kernel_idempotent(alpha)
     chain = [current]
-    for i, j in _transposition_factors(images):
+    for i, j in dict_walk_transposition_factors(images):
         chain.extend(block_list_sigma(current, i, j))
         current = multiply(current, transposition(n, i, j))[0]
     return chain

@@ -25,7 +25,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.cli import main, parse_element
 from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
-from twisted_brauer.ideals import GRID_LIMIT, delta, rank_of_ideal
+from twisted_brauer.ideals import delta, rank_of_ideal
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
 from twisted_brauer.verify import CHECKS, SWEEP_LIMIT
 
@@ -171,6 +171,16 @@ def test_enumerate_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "jsonl")
     assert code == 0
     assert all(json.loads(line)["n"] == 3 for line in out.strip().splitlines())
+
+
+def test_enumerate_refuses_rank_with_idempotents(capsys):
+    # a D-class or the idempotents: asking for both is a usage error, where
+    # --idempotents was once ignored and all 72 diagrams of D_2 printed
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--n", "4", "--rank", "2", "--idempotents", "twisted", "--count-only"])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (2, "")
+    assert "argument --idempotents: not allowed with argument --rank" in out.err
 
 
 def test_enumerate_guard(capsys):
@@ -667,7 +677,7 @@ GRIDS_PAST_THE_LIMIT = ["ideal gens --n 3 --r 1 --k 225226", "ideal gens --n 4 -
 
 
 def test_ideal_gens_refuses_a_grid_past_the_limit(capsys):
-    assert GRID_LIMIT == SWEEP_LIMIT == 2_027_025  # every grid a verify check takes is built
+    assert SWEEP_LIMIT == 2_027_025  # one limit for both: every grid a verify check takes is built
     requests = [request_.split() for request_ in GRIDS_PAST_THE_LIMIT]
     proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)], timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -19,8 +19,10 @@ from twisted_brauer import (
     permutation_diagram,
     transposition,
 )
+from twisted_brauer.diagram import _raw_diagram
 from twisted_brauer.enumeration import random_diagram
-from conftest import product_oracle, token_by_token_make_diagram, union_find_product
+from conftest import (product_oracle, token_by_token_make_diagram, union_find_product,
+                      unchecked_walk_product, within)
 
 
 def test_make_diagram_golden(alpha6):
@@ -134,6 +136,35 @@ def test_multiply_matches_union_find_random():
         assert result == union_find_product(a, b)
         taus.add(result[1])
     assert {0, 1, 2} <= taus  # products with several floating cycles are covered
+
+
+def test_multiply_refuses_a_pairing_that_is_no_involution():
+    # points 1 and 2 both name point 0: the unchecked walk never returns
+    with within(1.0), pytest.raises(DiagramError, match="met a middle point twice"):
+        multiply(_raw_diagram(2, (1, 0, 0, 2)), identity(2))
+
+
+def test_multiply_terminates_on_any_pairing_tuple():
+    # entries in range but no involution: every call returns or raises
+    rng = random.Random(13)
+    raised = 0
+    with within(10.0):
+        for n in list(range(1, 13)) * 200:
+            a, b = (_raw_diagram(n, tuple(rng.randrange(2 * n) for _ in range(2 * n)))
+                    for _ in range(2))
+            try:
+                multiply(a, b)
+            except (DiagramError, IndexError):
+                raised += 1
+    assert raised > 0
+
+
+@pytest.mark.parametrize("n", [6, 12, 64])
+def test_multiply_matches_the_unchecked_walk(n):
+    rng = random.Random(12 + n)
+    for _ in range(2000):
+        a, b = random_diagram(n, rng), random_diagram(n, rng)
+        assert multiply(a, b) == unchecked_walk_product(a, b)
 
 
 def test_multiply_degree_mismatch():

@@ -42,7 +42,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.diagram import _from_pairs
-from twisted_brauer import ideals
+from twisted_brauer import ideals, structure
 from twisted_brauer.ideals import double_factorial
 from conftest import (block_list_rank_drop, block_list_sigma, block_list_twist_keep,
                       block_list_twist_raise)
@@ -304,6 +304,10 @@ def test_pairing_refuses_a_point_left_unpaired():
     for pairs in ([(0, 3)], [(0, 3), (0, 2)], [(0, 3), (1, 2), (0, 2)], [(0, 3), (1, 1)]):
         with pytest.raises(DiagramError, match="left a point unpaired"):
             _from_pairs(2, pairs)
+    # a negative point other than -1 that fills every entry: (0, -2) writes
+    # -2 at point 0 and 0 at point 2, so no entry is left at -1
+    with pytest.raises(DiagramError, match="left a point unpaired"):
+        _from_pairs(2, [(0, -2), (1, 3)])
 
 def _lemmas_agree_with_block_lists(alpha):
     """Compare the three lemmas with their block-list references and
@@ -492,7 +496,7 @@ def test_generating_set_sizes():
 
 def test_generating_set_builds_a_grid_of_exactly_the_limit(monkeypatch):
     # M(1;k) in degree 3 and M(0;k) in degree 4 have 9(k + [r = 0]) elements
-    monkeypatch.setattr(ideals, "GRID_LIMIT", 9)
+    monkeypatch.setattr(structure, "SWEEP_LIMIT", 9)
     assert generating_set(ideal_normalize(3, [(1, 1)])).size == 9
     assert generating_set(ideal_normalize(4, [(0, 0)])).size == 9
     for n, r, k in ((3, 1, 2), (4, 0, 1)):

@@ -54,6 +54,7 @@ from twisted_brauer.structure import (
 )
 from conftest import (
     csr_graph,
+    dict_walk_transposition_factors,
     factor_into_idempotents_bfs,
     hand_written_kernel_idempotent,
     kernel_keyed_idempotents,
@@ -391,13 +392,29 @@ def test_transposition_factors_compose():
 
     rng = random.Random(6)
     for _ in range(80):
-        images = list(range(1, 6))
+        images = list(range(5))  # 0-based
         rng.shuffle(images)
         factors = _transposition_factors(images)
         acc = identity(5)
         for i, j in factors:
-            acc = acc * transposition(5, i, j)
-        assert acc == permutation_diagram(5, images)
+            acc = acc * transposition(5, i + 1, j + 1)
+        assert acc == permutation_diagram(5, [v + 1 for v in images])
+
+
+def test_transposition_factors_match_the_dict_walk():
+    # the 0-based list walk against the 1-based dict walk it replaced: every
+    # permutation of degree <= 6, then seeded ones of degree 7 to 64
+    perms = [list(p) for n in range(7) for p in itertools.permutations(range(n))]
+    rng = random.Random(44)
+    for _ in range(2000):
+        images = list(range(rng.randrange(7, 65)))
+        rng.shuffle(images)
+        perms.append(images)
+    for images in perms:
+        before = list(images)
+        expected = dict_walk_transposition_factors([v + 1 for v in images])
+        assert _transposition_factors(images) == [(i - 1, j - 1) for i, j in expected]
+        assert images == before  # the walk marks a copy
 
 
 def test_swap_points_is_a_transposition_product():
@@ -444,10 +461,10 @@ def test_kernel_idempotent_rebuilds_alpha_by_products():
     # against its hand-written reference below
     for alpha in _singular_diagrams(41, 500, min_rank=1):
         n = alpha.degree
-        eps, images = _kernel_idempotent(alpha)
+        eps, images = _kernel_idempotent(alpha)  # 0-based images
         assert multiply(eps, eps) == (eps, 0)
         assert (eps.ker, eps.dom) == (alpha.ker, alpha.dom)
-        assert multiply(eps, permutation_diagram(n, images)) == (alpha, 0)
+        assert multiply(eps, permutation_diagram(n, [v + 1 for v in images])) == (alpha, 0)
 
 
 def test_kernel_idempotent_matches_hand_written():
@@ -458,7 +475,8 @@ def test_kernel_idempotent_matches_hand_written():
         if 0 < alpha.rank < alpha.degree:
             alphas.append(alpha)
     for alpha in alphas:
-        assert _kernel_idempotent(alpha) == hand_written_kernel_idempotent(alpha)
+        eps, images = hand_written_kernel_idempotent(alpha)  # 1-based images
+        assert _kernel_idempotent(alpha) == (eps, [v - 1 for v in images])
 
 
 # alpha, then its factor_into_idempotents chain, all in canonical text; the
@@ -500,7 +518,7 @@ def test_kernel_idempotent_of_a_canonical_kernel_is_canonical():
     for n in range(3, 9):
         for r in range(n - 2, 0, -2):
             eps = canonical_idempotent(n, r)
-            assert _kernel_idempotent(eps) == (eps, list(range(1, n + 1)))
+            assert _kernel_idempotent(eps) == (eps, list(range(n)))
 
 
 def test_factor_into_idempotents_chain_length_bound():

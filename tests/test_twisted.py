@@ -23,6 +23,7 @@ from twisted_brauer.enumeration import hook_patterns, random_diagram
 from twisted_brauer.ideals import gh_degree, index_set
 from twisted_brauer.structure import factor_into_idempotents
 from twisted_brauer.twisted import _hook_idempotent, _square_walk
+from conftest import within
 
 
 def test_star_figure1(figure1):
@@ -196,6 +197,18 @@ def test_hook_idempotent_on_every_hook_pair(n):
                 assert (e.ker, e.coker) == (frozenset(upper), frozenset(lower))
                 assert _square_walk(e) == n and multiply(e, e) == (e, 0)
             assert built == gh_degree(n, r)
+
+
+def test_hook_idempotent_refuses_negated_hook_ends_without_looping():
+    # each hook's second end negated, as by a slip row + x, row - y in the
+    # writer: the walk would loop on some of these, and every one is refused
+    with within(10.0):
+        for n in range(2, 8):
+            for r in range(n % 2, n, 2):
+                patterns = [[(a - 1, 1 - b) for a, b in hooks] for hooks, _ in hook_patterns(n, r)]
+                for upper, lower in itertools.product(patterns, repeat=2):
+                    with pytest.raises(DiagramError):
+                        _hook_idempotent(n, upper, lower)
 
 
 def test_hook_idempotent_refuses_overlapping_hooks():
