@@ -12,7 +12,10 @@ deliberate change, run from the repository root
 
     PYTHONPATH=src python tests/golden/regen.py
 
-which prints every entry that changed.
+which prints every entry that changed.  The requests and the seeded
+diagrams are drawn once, from fixed seeds, and then kept as text in the
+files, so a change to random_diagram does not move the corpus; delete a
+file to draw its inputs afresh.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from twisted_brauer import (
     lemma_rank_drop,
     lemma_twist_keep,
     lemma_twist_raise,
+    parse_diagram,
     random_diagram,
 )
 from twisted_brauer.cli import main
@@ -209,21 +213,26 @@ def read_witness_file(path=WITNESS_FILE) -> tuple[dict[str, str], list[str]]:
     return hashes, inputs
 
 
+def read_cli_file(path=CLI_FILE) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def main_regen() -> int:
-    old = {}
-    if CLI_FILE.exists():
-        old = {e["argv"]: e for e in map(json.loads, CLI_FILE.read_text(encoding="utf-8").splitlines())}
+    """Rewrite both files from the inputs they store, so a change to
+    random_diagram does not move the corpus; a file that is missing draws
+    its inputs afresh from the seeds."""
+    old = {e["argv"]: e for e in read_cli_file()} if CLI_FILE.exists() else {}
     lines = []
-    for argv in requests():
+    for argv in old or requests():
         entry = run_request(argv)
         if old.get(argv) != entry:
             print(f"cli: {argv}: {old.get(argv)} -> {entry}")
         lines.append(json.dumps(entry))
     CLI_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    inputs = witness_inputs()
+    old_hashes, texts = read_witness_file() if WITNESS_FILE.exists() else ({}, [])
+    inputs = [parse_diagram(t) for t in texts] or witness_inputs()
     hashes = witness_hashes(inputs)
-    old_hashes = read_witness_file()[0] if WITNESS_FILE.exists() else {}
     for family, digest in hashes.items():
         if old_hashes.get(family) != digest:
             print(f"witnesses: {family}: {old_hashes.get(family)} -> {digest}")
