@@ -23,6 +23,7 @@ import inspect
 import json
 import re
 import sys
+from pathlib import Path
 
 from . import enumeration, green, ideals, structure, verify
 from .diagram import (
@@ -157,12 +158,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    if args.gens == "-":
-        lines = [line for line in sys.stdin.read().splitlines() if line.strip()]
-    else:
-        with open(args.gens, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    gens = [parse_element(line, args.n) for line in lines]
+    text = sys.stdin.read() if args.gens == "-" else Path(args.gens).read_text(encoding="utf-8")
+    gens = [parse_element(line, args.n) for line in text.splitlines() if line.strip()]
     result = enumeration.bounded_closure(gens, args.bound)
     for x in sorted(result.elements):
         print(_emit_element(x, args.format))
@@ -201,16 +198,13 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     accepted = inspect.signature(check).parameters
-    # each flag and the check parameter it sets
-    params = {"n": "n", "r": "r", "k": "k",
-              "bound": "twist_bound" if "twist_bound" in accepted else "bound",
-              "samples": "samples", "seed": "seed", "exhaustive": "exhaustive"}
-    given = {flag: getattr(args, flag) for flag in params if getattr(args, flag) is not None}
-    unused = [f"--{flag}" for flag in given if params[flag] not in accepted]
+    flags = ("n", "r", "k", "bound", "samples", "seed", "exhaustive")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    unused = [f"--{flag}" for flag in given if flag not in accepted]
     if unused:
         print(f"verify {args.theorem} does not take {', '.join(unused)}", file=sys.stderr)
         return 2
-    report = check(**{params[flag]: value for flag, value in given.items()})
+    report = check(**given)
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -225,8 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n_required=True):
-        p.add_argument("--n", type=int, required=n_required, help="degree (always explicit)")
+    def add_degree(p):
+        p.add_argument("--n", type=int, required=True, help="degree (always explicit)")
+
+    def add_common(p):  # for a command that prints in two forms
+        add_degree(p)
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("mul", help="multiply two diagrams, reporting the twist")
@@ -243,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green", help="Green's relations, classes, factorizations")
     green_sub = p.add_subparsers(dest="green_cmd", required=True)
     q = green_sub.add_parser("leq", help="decide a twisted pre-order")
-    add_common(q)
+    add_degree(q)
     q.add_argument("--rel", choices=("R", "L", "J"), required=True)
     q.add_argument("x")
     q.add_argument("y")
     q.set_defaults(func=_cmd_green)
     q = green_sub.add_parser("class", help="describe a Green's class")
-    add_common(q)
+    add_degree(q)
     q.add_argument("--rel", choices=green.RELATIONS, required=True)
     q.add_argument("x")
     q.set_defaults(func=_cmd_green)
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal", help="ideal membership, canonical forms, ranks")
     ideal_sub = p.add_subparsers(dest="ideal_cmd", required=True)
     q = ideal_sub.add_parser("contains")
-    add_common(q)
+    add_degree(q)
     q.add_argument("--spec", required=True, help='e.g. "I(5;2) + I(3;4)"')
     q.add_argument("element")
     q.set_defaults(func=_cmd_ideal)
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--spec", required=True)
     q.set_defaults(func=_cmd_ideal)
     q = ideal_sub.add_parser("rank")
-    add_common(q)
+    add_degree(q)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.set_defaults(func=_cmd_ideal)
@@ -298,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("gh-graph", help="Graham-Houghton graph of a D-class")
-    p.add_argument("--n", type=int, required=True, help="degree (always explicit)")
-    p.add_argument("--format", choices=("text", "jsonl", "dot"), default="text")
+    add_degree(p)
+    p.add_argument("--format", choices=("jsonl", "dot"), default="jsonl")
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_gh_graph)
 
@@ -327,10 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (DiagramError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # a backstop for requests that no size guard bounds

@@ -278,6 +278,7 @@ def permutation_diagram(n: int, images) -> BrauerDiagram:
 
 
 _WALK_REPEAT = "a product walk met a middle point twice: a pairing is no involution"
+_NO_PRODUCT = "the product walks pair no perfect matching: a pairing is no involution"
 
 
 def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, int]:
@@ -291,8 +292,9 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     the top row run first; the bottom points they leave over lie on paths
     that never reach the top row.  The middle points no walk visits lie
     on cycles; each cycle is one floating component and only contributes
-    to the twist.  A walk that enters a middle point twice raises
-    DiagramError, so a pairing that is no involution cannot make it loop.
+    to the twist.  A pairing that is no involution raises DiagramError
+    where a walk meets a middle point twice, where the walks leave other
+    than n blocks, or where a cycle leaves the middle row.
     """
     n = alpha.degree
     if beta.degree != n:
@@ -300,6 +302,7 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     pa, pb = alpha.pairing, beta.pairing
     out = [-1] * (2 * n)
     seen = [False] * n  # middle points, by their index in beta's top row
+    walks = 0
     for start in range(n):  # top points leave by an alpha edge
         if out[start] >= 0:
             continue
@@ -317,6 +320,7 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
             seen[end] = True
             end = pa[end + n]
         out[start], out[end] = end, start
+        walks += 1
     for start in range(n, 2 * n):  # bottom points leave by a beta edge
         if out[start] >= 0:
             continue
@@ -333,6 +337,9 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
             seen[end] = True
             end = pb[end]
         out[start], out[end] = end, start
+        walks += 1
+    if walks != n:  # every point is written: n walks pair all 2n, more share an end
+        raise DiagramError(_NO_PRODUCT)
     floating = 0
     for m in range(n):
         if not seen[m]:
@@ -340,6 +347,8 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
             while not seen[m]:
                 seen[m] = True
                 m = pb[m]
+                if m >= n:
+                    raise DiagramError(_NO_PRODUCT)
                 seen[m] = True
                 m = pa[m + n] - n
     return _raw_diagram(n, tuple(out)), floating

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, make_diagram,
                       permutation_diagram, transposition)
-from .ideals import COUNT_CAP, _check_rank_param, capped_delta, capped_diagrams
+from .ideals import COUNT_CAP, _check_rank_param, capped_delta, capped_diagrams, index_set
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
 # |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
@@ -134,6 +134,13 @@ def d_class(n: int, r: int):
                 yield _raw_diagram(n, tuple(pairing))
 
 
+def truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElement]:
+    """The elements (i, d), i in ``twists`` and d of degree n and rank at most
+    ``max_rank``: twist by twist, each over one pool of D-classes, lowest first."""
+    pool = [d for s in index_set(n) if max_rank is None or s <= max_rank for d in d_class(n, s)]
+    return [TwistedElement(i, d) for i in twists for d in pool]
+
+
 def idempotents(n: int, twisted: bool = True):
     """Stream of idempotent diagrams; the twisted ones are those whose
     square also creates no floating component."""
@@ -195,13 +202,12 @@ class CayleyGraph:
     Froidure & Pin, "Algorithms for computing finite semigroups" (1997).
 
     Every element has a shortest word over the generator indices, the least
-    in short-lex order; ``word`` returns it.  ``elements`` lists the
-    elements in short-lex order of these words and ``index`` maps each to
-    its position.  ``right[i][j]`` is the position of
-    ``elements[i] * generators[j]`` and ``left[i][j]`` that of
-    ``generators[j] * elements[i]``, or None where the product fails
-    ``keep`` and is dropped; any drop clears ``complete``.  A duplicate
-    generator gets its own column, but no element of its own.
+    in short-lex order.  ``elements`` lists the elements in short-lex order
+    of these words and ``index`` maps each to its position.
+    ``right[i][j]`` is the position of ``elements[i] * generators[j]`` and
+    ``left[i][j]`` that of ``generators[j] * elements[i]``, or None where the
+    product fails ``keep`` and is dropped; any drop clears ``complete``.  A
+    duplicate generator gets its own column, but no element of its own.
 
     ``keep`` must hold of every factor of a kept product: a product with a
     dropped factor is dropped as well.  Then no element is missed, since
@@ -265,15 +271,6 @@ class CayleyGraph:
                 left.append([None if y is None else right[y][b] for y in prefix_row])
             start = end
 
-    def word(self, x) -> list[int]:
-        """Generator indices of a shortest word whose product is ``x``."""
-        out = []
-        i = self.index[x]
-        while i >= 0:
-            i, j = self._words[i][:2]
-            out.append(j)
-        return out[::-1]
-
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -295,6 +292,8 @@ def bounded_closure(generators, twist_bound: int) -> ClosureResult:
     Terminates because at most (bound+1) * (2n-1)!! elements fit under the
     bound.  Monotone in both the bound and the generator set.
     """
+    if twist_bound < 0:
+        raise DiagramError(f"bound must be at least 0, got {twist_bound}")
     gens = [as_twisted(g) for g in generators]
     if any(g.twist > twist_bound for g in gens):
         raise DiagramError("twist bound lies below a generator's twist")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, permutation_diagram,
                       transposition)
 from .green import PreconditionError, canonical_idempotent
-from .ideals import (SWEEP_LIMIT, IdealSpec, _check_degree_3, _check_rank_param, capped_delta,
-                     capped_diagrams, idempotent_factor_sigma, index_set, lemma_rank_drop, rho)
+from .ideals import (SWEEP_LIMIT, IdealSpec, _bottoms_and_hooks, _check_degree_3, _check_rank_param,
+                     capped_delta, capped_diagrams, idempotent_factor_sigma, lemma_rank_drop, rho)
 from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -331,12 +331,7 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     if (k + (r == 0)) * capped_diagrams(n, r) > SWEEP_LIMIT:
         raise DiagramError(f"M({r};{k}) in degree {n} refused: it has more than "
                            f"{SWEEP_LIMIT} elements")
-    elements = tuple(
-        TwistedElement(l, d)
-        for l in range(k, 2 * k + (r == 0))  # M(0;k) includes twist 2k
-        for s in index_set(r)
-        for d in enumeration.d_class(n, s)
-    )
+    elements = tuple(enumeration.truncation(n, range(k, 2 * k + (r == 0)), r))
     return GeneratingSet(n, (r, k), "d-class-grid", elements)
 
 
@@ -424,12 +419,12 @@ def _kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
     m-th of alpha, and each transversal bottom onto alpha's.
     """
     n, p = alpha.degree, alpha.pairing
-    t = max(v for v in range(n) if p[v] >= n)  # 0-based points from here on
+    bottoms, lowers = _bottoms_and_hooks(alpha)  # 0-based points from here on
+    t = p[n + bottoms[-1]]
     upper = [(a, p[a]) for a in range(n) if a < p[a] < n]  # (a_m, b_m)
     chain = list(zip([t] + [b for _, b in upper], [a for a, _ in upper]))  # t_r' - a_1', ...
     images = [q - n for q in p[:n]]  # right at each top but t_r; chain points are rewritten
-    images[upper[-1][1]] = p[t] - n
-    lowers = [(c - n, p[c] - n) for c in range(n, 2 * n) if c < p[c]]
+    images[upper[-1][1]] = bottoms[-1]
     for (x, y), (c, d) in zip(chain, lowers):
         images[x], images[y] = c, d
     return _hook_idempotent(n, upper, chain), images

@@ -60,7 +60,7 @@ class VerificationReport:
 
 
 # the least value of each parameter: below it a sweep crashes or checks nothing
-_MINIMA = {"n": 0, "k": 0, "max_k": 0, "bound": 0, "twist_bound": 0, "samples": 1, "cases": 1}
+_MINIMA = {"n": 0, "k": 0, "max_k": 0, "bound": 0, "samples": 1, "cases": 1}
 
 CHECKS: dict[str, Callable[..., VerificationReport]] = {}
 
@@ -136,13 +136,6 @@ def check_tau_identity(
         if left_prod != right_prod or t_ab + t_ab_c != t_bc + t_a_bc:
             raise _Fail(a=a.to_text(), b=b.to_text(), c=c.to_text())
     return {"triples": total}
-
-
-def _truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElement]:
-    """The elements (i, d) with i in ``twists`` and d of degree n and rank at
-    most ``max_rank``, twist by twist in canonical diagram order."""
-    pool = [d for d in enumeration.all_diagrams(n) if max_rank is None or d.rank <= max_rank]
-    return [TwistedElement(i, d) for i in twists for d in pool]
 
 
 @_check("green-pre-orders")
@@ -230,12 +223,12 @@ def check_green_relations(n: int = 4):
 
 
 @_check("regularity")
-def check_regularity(n: int = 3, twist_bound: int = 1):
+def check_regularity(n: int = 3, bound: int = 1):
     """is_regular against brute-force search for y with x*y*x = x."""
-    elements = (twist_bound + 1) * capped_diagrams(n)
+    elements = (bound + 1) * capped_diagrams(n)
     # a non-regular element is tried against every candidate
-    yield {"n": n, "twist_bound": twist_bound}, elements * elements, "pairs"
-    candidates = _truncation(n, range(twist_bound + 1))
+    yield {"n": n, "bound": bound}, elements * elements, "pairs"
+    candidates = enumeration.truncation(n, range(bound + 1))
     for x in candidates:
         found = any(star(star(x, y), x) == x for y in candidates)
         if found != green.is_regular(x):
@@ -244,17 +237,15 @@ def check_regularity(n: int = 3, twist_bound: int = 1):
 
 
 @_check("ideal-classification")
-def check_ideal_classification(
-    n: int = 3, twist_bound: int = 4, cases: int = 50, seed: int = 0
-):
+def check_ideal_classification(n: int = 3, bound: int = 4, cases: int = 50, seed: int = 0):
     """Canonical-form subset/normalize decisions against pointwise
     membership on a twist-bounded truncation, and closure of ideals."""
     # two 2-twist truncations; the closure products below are strided to <= 2 * 80 * 80
-    yield ({"n": n, "twist_bound": twist_bound, "cases": cases, "seed": seed},
+    yield ({"n": n, "bound": bound, "cases": cases, "seed": seed},
            cases + 4 * capped_diagrams(n), "spec pairs and truncation elements")
     rng = random.Random(seed)
     ranks = ideals.index_set(n)
-    grid = [(r, i) for r in ranks for i in range(twist_bound + 1)]
+    grid = [(r, i) for r in ranks for i in range(bound + 1)]
 
     def truncation(spec):
         return {(r, i) for r, i in grid if any(r <= q and i >= l for q, l in spec.terms)}
@@ -263,7 +254,7 @@ def check_ideal_classification(
         specs = []
         for _ in range(2):
             terms = [
-                (rng.choice(ranks), rng.randrange(twist_bound + 1))
+                (rng.choice(ranks), rng.randrange(bound + 1))
                 for _ in range(rng.randrange(1, 4))
             ]
             specs.append(ideals.ideal_normalize(n, terms))
@@ -274,8 +265,8 @@ def check_ideal_classification(
             raise _Fail(left=left.to_text(), right=right.to_text(), kind="equality")
     # closure of a principal ideal truncation under both-sided products
     spec = ideals.ideal_normalize(n, [(ranks[0], 1)])
-    inside = [x for x in _truncation(n, range(1, 3)) if ideals.ideal_contains(spec, x)]
-    outside = _truncation(n, range(2))
+    inside = [x for x in enumeration.truncation(n, range(1, 3)) if ideals.ideal_contains(spec, x)]
+    outside = enumeration.truncation(n, range(2))
     closure_checked = 0
     for x in inside[:: max(1, len(inside) // 40)]:
         for y in outside[:: max(1, len(outside) // 40)]:
@@ -370,7 +361,7 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     gens = [d for d in enumeration.idempotents(n) if d.rank == r]
     closure = enumeration.bounded_closure(gens, bound).elements
     spec = ideals.ideal_normalize(n, [(r, 0)])
-    expected = set(_truncation(n, range(bound + 1), r))
+    expected = set(enumeration.truncation(n, range(bound + 1), r))
     if not expected <= closure:
         raise _Fail(missing=next(iter(expected - closure)).to_text())
     if not all(ideals.ideal_contains(spec, x) for x in closure):
@@ -446,12 +437,12 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     spec = ideals.ideal_normalize(n, [(r, k)])
     gens = structure.generating_set(spec).elements
     gen_set = set(gens)
-    for x, y in itertools.product(_truncation(n, range(k, 2 * k + 1), r), repeat=2):
+    for x, y in itertools.product(enumeration.truncation(n, range(k, 2 * k + 1), r), repeat=2):
         if star(x, y) in gen_set:
             raise _Fail(x=x.to_text(), y=y.to_text())
     bound = 2 * k + 2
     closure = enumeration.bounded_closure(gens, bound).elements
-    expected = set(_truncation(n, range(k, bound + 1), r))
+    expected = set(enumeration.truncation(n, range(k, bound + 1), r))
     if closure != expected:
         raise _Fail(
             missing=[x.to_text() for x in list(expected - closure)[:3]],
@@ -476,7 +467,7 @@ def check_singular_rank(n: int = 3, bound: int = 2):
     counts = {"rank": value, "generators": len(gens)}
     if n <= 3:
         closure = enumeration.bounded_closure(gens, bound).elements
-        expected = set(_truncation(n, [0], n - 2) + _truncation(n, [1]))
+        expected = set(enumeration.truncation(n, [0], n - 2) + enumeration.truncation(n, [1]))
         if not expected <= closure:
             raise _Fail(missing=next(iter(expected - closure)).to_text())
         counts["closure"] = len(closure)
@@ -502,7 +493,7 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2):
             raise _Fail(reason="untwisted closure at degree 2")
         return {"twisted_closure": len(closure), "plain_closure": len(plain)}
     mismatch = [
-        x for x in _truncation(n, range(bound + 1))
+        x for x in enumeration.truncation(n, range(bound + 1))
         if structure.in_idempotent_generated(x) != (x in closure)
     ]
     if mismatch:

@@ -558,6 +558,17 @@ def product_absorption_chain(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     return chain
 
 
+def cayley_word(graph: enumeration.CayleyGraph, x) -> list[int]:
+    """Generator indices of the shortest word whose product is ``x``: the
+    least in short-lex order, read back along the prefixes ``graph`` keeps."""
+    out = []
+    i = graph.index[x]
+    while i >= 0:
+        i, j = graph._words[i][:2]
+        out.append(j)
+    return out[::-1]
+
+
 def factor_into_idempotents_bfs(alpha: BrauerDiagram) -> list[BrauerDiagram] | None:
     """Reference idempotent chain by search: a shortest chain read off the
     zero-twist closure of the twisted idempotents, independent of the
@@ -568,7 +579,7 @@ def factor_into_idempotents_bfs(alpha: BrauerDiagram) -> list[BrauerDiagram] | N
     target = as_twisted(alpha)
     if target not in graph.index:
         return None
-    return [idems[j].diagram for j in graph.word(target)]
+    return [idems[j].diagram for j in cayley_word(graph, target)]
 
 
 def image(beta: BrauerDiagram, i: int) -> int:

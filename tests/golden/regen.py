@@ -158,6 +158,14 @@ def requests() -> list[str]:
     out.append("gh-graph --n 8 --r 6")
     out += [f"verify {theorem}" for theorem in sorted(CHECKS)]
     out += ["verify no-such-theorem", "verify tau-identity --r 1", "mul --n 3 x y"]
+    out += [  # a --format where it would change nothing, and a negative bound
+        f"green leq --rel R --n 3 {q(hook3)} {q(hook3)} --format text",
+        f"green class --rel H --n 3 {q(hook3)} --format jsonl",
+        f"ideal contains --n 3 --spec {q('I(1;0)')} {q(hook3)} --format text",
+        "ideal rank --n 6 --r 4 --k 0 --format jsonl",
+        "gh-graph --n 4 --r 2 --format text",
+        f"closure --n 3 --bound -1 --gens {CLOSURE_GENS}",
+    ]
     return out
 
 

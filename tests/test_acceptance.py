@@ -99,7 +99,7 @@ def test_criterion_05_constructive_factorizations():
 
 
 def test_criterion_06_regularity():
-    report = V.check_regularity(n=3, twist_bound=1)
+    report = V.check_regularity(n=3, bound=1)
     assert report.passed and report.counts["elements"] == 30
     _announce(6, "regularity = (twist 0 and positive rank), vs bounded witness search")
 

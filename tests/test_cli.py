@@ -200,6 +200,14 @@ def test_closure_from_stdin(capsys, monkeypatch, tmp_path):
     assert "elements=" in err
 
 
+def test_closure_refuses_a_negative_bound(capsys, monkeypatch):
+    # with no generators the bound was once echoed as "bound=-5 saturated=true"
+    for gens in ("", "n=3: (1,2)(3,3')(1',2')\n1 * n=3: (1,1')(2,3)(2',3')\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(gens))
+        code, out, err = run(capsys, "closure", "--n", "3", "--bound", "-5", "--gens", "-")
+        assert (code, out, err) == (1, "", "error: bound must be at least 0, got -5\n")
+
+
 def test_closure_non_utf8_generators_are_domain_errors(capsys, monkeypatch, tmp_path):
     junk = b"\xff\xfe\x00junk\n"
     gens = tmp_path / "gens.jsonl"
@@ -209,6 +217,48 @@ def test_closure_non_utf8_generators_are_domain_errors(capsys, monkeypatch, tmp_
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(junk), encoding="utf-8"))
     code, out, err = run(capsys, "closure", "--n", "3", "--gens", "-", "--bound", "1")
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+HOOK3 = "n=3: (1,2)(3,3')(1',2')"
+# one request per subcommand that takes --format, which is appended to it
+FORMATTED = {
+    "mul": ["mul", "--n", "3", HOOK3, HOOK3],
+    "star": ["star", "--n", "3", f"1 * {HOOK3}", HOOK3],
+    "green factor": ["green", "factor", "--mode", "right", "--n", "3", HOOK3, HOOK3],
+    "ideal normalize": ["ideal", "normalize", "--n", "6", "--spec", "I(4;1) + I(2;3)"],
+    "ideal gens": ["ideal", "gens", "--n", "3", "--r", "1", "--k", "1", "--list"],
+    "enumerate": ["enumerate", "--n", "2"],
+    "closure": ["closure", "--n", "3", "--bound", "1", "--gens", "-"],
+    "factor": ["factor", "--idempotents", "--n", "3", "n=3: (1,2)(3,1')(2',3')"],
+    "gh-graph": ["gh-graph", "--n", "4", "--r", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATTED))
+def test_every_format_changes_the_output(capsys, monkeypatch, name):
+    # enumerate --count-only and ideal gens without --list print counts that
+    # no --format changes; every request here prints elements
+    outputs = set()
+    for fmt in ("jsonl", "dot") if name == "gh-graph" else ("text", "jsonl"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{HOOK3}\n"))
+        code, out, _ = run(capsys, *FORMATTED[name], "--format", fmt)
+        assert code == 0 and out
+        outputs.add(out)
+    assert len(outputs) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "leq", "--rel", "R", "--n", "3", HOOK3, HOOK3, "--format", "text"],
+    ["green", "class", "--rel", "H", "--n", "3", HOOK3, "--format", "jsonl"],
+    ["ideal", "contains", "--n", "3", "--spec", "I(1;0)", HOOK3, "--format", "text"],
+    ["ideal", "rank", "--n", "6", "--r", "4", "--k", "0", "--format", "jsonl"],
+    ["gh-graph", "--n", "4", "--r", "2", "--format", "text"],  # its jsonl output
+])
+def test_format_is_refused_where_it_would_change_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (2, "") and "--format" in out.err
 
 
 def test_gh_graph_report_and_dot(capsys):
@@ -441,7 +491,7 @@ def test_verify_bound_reaches_the_check(capsys):
     assert code == 0 and report["params"] == {"n": 3, "bound": 3}
     assert report["counts"]["closure"] == 54  # 39 at the default bound 2
     code, out, _ = run(capsys, "verify", "regularity", "--n", "2", "--bound", "2")
-    assert code == 0 and json.loads(out)["params"] == {"n": 2, "twist_bound": 2}
+    assert code == 0 and json.loads(out)["params"] == {"n": 2, "bound": 2}
 
 
 @pytest.mark.parametrize("request_, limit", [

@@ -2,13 +2,17 @@
 notation and serialization."""
 
 import itertools
+import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twisted_brauer import (
     BrauerDiagram,
     DiagramError,
+    TwistedElement,
     all_diagrams,
     diagram_from_json,
     diagram_from_json_obj,
@@ -19,10 +23,34 @@ from twisted_brauer import (
     permutation_diagram,
     transposition,
 )
+from twisted_brauer.cli import parse_element
 from twisted_brauer.diagram import _raw_diagram
 from twisted_brauer.enumeration import random_diagram
 from conftest import (product_oracle, token_by_token_make_diagram, union_find_product,
                       unchecked_walk_product, within)
+
+
+# a JSON string, a signed number or one other character
+_TOKEN = re.compile(r'"[^"]*"|-?\d+|\S')
+
+
+def _spaced(text: str, rng: random.Random) -> str:
+    """``text`` with a random run of whitespace before each token and at the end."""
+    def gap():
+        return "".join(rng.choice(" \t\n") for _ in range(rng.randrange(3)))
+    return "".join(gap() + token for token in _TOKEN.findall(text)) + gap()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_parse_emit_round_trip_property(n, seed):
+    rng = random.Random(seed)
+    d = random_diagram(n, rng)
+    x = TwistedElement(rng.randrange(1, 4), d)
+    assert parse_diagram(_spaced(d.to_text(), rng)) == d
+    assert diagram_from_json(_spaced(d.to_json(), rng)) == d
+    assert parse_element(_spaced(x.to_text(), rng)) == x
+    assert parse_element(_spaced(json.dumps(x.to_json_obj()), rng)) == x
 
 
 def test_make_diagram_golden(alpha6):
@@ -145,7 +173,8 @@ def test_multiply_refuses_a_pairing_that_is_no_involution():
 
 
 def test_multiply_terminates_on_any_pairing_tuple():
-    # entries in range but no involution: every call returns or raises
+    # entries in range but no involution: every call raises DiagramError or
+    # returns a product that validation accepts
     rng = random.Random(13)
     raised = 0
     with within(10.0):
@@ -153,9 +182,11 @@ def test_multiply_terminates_on_any_pairing_tuple():
             a, b = (_raw_diagram(n, tuple(rng.randrange(2 * n) for _ in range(2 * n)))
                     for _ in range(2))
             try:
-                multiply(a, b)
-            except (DiagramError, IndexError):
+                d, _ = multiply(a, b)
+            except DiagramError:
                 raised += 1
+                continue
+            BrauerDiagram(d.degree, d.pairing)
     assert raised > 0
 
 

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from conftest import (closure_oracle, copy_per_candidate_d_class, filtered_hook_patterns,
-                      searched_reach)
+from conftest import (cayley_word, closure_oracle, copy_per_candidate_d_class,
+                      filtered_hook_patterns, searched_reach)
 from twisted_brauer import (
     BrauerDiagram,
     DiagramError,
@@ -39,6 +39,7 @@ from twisted_brauer.enumeration import (
     all_diagrams_split,
     hook_patterns,
     random_diagram,
+    truncation,
 )
 from twisted_brauer.ideals import double_factorial
 
@@ -119,6 +120,19 @@ def test_d_class_is_the_rank_slice_of_all_diagrams():
         for r in index_set(n):
             members = [BrauerDiagram(n, d.pairing) for d in d_class(n, r)]
             assert set(members) == {d for d in all_diagrams(n) if d.rank == r}
+
+
+def test_truncation_is_the_twist_and_rank_slice():
+    # every rank bound, of either parity, below and above the degree
+    for n in range(6):
+        for max_rank in (None, *range(-1, n + 2)):
+            got = truncation(n, (0, 2), max_rank)
+            pool = [d for d in all_diagrams(n) if max_rank is None or d.rank <= max_rank]
+            assert len(got) == len(set(got)) == 2 * len(pool)
+            assert set(got) == {TwistedElement(i, d) for i in (0, 2) for d in pool}
+            # twist by twist, D-class by D-class from the lowest rank up
+            assert [x.twist for x in got] == sorted(x.twist for x in got)
+            assert [x.rank for x in got[:len(pool)]] == sorted(d.rank for d in pool)
 
 
 def _attainable(max_n):
@@ -248,6 +262,9 @@ def test_bounded_closure_is_closed_under_bound():
 def test_bounded_closure_rejects_low_bound():
     with pytest.raises(DiagramError):
         bounded_closure([TwistedElement(3, identity(2))], 2)
+    for gens in ([], [identity(2)]):  # a negative bound, before any generator is read
+        with pytest.raises(DiagramError, match="bound must be at least 0, got -1"):
+            bounded_closure(gens, -1)
 
 
 def test_plain_closure_b2():
@@ -300,7 +317,7 @@ def _assert_engine_matches_products(gens, product, keep=None, want=None):
         for j, g in enumerate(gens):
             for table, p in ((graph.right, product(x, g)), (graph.left, product(g, x))):
                 assert table[i][j] == (graph.index[p] if kept(p) else None), (i, j)
-    words = [graph.word(x) for x in graph.elements]
+    words = [cayley_word(graph, x) for x in graph.elements]
     assert all((len(u), u) < (len(w), w) for u, w in zip(words, words[1:]))
     shortest = set(map(tuple, words))
     assert len(calls) == sum(len(gens) if len(w) == 1 else

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twisted_brauer import (
     DiagramError,
@@ -99,6 +100,29 @@ def test_involution_antiautomorphism_exhaustive_n3():
     pool = [as_twisted(d) for d in all_diagrams(3)]
     for x, y in itertools.product(pool, repeat=2):
         assert star(x, y).star_involution() == star(y.star_involution(), x.star_involution())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_cocycle_and_associativity_property(n, seed):
+    # tau(a,b) + tau(ab,c) = tau(a,bc) + tau(b,c) and (ab)c = a(bc), past
+    # the degrees the exhaustive tests reach
+    rng = random.Random(seed)
+    a, b, c = (random_diagram(n, rng) for _ in range(3))
+    ab, t_ab = multiply(a, b)
+    bc, t_bc = multiply(b, c)
+    left, t_ab_c = multiply(ab, c)
+    right, t_a_bc = multiply(a, bc)
+    assert left == right and t_ab + t_ab_c == t_a_bc + t_bc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_involution_antiautomorphism_property(n, seed):
+    # (xy)* = y*x*, twist included
+    rng = random.Random(seed)
+    x, y = (TwistedElement(rng.randrange(4), random_diagram(n, rng)) for _ in range(2))
+    assert star(x, y).star_involution() == star(y.star_involution(), x.star_involution())
 
 
 def test_idempotent_examples_degree6():

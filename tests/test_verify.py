@@ -26,8 +26,8 @@ GOLDEN = """
 {"theorem": "tau-identity", "params": {"n": 3, "exhaustive": true, "samples": null, "seed": null}, "status": "pass", "counts": {"triples": 3375}, "counterexample": null}
 {"theorem": "green-pre-orders", "params": {"n": 3, "samples": null, "seed": null}, "status": "pass", "counts": {"pairs": 225, "right": 117, "left": 117, "two_sided": 171}, "counterexample": null}
 {"theorem": "green-relations", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 105, "ranks": 3}, "counterexample": null}
-{"theorem": "regularity", "params": {"n": 3, "twist_bound": 1}, "status": "pass", "counts": {"elements": 30, "candidates": 30}, "counterexample": null}
-{"theorem": "ideal-classification", "params": {"n": 3, "twist_bound": 4, "cases": 50, "seed": 0}, "status": "pass", "counts": {"spec_pairs": 50, "closure_products": 1080}, "counterexample": null}
+{"theorem": "regularity", "params": {"n": 3, "bound": 1}, "status": "pass", "counts": {"elements": 30, "candidates": 30}, "counterexample": null}
+{"theorem": "ideal-classification", "params": {"n": 3, "bound": 4, "cases": 50, "seed": 0}, "status": "pass", "counts": {"spec_pairs": 50, "closure_products": 1080}, "counterexample": null}
 {"theorem": "rank-drop-lemma", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 9}, "counterexample": null}
 {"theorem": "twist-raise-lemma", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 81}, "counterexample": null}
 {"theorem": "twist-keep-lemma", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 81}, "counterexample": null}
