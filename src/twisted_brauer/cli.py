@@ -136,7 +136,7 @@ def _cmd_ideal(args) -> int:
     print(f"size={gens.size} kind={gens.kind}")
     if args.list:
         for g in gens.elements:
-            print(_emit_element(g, args.format))
+            print(_emit_element(g, args.list))
     return 0
 
 
@@ -198,8 +198,8 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     accepted = inspect.signature(check).parameters
-    flags = ("n", "r", "k", "bound", "samples", "seed", "exhaustive")
-    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    given = {name: value for name in verify.PARAMETERS
+             if (value := getattr(args, name)) is not None}
     unused = [f"--{flag}" for flag in given if flag not in accepted]
     if unused:
         print(f"verify {args.theorem} does not take {', '.join(unused)}", file=sys.stderr)
@@ -274,18 +274,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.set_defaults(func=_cmd_ideal)
     q = ideal_sub.add_parser("gens")
-    add_common(q)
+    add_degree(q)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--list", action="store_true", help="print the elements")
+    q.add_argument("--list", nargs="?", const="text", choices=("text", "jsonl"),
+                   help="print the elements, as text (the default) or jsonl")
     q.set_defaults(func=_cmd_ideal)
 
     p = sub.add_parser("enumerate", help="stream diagrams, D-classes or idempotents")
-    add_common(p)
+    add_degree(p)
+    output = p.add_mutually_exclusive_group()  # a count has no format
+    output.add_argument("--format", choices=("text", "jsonl"))  # text when not given
     stream = p.add_mutually_exclusive_group()  # a D-class or the idempotents
     stream.add_argument("--rank", type=int)
     stream.add_argument("--idempotents", choices=("plain", "twisted"))
-    p.add_argument("--count-only", action="store_true")
+    output.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("closure", help="twist-bounded closure of generators (JSONL)")
@@ -308,13 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem check, emitting a JSON report")
     p.add_argument("theorem", help=f"one of: {', '.join(sorted(verify.CHECKS))}")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--exhaustive", action="store_true", default=None)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    for name in verify.PARAMETERS:  # None when not given, so the check's default holds
+        kind = {"action": "store_true", "default": None} if name == "exhaustive" else {"type": int}
+        p.add_argument(f"--{name}", **kind)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -133,9 +133,9 @@ def requests() -> list[str]:
         "ideal rank --n 5 --r 5 --k 0",
         "ideal gens --n 4 --r 4 --k 0 --list",
         "ideal gens --n 5 --r 3 --k 0 --list",
-        "ideal gens --n 5 --r 1 --k 0 --list --format jsonl",
+        "ideal gens --n 5 --r 1 --k 0 --list jsonl",
         "ideal gens --n 3 --r 1 --k 1 --list",
-        "ideal gens --n 4 --r 0 --k 2 --list --format jsonl",
+        "ideal gens --n 4 --r 0 --k 2 --list jsonl",
     ]
     for n in range(7):
         out.append(f"enumerate --n {n}")
@@ -165,6 +165,13 @@ def requests() -> list[str]:
         "ideal rank --n 6 --r 4 --k 0 --format jsonl",
         "gh-graph --n 4 --r 2 --format text",
         f"closure --n 3 --bound -1 --gens {CLOSURE_GENS}",
+    ]
+    out += [  # a flag that the check would ignore, and two more --format that change nothing
+        "verify tau-identity --n 3 --samples 5 --seed 2",
+        "verify green-pre-orders --n 3 --seed 4",
+        "verify singular-rank --n 4 --bound 5",
+        "enumerate --n 3 --count-only --format jsonl",
+        "ideal gens --n 3 --r 1 --k 0 --format jsonl",
     ]
     return out
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, verification reports."""
 
 import functools
+import inspect
 import io
 import json
 import os
@@ -22,8 +23,9 @@ from twisted_brauer import (
     make_diagram,
     parse_diagram,
     star_chain,
+    verify,
 )
-from twisted_brauer.cli import main, parse_element
+from twisted_brauer.cli import build_parser, main, parse_element
 from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
 from twisted_brauer.ideals import delta, rank_of_ideal
 from twisted_brauer.structure import GH_CANDIDATE_LIMIT
@@ -220,28 +222,27 @@ def test_closure_non_utf8_generators_are_domain_errors(capsys, monkeypatch, tmp_
 
 
 HOOK3 = "n=3: (1,2)(3,3')(1',2')"
-# one request per subcommand that takes --format, which is appended to it
+# one request per subcommand that prints in a chosen format, ending in the
+# option that takes it, to which the format is appended
 FORMATTED = {
-    "mul": ["mul", "--n", "3", HOOK3, HOOK3],
-    "star": ["star", "--n", "3", f"1 * {HOOK3}", HOOK3],
-    "green factor": ["green", "factor", "--mode", "right", "--n", "3", HOOK3, HOOK3],
-    "ideal normalize": ["ideal", "normalize", "--n", "6", "--spec", "I(4;1) + I(2;3)"],
+    "mul": ["mul", "--n", "3", HOOK3, HOOK3, "--format"],
+    "star": ["star", "--n", "3", f"1 * {HOOK3}", HOOK3, "--format"],
+    "green factor": ["green", "factor", "--mode", "right", "--n", "3", HOOK3, HOOK3, "--format"],
+    "ideal normalize": ["ideal", "normalize", "--n", "6", "--spec", "I(4;1) + I(2;3)", "--format"],
     "ideal gens": ["ideal", "gens", "--n", "3", "--r", "1", "--k", "1", "--list"],
-    "enumerate": ["enumerate", "--n", "2"],
-    "closure": ["closure", "--n", "3", "--bound", "1", "--gens", "-"],
-    "factor": ["factor", "--idempotents", "--n", "3", "n=3: (1,2)(3,1')(2',3')"],
-    "gh-graph": ["gh-graph", "--n", "4", "--r", "2"],
+    "enumerate": ["enumerate", "--n", "2", "--format"],
+    "closure": ["closure", "--n", "3", "--bound", "1", "--gens", "-", "--format"],
+    "factor": ["factor", "--idempotents", "--n", "3", "n=3: (1,2)(3,1')(2',3')", "--format"],
+    "gh-graph": ["gh-graph", "--n", "4", "--r", "2", "--format"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(FORMATTED))
 def test_every_format_changes_the_output(capsys, monkeypatch, name):
-    # enumerate --count-only and ideal gens without --list print counts that
-    # no --format changes; every request here prints elements
     outputs = set()
     for fmt in ("jsonl", "dot") if name == "gh-graph" else ("text", "jsonl"):
         monkeypatch.setattr(sys, "stdin", io.StringIO(f"{HOOK3}\n"))
-        code, out, _ = run(capsys, *FORMATTED[name], "--format", fmt)
+        code, out, _ = run(capsys, *FORMATTED[name], fmt)
         assert code == 0 and out
         outputs.add(out)
     assert len(outputs) == 2
@@ -253,6 +254,8 @@ def test_every_format_changes_the_output(capsys, monkeypatch, name):
     ["ideal", "contains", "--n", "3", "--spec", "I(1;0)", HOOK3, "--format", "text"],
     ["ideal", "rank", "--n", "6", "--r", "4", "--k", "0", "--format", "jsonl"],
     ["gh-graph", "--n", "4", "--r", "2", "--format", "text"],  # its jsonl output
+    ["enumerate", "--n", "3", "--count-only", "--format", "jsonl"],  # a count
+    ["ideal", "gens", "--n", "3", "--r", "1", "--k", "0", "--format", "jsonl"],  # see --list
 ])
 def test_format_is_refused_where_it_would_change_nothing(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -398,9 +401,11 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     assert (code, out) == (2, "") and "--samples" in err
     code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "9", "--samples", "3")
     assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
-    code, _, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
-                       "--samples", "3")
-    assert code == 1 and err.startswith("error:") and "refused" in err
+    # the size refusal comes before that of --samples, which --exhaustive ignores
+    code, out, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
+                         "--samples", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: verify tau-identity refused: it visits more than {SWEEP_LIMIT} triples\n"
     code, out, _ = run(capsys, "verify", "tau-identity", "--n", "50", "--samples", "10")
     assert code == 0
     report = json.loads(out)
@@ -483,6 +488,27 @@ def test_verify_names_the_flags_a_check_does_not_take(capsys, request_, unused):
     code, out, err = run(capsys, "verify", *request_.split())
     assert (code, out) == (2, "")
     assert err == f"verify {request_.split()[0]} does not take {unused}\n"
+
+
+@pytest.mark.parametrize("request_, ignored", [
+    ("tau-identity --n 3 --samples 5 --seed 2", "--samples, --seed"),  # exhaustive at n <= 3
+    ("green-pre-orders --n 3 --seed 4", "--seed"),  # every pair, unseeded, without --samples
+    ("singular-rank --n 4 --bound 5", "--bound"),  # its closure runs at n <= 3 only
+])
+def test_verify_refuses_a_flag_the_check_would_ignore(capsys, request_, ignored):
+    code, out, err = run(capsys, "verify", *request_.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: verify {request_.split()[0]} ignores {ignored} with these parameters\n"
+
+
+def test_verify_flags_are_the_parameter_table():
+    # every check parameter is in the table, bar the Python-only factor, and
+    # every table name is taken by some check and is a verify flag
+    taken = {name for check in CHECKS.values() for name in inspect.signature(check).parameters}
+    assert taken - {"factor"} == set(verify.PARAMETERS)
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {a.dest for a in commands.choices["verify"]._actions if a.option_strings}
+    assert flags - {"help"} == set(verify.PARAMETERS)
 
 
 def test_verify_bound_reaches_the_check(capsys):

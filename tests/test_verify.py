@@ -92,9 +92,29 @@ def test_sampled_pairs_refuse_fewer_than_one_sample():
     assert time.perf_counter() - start < 1.0
 
 
-def test_ideal_classification_refuses_fewer_than_one_case():
-    with pytest.raises(DiagramError):
-        verify.check_ideal_classification(cases=0)
+def test_a_parameter_the_sweep_would_ignore_is_refused():
+    with pytest.raises(DiagramError, match="tau-identity ignores --samples, --seed with"):
+        verify.check_tau_identity(3, samples=5, seed=2)  # n <= 3 sweeps every triple
+    with pytest.raises(DiagramError, match="singular-rank ignores --bound with"):
+        verify.check_singular_rank(4, 3)  # the closure runs at n <= 3 only
+    with pytest.raises(DiagramError, match="refused: it visits more than"):
+        verify.check_tau_identity(9, exhaustive=True, samples=3)  # the size guard comes first
+    # None is no value given, and a value the report echoes is taken
+    assert verify.check_tau_identity(3, samples=None, exhaustive=True).passed
+
+
+@pytest.mark.parametrize("call, params", [  # the calls of bench/workloads.py
+    (lambda: verify.check_tau_identity(n=6, samples=300, seed=5),
+     {"n": 6, "exhaustive": False, "samples": 300, "seed": 5}),
+    (lambda: verify.check_tau_identity(n=50, samples=40, seed=6),
+     {"n": 50, "exhaustive": False, "samples": 40, "seed": 6}),
+    (lambda: verify.check_green_preorders(n=5, samples=1000, seed=7, factor=False),
+     {"n": 5, "samples": 1000, "seed": 7}),
+    (lambda: verify.check_idempotent_closure(4, 2, 2), {"n": 4, "r": 2, "bound": 2}),
+], ids=["tau-identity-6", "tau-identity-50", "green-pre-orders", "idempotent-closure"])
+def test_every_parameter_the_benchmark_sets_is_used(call, params):
+    report = call()
+    assert report.passed and report.params == params
 
 
 @pytest.mark.parametrize("theorem", sorted(EXPECTED_IDS))
