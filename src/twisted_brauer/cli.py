@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream diagrams, D-classes or idempotents")
     add_degree(p)
     output = p.add_mutually_exclusive_group()  # a count has no format
-    output.add_argument("--format", choices=("text", "jsonl"))  # text when not given
+    # no default (None prints text), so that --format text with --count-only conflicts too
+    output.add_argument("--format", choices=("text", "jsonl"))
     stream = p.add_mutually_exclusive_group()  # a D-class or the idempotents
     stream.add_argument("--rank", type=int)
     stream.add_argument("--idempotents", choices=("plain", "twisted"))
