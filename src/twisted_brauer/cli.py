@@ -313,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem check, emitting a JSON report")
     p.add_argument("theorem", help=f"one of: {', '.join(sorted(verify.CHECKS))}")
     for name in verify.PARAMETERS:  # None when not given, so the check's default holds
-        kind = {"action": "store_true", "default": None} if name == "exhaustive" else {"type": int}
-        p.add_argument(f"--{name}", **kind)
+        p.add_argument(f"--{name}", type=int)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -177,8 +177,7 @@ def green_class(relation: str, x) -> ClassDescription:
 def same_class(relation: str, x, y) -> bool:
     """Whether two twisted elements lie in the same K-class (D = J, H = R n L)."""
     x, y = as_twisted(x), as_twisted(y)
-    if x.degree != y.degree:
-        raise DiagramError(f"degrees differ: {x.degree} vs {y.degree}")
+    _check_degrees(x.diagram, y.diagram)
     return green_class(relation, x) == green_class(relation, y)
 
 

@@ -64,8 +64,6 @@ def as_twisted(x) -> TwistedElement:
 def star(x, y) -> TwistedElement:
     """The star product (i, a) * (j, b) = (i + j + tau(a, b), ab)."""
     x, y = as_twisted(x), as_twisted(y)
-    if x.degree != y.degree:
-        raise DiagramError(f"degrees differ: {x.degree} vs {y.degree}")
     prod, extra = multiply(x.diagram, y.diagram)
     return TwistedElement(x.twist + y.twist + extra, prod)
 

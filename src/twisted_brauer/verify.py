@@ -41,7 +41,7 @@ from .twisted import (
 class VerificationReport:
     theorem: str
     params: dict
-    status: str = "pass"  # pass | fail | skipped
+    status: str = "pass"  # pass | fail
     counts: dict = field(default_factory=dict)
     counterexample: dict | None = None
     seconds: float = 0.0
@@ -61,7 +61,7 @@ class VerificationReport:
 
 # each parameter a request can set, one verify flag each, with its least value
 # (None for none): below it a sweep crashes or checks nothing
-PARAMETERS = {"n": 0, "r": None, "k": 0, "bound": 0, "samples": 1, "seed": None, "exhaustive": None}
+PARAMETERS = {"n": 0, "r": None, "k": 0, "bound": 0, "samples": 1, "seed": None}
 
 CHECKS: dict[str, Callable[..., VerificationReport]] = {}
 
@@ -73,19 +73,22 @@ class _Fail(Exception):
         self.witness = witness
 
 
-def _check(theorem: str):
-    """Register a check under ``theorem`` in CHECKS.
+def _check(theorem: str, least_n: int = 0):
+    """Register a check under ``theorem`` in CHECKS, for the result it
+    replays, which is stated for the degrees n >= ``least_n``.
 
     The decorated body is a generator.  It first yields ``(params, size,
     unit)``: the parameters its report echoes and the number of items its
     sweep visits, from the capped counts of ``ideals``, before anything is
     enumerated.  It then sweeps, and returns the report's counts or raises
     _Fail with a counterexample.  The runner refuses a parameter below its
-    least value, a sweep of more than SWEEP_LIMIT items and a parameter that
-    the params do not echo as given, and builds and times the report."""
+    least value, a degree below ``least_n`` (before the body runs), a sweep
+    of more than SWEEP_LIMIT items and a parameter that the params do not
+    echo as given, and builds and times the report."""
 
     def register(body):
         signature = inspect.signature(body)
+        default_n = signature.parameters["n"].default
 
         @functools.wraps(body)
         def check(*args, **kwargs) -> VerificationReport:
@@ -95,6 +98,8 @@ def _check(theorem: str):
             for name, value in given.items():
                 if (least := PARAMETERS[name]) is not None and value < least:
                     raise DiagramError(f"{name} must be at least {least}, got {value}")
+            if (n := given.get("n", default_n)) < least_n:
+                raise DiagramError(f"verify {theorem} is stated for n >= {least_n}, got n = {n}")
             sweep = body(*args, **kwargs)
             params, size, unit = next(sweep)
             if size > SWEEP_LIMIT:
@@ -121,18 +126,14 @@ def _check(theorem: str):
 
 
 @_check("tau-identity")
-def check_tau_identity(
-    n: int = 3, exhaustive: bool | None = None, samples: int = 100_000, seed: int = 0
-):
+def check_tau_identity(n: int = 3, samples: int | None = None, seed: int = 0):
     """tau(a,b) + tau(ab,c) = tau(a,bc) + tau(b,c), and (ab)c = a(bc)."""
-    exhaustive = n <= 3 if exhaustive is None else exhaustive
-    total = capped_diagrams(n) ** 3 if exhaustive else samples
-    yield ({"n": n, "exhaustive": exhaustive, "samples": None if exhaustive else samples,
-            "seed": None if exhaustive else seed}, total, "triples")
+    total = capped_diagrams(n) ** 3 if samples is None else samples
+    yield {"n": n, "samples": samples, "seed": seed if samples else None}, total, "triples"
     rng = random.Random(seed)
-    triples = (itertools.product(list(enumeration.all_diagrams(n)), repeat=3) if exhaustive else
-               (tuple(enumeration.random_diagram(n, rng) for _ in range(3))
-                for _ in range(samples)))
+    triples = (itertools.product(list(enumeration.all_diagrams(n)), repeat=3) if samples is None
+               else (tuple(enumeration.random_diagram(n, rng) for _ in range(3))
+                     for _ in range(samples)))
     for a, b, c in triples:
         ab, t_ab = multiply(a, b)
         bc, t_bc = multiply(b, c)
@@ -273,11 +274,9 @@ def check_ideal_classification(n: int = 3, bound: int = 4, seed: int = 0):
     return {"spec_pairs": cases, "closure_products": closure_checked}
 
 
-@_check("rank-drop-lemma")
+@_check("rank-drop-lemma", least_n=4)  # below it no rank r <= n - 4 exists
 def check_rank_drop(n: int = 4):
     """D_r lies in D_{r+2} * D_{r+2} with no floating component, r <= n-4."""
-    if n < 4:
-        raise DiagramError(f"verify rank-drop-lemma is stated for n >= 4, got n = {n}")
     yield {"n": n}, capped_diagrams(n, n - 4), "diagrams"
     checked = 0
     for r in ideals.index_set(n)[:-2]:  # the ranks r <= n - 4
@@ -289,13 +288,10 @@ def check_rank_drop(n: int = 4):
     return {"diagrams": checked}
 
 
-def _twist_lemma(theorem: str, n: int, lemma, tau: int):
+def _twist_lemma(n: int, lemma, tau: int):
     """The sweep of the twist lemmas: alpha = alpha * lemma(alpha) with twist
     tau for every singular alpha, and lemma(alpha) of the rank of alpha, or
-    of rank 2 when the twist is kept at rank 0.  Below degree 2 no diagram
-    is singular."""
-    if n < 2:
-        raise DiagramError(f"verify {theorem} is stated for n >= 2, got n = {n}")
+    of rank 2 when the twist is kept at rank 0."""
     yield {"n": n}, capped_diagrams(n), "diagrams"
     checked = 0
     for alpha in enumeration.all_diagrams(n):
@@ -309,19 +305,19 @@ def _twist_lemma(theorem: str, n: int, lemma, tau: int):
     return {"diagrams": checked}
 
 
-@_check("twist-raise-lemma")
+@_check("twist-raise-lemma", least_n=2)  # below it no diagram is singular
 def check_twist_raise(n: int = 4):
     """alpha = alpha*beta with tau = 1 and rank preserved, alpha singular."""
-    return _twist_lemma("twist-raise-lemma", n, ideals.lemma_twist_raise, 1)
+    return _twist_lemma(n, ideals.lemma_twist_raise, 1)
 
 
-@_check("twist-keep-lemma")
+@_check("twist-keep-lemma", least_n=2)
 def check_twist_keep(n: int = 4):
     """alpha = alpha*beta with tau = 0; beta in D_alpha, or D_2 at rank 0."""
-    return _twist_lemma("twist-keep-lemma", n, ideals.lemma_twist_keep, 0)
+    return _twist_lemma(n, ideals.lemma_twist_keep, 0)
 
 
-@_check("idempotent-generation")
+@_check("idempotent-generation", least_n=3)
 def check_idempotent_generation(n: int = 4, r: int | None = None):
     """Transposition absorption: alpha * sigma_ij is a zero-twist chain of
     alpha with rank-preserving twisted idempotents, all cases.  The rank
@@ -343,7 +339,7 @@ def check_idempotent_generation(n: int = 4, r: int | None = None):
     return {"triples": checked}
 
 
-@_check("idempotent-closure")
+@_check("idempotent-closure", least_n=3)
 def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     """Bounded closure of the twisted idempotents of D_r covers the
     twist-bounded truncation of I(r;0), which is idempotent-generated
@@ -365,7 +361,7 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     return {"generators": len(gens), "closure": len(closure), "truncation": len(expected)}
 
 
-@_check("gh-conditions")
+@_check("gh-conditions", least_n=3)
 def check_gh_conditions(n: int = 4, r: int | None = None):
     """Balance, degree-regularity with b >= 2, connectivity and Strong Hall
     for the Graham-Houghton graph; SCC decision against the subset oracle
@@ -391,12 +387,11 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
     return counts
 
 
-@_check("rank-table")
+@_check("rank-table", least_n=3)
 def check_rank_table(n: int = 3):
     """The four-case rank formula, cross-checked against the materialised
     minimal generating set in every cell of twist k <= 3."""
     max_k = 3
-    ideals._check_degree_3(n, "the rank table")
     # a proper k = 0 cell tests its delta(n, r) GH candidates, the others list generators
     size = capped_sum((4 if r == n else capped_delta(n, r)) if k == 0
                       else (k + (r == 0)) * capped_diagrams(n, r)
@@ -416,15 +411,14 @@ def check_rank_table(n: int = 3):
     return {"cells": len(cells)}
 
 
-@_check("minimal-gens")
+@_check("minimal-gens", least_n=1)
 def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     """M(r;k): star-indecomposable inside I(r;k), and its bounded closure
     recovers the bounded truncation of the ideal.  M(r;k) generates I(r;k)
     for n >= 1 when k >= 1 or r = 0."""
-    if n < 1 or k == 0 < r:
+    if k == 0 < r:
         raise DiagramError(
-            "verify minimal-gens is stated for n >= 1 and for k >= 1 or r = 0, "
-            f"got n = {n}, r = {r}, k = {k}")
+            f"verify minimal-gens is stated for k >= 1 or r = 0, got r = {r}, k = {k}")
     # the generators lie in the pool P of twists k to 2k, and the closure in
     # the truncation T of twists k to 2k + 2
     pool = (k + 1) * capped_diagrams(n, r)
@@ -448,11 +442,10 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     return {"generators": len(gens), "closure": len(closure)}
 
 
-@_check("singular-rank")
+@_check("singular-rank", least_n=3)
 def check_singular_rank(n: int = 3, bound: int = 2):
     """The C(n,2) + n! formula, the matching generating set, and (desk
     scale) its bounded closure covering the singular truncation."""
-    ideals._check_degree_3(n, "the singular rank formula")
     # the GH build tests delta(n, n-2) candidates, and the set lists the n! units;
     # the closure, which takes the bound, runs at desk scale only
     yield ({"n": n, "bound": bound} if n <= 3 else {"n": n},
@@ -473,7 +466,7 @@ def check_singular_rank(n: int = 3, bound: int = 2):
     return counts
 
 
-@_check("ig-subsemigroup")
+@_check("ig-subsemigroup", least_n=2)
 def check_ig_subsemigroup(n: int = 3, bound: int = 2):
     """The idempotent-generated subsemigroup is {1} u I(n-2;0) (degree >= 3);
     at degree 2 the twisted idempotents generate only {1}."""
@@ -501,7 +494,7 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2):
             "rank": structure.ig_subsemigroup_rank(n)}
 
 
-@_check("maltcev-mazorchuk")
+@_check("maltcev-mazorchuk", least_n=3)
 def check_maltcev_mazorchuk(n: int = 3):
     """Every singular diagram is a zero-twist chain of twisted idempotents,
     and the idempotent-generated submonoids of the plain monoid coincide."""

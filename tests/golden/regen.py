@@ -173,6 +173,11 @@ def requests() -> list[str]:
         "enumerate --n 3 --count-only --format jsonl",
         "ideal gens --n 3 --r 1 --k 0 --format jsonl",
     ]
+    out.append("verify tau-identity --exhaustive")  # --samples alone chooses sampling
+    out += [f"verify {theorem} --n {n}" for theorem, n in (  # one degree below the least
+        ("ig-subsemigroup", 1), ("maltcev-mazorchuk", 2), ("idempotent-generation", 2),
+        ("idempotent-closure", 2), ("gh-conditions", 2), ("rank-table", 2),
+        ("singular-rank", 2), ("minimal-gens", 0))]
     return out
 
 

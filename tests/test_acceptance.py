@@ -55,9 +55,9 @@ def test_criterion_02_figure1_golden(figure1):
 
 
 def test_criterion_03_tau_identity():
-    exhaustive = V.check_tau_identity(n=3, exhaustive=True)
+    exhaustive = V.check_tau_identity(n=3, samples=None)
     assert exhaustive.passed and exhaustive.counts["triples"] == 3375
-    sampled = V.check_tau_identity(n=6, exhaustive=False, samples=100_000, seed=0)
+    sampled = V.check_tau_identity(n=6, samples=100_000, seed=0)
     assert sampled.passed
     total = exhaustive.seconds + sampled.seconds
     assert total < 10.0

@@ -367,12 +367,26 @@ def test_factor_idempotents_cli_round_trip_degree_40(capsys, fmt):
 
 
 def test_verify_pass_and_report_shape(capsys):
-    code, out, _ = run(capsys, "verify", "tau-identity", "--n", "3", "--exhaustive")
+    code, out, _ = run(capsys, "verify", "tau-identity", "--n", "3")
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "pass"
     assert report["counts"]["triples"] == 3375
     assert report["theorem"] == "tau-identity"
+    assert report["params"] == {"n": 3, "samples": None, "seed": None}
+
+
+def test_verify_samples_alone_choose_sampling(capsys):
+    code, out, err = run(capsys, "verify", "tau-identity", "--n", "3", "--samples", "5",
+                         "--seed", "2")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == "pass" and report["counts"] == {"triples": 5}
+    assert report["params"] == {"n": 3, "samples": 5, "seed": 2}
+    with pytest.raises(SystemExit) as info:  # no other switch chooses between the two
+        main(["verify", "tau-identity", "--exhaustive"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --exhaustive" in capsys.readouterr().err
 
 
 def test_verify_seeded_sampling_echoes_seed(capsys):
@@ -390,7 +404,7 @@ def test_verify_unknown_theorem(capsys):
 
 
 def test_verify_refuses_large_exhaustive(capsys):
-    code, _, err = run(capsys, "verify", "tau-identity", "--n", "7", "--exhaustive")
+    code, _, err = run(capsys, "verify", "tau-identity", "--n", "7")
     assert code == 1 and "refuse" in err
 
 
@@ -401,11 +415,12 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     assert (code, out) == (2, "") and "--samples" in err
     code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "9", "--samples", "3")
     assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
-    # the size refusal comes before that of --samples, which --exhaustive ignores
-    code, out, err = run(capsys, "verify", "tau-identity", "--n", "9", "--exhaustive",
-                         "--samples", "3")
+    # without --samples tau-identity sweeps every triple; with it, only the samples
+    code, out, err = run(capsys, "verify", "tau-identity", "--n", "9")
     assert (code, out) == (1, "")
     assert err == f"error: verify tau-identity refused: it visits more than {SWEEP_LIMIT} triples\n"
+    code, out, _ = run(capsys, "verify", "tau-identity", "--n", "9", "--samples", "3")
+    assert code == 0 and json.loads(out)["counts"]["triples"] == 3
     code, out, _ = run(capsys, "verify", "tau-identity", "--n", "50", "--samples", "10")
     assert code == 0
     report = json.loads(out)
@@ -423,9 +438,9 @@ def test_verify_green_preorders_samples_degree_6(capsys):
 # at least one request per check above verify.SWEEP_LIMIT, with the unit its
 # refusal names; gh-conditions is refused by its D-class size instead
 REFUSED_SWEEPS = {
-    "tau-identity": ("tau-identity --n 5 --exhaustive", "triples"),  # 843,908,625
+    "tau-identity": ("tau-identity --n 5", "triples"),  # 843,908,625
     "tau-identity-sampled": ("tau-identity --n 50 --samples 1000000000", "triples"),
-    "tau-identity-huge-degree": ("tau-identity --n 100000 --exhaustive", "triples"),
+    "tau-identity-huge-degree": ("tau-identity --n 100000", "triples"),
     "green-pre-orders": ("green-pre-orders --n 6", "pairs and oracle search steps"),
     "green-relations": ("green-relations --n 9", "diagrams"),  # 34,459,425
     "regularity": ("regularity --n 6", "pairs"),  # 20,790^2
@@ -472,15 +487,37 @@ def test_verify_refuses_sweeps_above_the_limit(capsys, case):
     "idempotent-closure --n 3 --r 3",  # outside the theorem's hypotheses
     "idempotent-closure --n 4 --r 0",
     "minimal-gens --n 3 --r 1 --k 0",
+    "maltcev-mazorchuk --n 1",  # no singular diagram to factor: it would pass
+    "ig-subsemigroup --n 1",
+    "idempotent-generation --n 2",
 ])
 def test_verify_refuses_parameters_outside_each_check(capsys, request_):
     code, out, err = run(capsys, "verify", *request_.split())
     assert (code, out) == (1, "") and err.startswith("error:")
 
 
+# the least degree each replayed result is stated for, where it is above 0
+LEAST_DEGREES = {"rank-drop-lemma": 4, "twist-raise-lemma": 2, "twist-keep-lemma": 2,
+                 "ig-subsemigroup": 2, "maltcev-mazorchuk": 3, "idempotent-generation": 3,
+                 "idempotent-closure": 3, "gh-conditions": 3, "rank-table": 3,
+                 "singular-rank": 3, "minimal-gens": 1}
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_verify_runs_each_check_from_its_least_degree(capsys, theorem):
+    least = LEAST_DEGREES.get(theorem, 0)
+    assert CHECKS[theorem](n=least).passed
+    if least == 0:
+        return
+    message = f"verify {theorem} is stated for n >= {least}, got n = {least - 1}"
+    with pytest.raises(DiagramError) as refused:
+        CHECKS[theorem](n=least - 1)
+    assert str(refused.value) == message
+    assert run(capsys, "verify", theorem, "--n", str(least - 1)) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("request_, unused", [
-    ("rank-table --k 0 --samples 4 --seed 3 --exhaustive",
-     "--k, --samples, --seed, --exhaustive"),
+    ("rank-table --k 0 --samples 4 --seed 3", "--k, --samples, --seed"),
     ("green-relations --r 3", "--r"),
     ("regularity --n 3 --k 1", "--k"),
 ])
@@ -491,7 +528,7 @@ def test_verify_names_the_flags_a_check_does_not_take(capsys, request_, unused):
 
 
 @pytest.mark.parametrize("request_, ignored", [
-    ("tau-identity --n 3 --samples 5 --seed 2", "--samples, --seed"),  # exhaustive at n <= 3
+    ("tau-identity --seed 2", "--seed"),  # every triple, unseeded, without --samples
     ("green-pre-orders --n 3 --seed 4", "--seed"),  # every pair, unseeded, without --samples
     ("singular-rank --n 4 --bound 5", "--bound"),  # its closure runs at n <= 3 only
 ])
@@ -507,8 +544,10 @@ def test_verify_flags_are_the_parameter_table():
     taken = {name for check in CHECKS.values() for name in inspect.signature(check).parameters}
     assert taken - {"factor"} == set(verify.PARAMETERS)
     commands = next(a for a in build_parser()._actions if a.dest == "command")
-    flags = {a.dest for a in commands.choices["verify"]._actions if a.option_strings}
-    assert flags - {"help"} == set(verify.PARAMETERS)
+    flags = {a.dest: a.type for a in commands.choices["verify"]._actions
+             if a.option_strings and a.dest != "help"}
+    assert set(flags) == set(verify.PARAMETERS)
+    assert set(flags.values()) == {int}  # every flag takes an int
 
 
 def test_verify_bound_reaches_the_check(capsys):
@@ -682,13 +721,11 @@ for argv in json.loads(sys.argv[1]):
 
 
 # every request a size guard decides, at degrees far past every limit;
-# tau-identity samples 100,000 triples unless exhaustive, and
 # idempotent-closure takes a rank 0 < r < n
 GUARDED = ["enumerate --n {n} --count-only", "enumerate --n {n} --rank 2 --count-only",
            "gh-graph --n {n} --r 2", "ideal gens --n {n} --r 2 --k 0",
            "ideal gens --n {n} --r 0 --k 1",
-           *(f"verify {theorem} --n {{n}}" + {"tau-identity": " --exhaustive",
-                                               "idempotent-closure": " --r 2"}.get(theorem, "")
+           *(f"verify {theorem} --n {{n}}" + (" --r 2" if theorem == "idempotent-closure" else "")
              for theorem in sorted(CHECKS))]
 
 

@@ -23,7 +23,7 @@ from twisted_brauer.ideals import (
 
 # the report of each check at its defaults, without the elapsed seconds
 GOLDEN = """
-{"theorem": "tau-identity", "params": {"n": 3, "exhaustive": true, "samples": null, "seed": null}, "status": "pass", "counts": {"triples": 3375}, "counterexample": null}
+{"theorem": "tau-identity", "params": {"n": 3, "samples": null, "seed": null}, "status": "pass", "counts": {"triples": 3375}, "counterexample": null}
 {"theorem": "green-pre-orders", "params": {"n": 3, "samples": null, "seed": null}, "status": "pass", "counts": {"pairs": 225, "right": 117, "left": 117, "two_sided": 171}, "counterexample": null}
 {"theorem": "green-relations", "params": {"n": 4}, "status": "pass", "counts": {"diagrams": 105, "ranks": 3}, "counterexample": null}
 {"theorem": "regularity", "params": {"n": 3, "bound": 1}, "status": "pass", "counts": {"elements": 30, "candidates": 30}, "counterexample": null}
@@ -62,8 +62,8 @@ def test_every_check_passes_at_defaults(theorem):
 
 
 def test_sampled_checks_are_deterministic():
-    first = verify.check_tau_identity(n=4, exhaustive=False, samples=500, seed=9)
-    second = verify.check_tau_identity(n=4, exhaustive=False, samples=500, seed=9)
+    first = verify.check_tau_identity(n=4, samples=500, seed=9)
+    second = verify.check_tau_identity(n=4, samples=500, seed=9)
     assert first.passed and second.passed
     assert first.params == second.params
     assert first.counts == second.counts
@@ -93,21 +93,22 @@ def test_sampled_pairs_refuse_fewer_than_one_sample():
 
 
 def test_a_parameter_the_sweep_would_ignore_is_refused():
-    with pytest.raises(DiagramError, match="tau-identity ignores --samples, --seed with"):
-        verify.check_tau_identity(3, samples=5, seed=2)  # n <= 3 sweeps every triple
+    with pytest.raises(DiagramError, match="tau-identity ignores --seed with"):
+        verify.check_tau_identity(3, seed=2)  # without samples it sweeps every triple
     with pytest.raises(DiagramError, match="singular-rank ignores --bound with"):
         verify.check_singular_rank(4, 3)  # the closure runs at n <= 3 only
     with pytest.raises(DiagramError, match="refused: it visits more than"):
-        verify.check_tau_identity(9, exhaustive=True, samples=3)  # the size guard comes first
+        verify.check_tau_identity(9, seed=3)  # the size guard comes first
     # None is no value given, and a value the report echoes is taken
-    assert verify.check_tau_identity(3, samples=None, exhaustive=True).passed
+    assert verify.check_tau_identity(3, samples=None, seed=None).passed
+    assert verify.check_tau_identity(3, samples=5, seed=2).passed
 
 
 @pytest.mark.parametrize("call, params", [  # the calls of bench/workloads.py
     (lambda: verify.check_tau_identity(n=6, samples=300, seed=5),
-     {"n": 6, "exhaustive": False, "samples": 300, "seed": 5}),
+     {"n": 6, "samples": 300, "seed": 5}),
     (lambda: verify.check_tau_identity(n=50, samples=40, seed=6),
-     {"n": 50, "exhaustive": False, "samples": 40, "seed": 6}),
+     {"n": 50, "samples": 40, "seed": 6}),
     (lambda: verify.check_green_preorders(n=5, samples=1000, seed=7, factor=False),
      {"n": 5, "samples": 1000, "seed": 7}),
     (lambda: verify.check_idempotent_closure(4, 2, 2), {"n": 4, "r": 2, "bound": 2}),
