@@ -13,6 +13,7 @@ graph analysis of the regular D-classes.
 from .diagram import (
     BrauerDiagram,
     DiagramError,
+    PreconditionError,
     diagram_from_json,
     diagram_from_json_obj,
     identity,
@@ -32,7 +33,6 @@ from .twisted import (
 )
 from .green import (
     ClassDescription,
-    PreconditionError,
     canonical_idempotent,
     factor_left,
     factor_right,

@@ -30,6 +30,21 @@ class DiagramError(ValueError):
     """A malformed diagram or an illegal diagram operation, named by its message."""
 
 
+class PreconditionError(DiagramError):
+    """A request outside a result's hypotheses, or a factorization outside its pre-order."""
+
+
+def _check_degree(n) -> None:
+    if not is_int(n) or n < 0:
+        raise DiagramError(f"degree must be a non-negative integer, got {n!r}")
+
+
+def _check_degrees(alpha, beta) -> None:
+    """Refuse two operands (diagrams, twisted elements or ideals) of different degrees."""
+    if alpha.degree != beta.degree:
+        raise DiagramError(f"degrees differ: {alpha.degree} vs {beta.degree}")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class BrauerDiagram:
     """A perfect matching on [n] u [n]', immutable and totally ordered.
@@ -219,8 +234,7 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
     >>> make_diagram(2, [(1, -1), (2, -2)]) == identity(2)
     True
     """
-    if not is_int(degree) or degree < 0:
-        raise DiagramError(f"degree must be a non-negative integer, got {degree!r}")
+    _check_degree(degree)
     n = degree
     pairing = [-1] * (2 * n)
     plain = True
@@ -250,8 +264,7 @@ def make_diagram(degree: int, blocks) -> BrauerDiagram:
 
 def identity(n: int) -> BrauerDiagram:
     """The identity diagram: i joined to i' for every i."""
-    if n < 0:
-        raise DiagramError("degree must be non-negative")
+    _check_degree(n)
     return BrauerDiagram(n, tuple(range(n, 2 * n)) + tuple(range(n)))
 
 
@@ -297,8 +310,8 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     than n blocks, or where a cycle leaves the middle row.
     """
     n = alpha.degree
-    if beta.degree != n:
-        raise DiagramError(f"degrees differ: {n} vs {beta.degree}")
+    if beta.degree != n:  # tested here, so a product of equal degrees makes no call
+        _check_degrees(alpha, beta)
     pa, pb = alpha.pairing, beta.pairing
     out = [-1] * (2 * n)
     seen = [False] * n  # middle points, by their index in beta's top row

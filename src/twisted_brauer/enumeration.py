@@ -15,8 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, make_diagram,
-                      permutation_diagram, transposition)
+from .diagram import (BrauerDiagram, DiagramError, _check_degree, _raw_diagram, identity,
+                      make_diagram, permutation_diagram, transposition)
 from .ideals import COUNT_CAP, _check_rank_param, capped_delta, capped_diagrams, index_set
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
@@ -34,8 +34,7 @@ def _check_size(n: int, r: int | None = None) -> None:
     """Refuse a negative degree, or a stream of more than ENUMERATION_LIMIT
     diagrams: all (2n-1)!! of degree n, or the delta(n, r) of rank r, which
     is counted, capped, before anything is enumerated."""
-    if n < 0:
-        raise DiagramError("degree must be non-negative")
+    _check_degree(n)
     size = capped_diagrams(n) if r is None else capped_delta(n, r)
     if size > ENUMERATION_LIMIT:  # the size is not printed: past the limit it is the cap
         raise DiagramError(

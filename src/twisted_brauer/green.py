@@ -15,19 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DiagramError, _from_pairs
+from .diagram import BrauerDiagram, DiagramError, PreconditionError, _check_degrees, _from_pairs
 from .twisted import _hook_idempotent, as_twisted
 
 RELATIONS = ("R", "L", "H", "D", "J")
-
-
-class PreconditionError(DiagramError):
-    """A factorization was requested where the pre-order does not hold."""
-
-
-def _check_degrees(alpha: BrauerDiagram, beta: BrauerDiagram) -> None:
-    if alpha.degree != beta.degree:
-        raise DiagramError(f"degrees differ: {alpha.degree} vs {beta.degree}")
 
 
 def leq_R(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:

@@ -19,8 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DiagramError, _from_pairs
-from .green import PreconditionError
+from .diagram import BrauerDiagram, DiagramError, PreconditionError, _check_degrees, _from_pairs
 from .twisted import _hook_idempotent, as_twisted
 
 
@@ -46,6 +45,22 @@ def _check_rank_param(n: int, r: int) -> None:
     if r not in ranks:
         shown = tuple(ranks) if len(ranks) <= 8 else f"({ranks[0]}, {ranks[1]}, ..., {n})"
         raise DiagramError(f"rank {r} is not in I({n}) = {shown}")
+
+
+def _check_term(n: int, r: int, k: int) -> None:
+    _check_rank_param(n, r)
+    if k < 0:
+        raise DiagramError(f"twist parameter {k} must be non-negative")
+
+
+def _check_degree_3(n: int, subject: str) -> None:
+    if n < 3:
+        raise PreconditionError(f"{subject} is stated for n >= 3, got n = {n}")
+
+
+def _check_proper_rank(n: int, r: int, subject: str) -> None:
+    if not 0 < r < n:  # where I(r;0) is idempotent-generated
+        raise PreconditionError(f"{subject} is stated for 0 < r < n, got r = {r} in degree {n}")
 
 
 def rho(n: int, r: int) -> int:
@@ -129,9 +144,7 @@ class IdealSpec:
 
     def __post_init__(self) -> None:
         for r, k in self.terms:
-            _check_rank_param(self.degree, r)
-            if k < 0:
-                raise DiagramError(f"twist parameter {k} must be non-negative")
+            _check_term(self.degree, r, k)
         ranks = [r for r, _ in self.terms]
         twists = [k for _, k in self.terms]
         if ranks != sorted(ranks, reverse=True) or len(set(ranks)) != len(ranks):
@@ -162,9 +175,7 @@ def ideal_normalize(degree: int, terms) -> IdealSpec:
     """
     terms = [(int(r), int(k)) for r, k in terms]
     for r, k in terms:
-        _check_rank_param(degree, r)
-        if k < 0:
-            raise DiagramError(f"twist parameter {k} must be non-negative")
+        _check_term(degree, r, k)
     kept = []
     for r, k in sorted(set(terms), key=lambda t: (-t[0], t[1])):
         if not any(r <= q and k >= l for q, l in kept):
@@ -175,15 +186,13 @@ def ideal_normalize(degree: int, terms) -> IdealSpec:
 def ideal_contains(spec: IdealSpec, x) -> bool:
     """Membership: some term (r, k) has rank(x) <= r and twist(x) >= k."""
     x = as_twisted(x)
-    if x.degree != spec.degree:
-        raise DiagramError(f"degrees differ: {x.degree} vs {spec.degree}")
+    _check_degrees(x, spec)
     return any(x.rank <= r and x.twist >= k for r, k in spec.terms)
 
 
 def ideal_subset(left: IdealSpec, right: IdealSpec) -> bool:
     """Containment of ideals: every left term is dominated by a right term."""
-    if left.degree != right.degree:
-        raise DiagramError(f"degrees differ: {left.degree} vs {right.degree}")
+    _check_degrees(left, right)
     return all(
         any(r <= q and k >= l for q, l in right.terms) for r, k in left.terms
     )
@@ -318,8 +327,7 @@ def idempotent_factor_sigma(
     n, p = alpha.degree, alpha.pairing
     bottoms, hooks = _bottoms_and_hooks(alpha)  # 0-based from here on
     r = len(bottoms)
-    if not 0 < r < n:
-        raise PreconditionError(f"need 0 < rank < degree, got rank {r} in degree {n}")
+    _check_proper_rank(n, r, "the absorption of sigma_ij")
     if not 1 <= i < j <= n:
         raise PreconditionError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     i, j = i - 1, j - 1
@@ -369,11 +377,6 @@ class IdealRank:
         }
 
 
-def _check_degree_3(n: int, subject: str) -> None:
-    if n < 3:
-        raise DiagramError(f"{subject} is stated for degree >= 3")
-
-
 def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     """Smallest generating-set size of I(r;k), for degree n >= 3.
 
@@ -387,9 +390,7 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     lgamma estimate where its leading term has twice as many digits, else exactly.
     """
     _check_degree_3(n, "the rank table")
-    _check_rank_param(n, r)
-    if k < 0:
-        raise DiagramError(f"twist parameter {k} must be non-negative")
+    _check_term(n, r, k)
     max_digits = sys.get_int_max_str_digits()
     too_long = (f"rank of I({r};{k}) in degree {n} refused: it has more than {max_digits} "
                 "digits, the int-to-text limit")

@@ -22,11 +22,12 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, permutation_diagram,
-                      transposition)
-from .green import PreconditionError, canonical_idempotent
-from .ideals import (SWEEP_LIMIT, IdealSpec, _bottoms_and_hooks, _check_degree_3, _check_rank_param,
-                     capped_delta, capped_diagrams, idempotent_factor_sigma, lemma_rank_drop, rho)
+from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _raw_diagram, identity,
+                      permutation_diagram, transposition)
+from .green import canonical_idempotent
+from .ideals import (SWEEP_LIMIT, IdealSpec, _bottoms_and_hooks, _check_degree_3,
+                     _check_proper_rank, capped_delta, capped_diagrams, idempotent_factor_sigma,
+                     lemma_rank_drop, rho)
 from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -108,11 +109,8 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     Each candidate's H-class is read off its place in the d_class stream
     (whose docstring fixes the block order), so no kernel is computed from
     a diagram, and only the two signature indices are kept."""
-    if n < 3:
-        raise PreconditionError("Graham-Houghton analysis needs degree >= 3")
-    _check_rank_param(n, r)
-    if r in (0, n):
-        raise PreconditionError(f"rank {r} must lie strictly between 0 and {n}")
+    _check_degree_3(n, "the Graham-Houghton analysis")
+    _check_proper_rank(n, r, "the Graham-Houghton analysis")
     if capped_delta(n, r) > GH_CANDIDATE_LIMIT:
         raise DiagramError(
             f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
@@ -315,8 +313,7 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     n = spec.degree
     (r, k), = spec.terms
     if k == 0 and r == n:
-        if n < 3:
-            raise DiagramError("the four-generator description needs degree >= 3")
+        _check_degree_3(n, "the four-generator description")
         cycle = permutation_diagram(n, list(range(2, n + 1)) + [1])
         elements = (
             as_twisted(transposition(n, 1, 2)),
@@ -353,8 +350,7 @@ def singular_generating_set(n: int) -> list[TwistedElement]:
 def ig_subsemigroup_rank(n: int) -> int:
     """Rank (= idempotent rank) of the idempotent-generated subsemigroup:
     C(n, 2) + 1."""
-    if n < 3:
-        raise DiagramError("stated for degree >= 3")
+    _check_degree_3(n, "the idempotent-generated subsemigroup's rank")
     return math.comb(n, 2) + 1
 
 
@@ -362,7 +358,7 @@ def in_idempotent_generated(x) -> bool:
     """Membership in the subsemigroup generated by the twisted idempotents:
     the untwisted identity, plus everything of rank at most n - 2."""
     x = as_twisted(x)
-    _check_degree_3(x.degree, "the description")
+    _check_degree_3(x.degree, "the idempotent-generated subsemigroup")
     if x.rank <= x.degree - 2:
         return True
     return x.twist == 0 and x.diagram == identity(x.degree)
@@ -444,8 +440,7 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     split into two rank-2 factors with no floating component.
     """
     n, r = alpha.degree, alpha.rank
-    if n < 3:
-        raise PreconditionError("idempotent factorization is stated for degree >= 3")
+    _check_degree_3(n, "idempotent factorization")
     if r == n:
         raise PreconditionError("units admit no idempotent factorization")
     if is_idempotent_twisted(alpha):

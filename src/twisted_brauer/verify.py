@@ -323,6 +323,7 @@ def check_idempotent_generation(n: int = 4, r: int | None = None):
     alpha with rank-preserving twisted idempotents, all cases.  The rank
     defaults to n - 2."""
     r = n - 2 if r is None else r
+    ideals._check_proper_rank(n, r, "verify idempotent-generation")
     yield ({"n": n, "r": r}, capped_delta(n, r) * math.comb(n, 2),
            "(diagram, transposition) pairs")
     checked = 0
@@ -344,8 +345,7 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     """Bounded closure of the twisted idempotents of D_r covers the
     twist-bounded truncation of I(r;0), which is idempotent-generated
     exactly when 0 < r < n."""
-    if not 0 < r < n:
-        raise DiagramError(f"verify idempotent-closure is stated for 0 < r < n, got r = {r}")
+    ideals._check_proper_rank(n, r, "verify idempotent-closure")
     # the closure lies in the truncation; an H-class holds at most one idempotent
     products = (bound + 1) * capped_diagrams(n, r) * capped_rho(n, r) ** 2
     yield ({"n": n, "r": r, "bound": bound}, capped_diagrams(n) + products,
@@ -368,6 +368,7 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
     when the side is small enough; the degree and the edge count against
     the closed form ideals.gh_degree.  The rank defaults to n - 2."""
     r = n - 2 if r is None else r
+    ideals._check_proper_rank(n, r, "verify gh-conditions")
     # nothing is visited beyond the build, which refuses its delta(n, r)
     # candidates above GH_CANDIDATE_LIMIT < SWEEP_LIMIT
     yield {"n": n, "r": r}, 0, "candidates"

@@ -103,6 +103,7 @@ def requests() -> list[str]:
     q = shlex.quote
     alpha6 = "n=6: (1,3)(2,3')(4,5)(6,6')(1',2')(4',5')"
     hook3 = "n=3: (1,2)(3,3')(1',2')"
+    hook2 = "n=2: (1,2)(1',2')"
     out = [
         f"mul --n 6 {q(alpha6)} {q(alpha6)}",
         f"mul --n 3 --format jsonl {q(hook3)} {q(hook3)}",
@@ -178,6 +179,18 @@ def requests() -> list[str]:
         ("ig-subsemigroup", 1), ("maltcev-mazorchuk", 2), ("idempotent-generation", 2),
         ("idempotent-closure", 2), ("gh-conditions", 2), ("rank-table", 2),
         ("singular-rank", 2), ("minimal-gens", 0))]
+    out += [  # just outside a hypothesis or an input rule, each refused by its one helper
+        "verify idempotent-generation --n 3 --r 3",
+        "verify idempotent-generation --n 12 --r 12",  # the rank is refused before the size
+        "verify idempotent-closure --n 3 --r 3",
+        "verify gh-conditions --n 3 --r 3",
+        "gh-graph --n 2 --r 0",
+        "ideal gens --n 2 --r 2 --k 0",
+        "ideal rank --n 2 --r 0 --k 1",
+        "ideal rank --n 4 --r 2 --k -1",
+        f"factor --n 2 --idempotents {q(hook2)}",
+        "enumerate --n -1 --count-only",
+    ]
     return out
 
 

@@ -727,18 +727,31 @@ GUARDED = ["enumerate --n {n} --count-only", "enumerate --n {n} --rank 2 --count
            "ideal gens --n {n} --r 0 --k 1",
            *(f"verify {theorem} --n {{n}}" + (" --r 2" if theorem == "idempotent-closure" else "")
              for theorem in sorted(CHECKS))]
+# requests outside a hypothesis, at the same degrees: each is refused by its
+# rule, with the rule's text, before any size is counted
+OUTSIDE_HYPOTHESES = {
+    "gh-graph --n {n} --r {n}": "the Graham-Houghton analysis is stated for 0 < r < n, "
+                                "got r = {n} in degree {n}",
+    "verify gh-conditions --n {n} --r 0": "verify gh-conditions is stated for 0 < r < n, "
+                                          "got r = 0 in degree {n}",
+    **{f"verify {theorem} --n {{n}} --r {{n}}": f"verify {theorem} is stated for 0 < r < n, "
+                                                "got r = {n} in degree {n}"
+       for theorem in ("idempotent-generation", "idempotent-closure")},
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _guarded_in_one_child(degree):
-    """Every GUARDED request at ``degree``, run in turn in one child process
-    (under the limits of _child_process, with 10 s a request): a dict from
-    request to its [exit status, stdout, stderr, seconds]."""
-    requests = [request_.format(n=degree).split() for request_ in GUARDED]
+    """Every GUARDED and OUTSIDE_HYPOTHESES request at ``degree``, run in
+    turn in one child process (under the limits of _child_process, with 10 s
+    a request): a dict from request to its [exit status, stdout, stderr,
+    seconds]."""
+    templates = [*GUARDED, *OUTSIDE_HYPOTHESES]
+    requests = [request_.format(n=degree).split() for request_ in templates]
     proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)],
                           timeout=10 * len(requests))
     assert (proc.returncode, proc.stderr) == (0, "")
-    return dict(zip(GUARDED, (json.loads(line) for line in proc.stdout.splitlines())))
+    return dict(zip(templates, (json.loads(line) for line in proc.stdout.splitlines())))
 
 
 @pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
@@ -752,6 +765,15 @@ def test_huge_degrees_are_refused_at_once(capsys, request_, degree):
     start = time.perf_counter()
     assert run(capsys, *argv) == (1, "", err)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
+@pytest.mark.parametrize("request_", OUTSIDE_HYPOTHESES)
+def test_huge_degrees_outside_a_hypothesis_are_refused_by_it(request_, degree):
+    code, out, err, seconds = _guarded_in_one_child(degree)[request_]
+    message = OUTSIDE_HYPOTHESES[request_].format(n=degree)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert seconds < 1.0
 
 
 def test_ideal_rank_is_exact_at_large_degree_near_the_top(capsys):

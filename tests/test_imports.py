@@ -5,9 +5,12 @@ tree of every module under ``src/`` and ``tests/`` instead.  Package
 ``__init__.py`` files are exempt from the unread-name scan, since their
 imports are re-exports, and so are ``__future__`` imports, which are
 compiler directives.  Under ``src/`` no import sits inside a function, and
-the package's modules import each other without a cycle."""
+the package's modules import each other without a cycle.  ``ideals``
+imports no sibling but ``diagram`` and ``twisted``, and each hypothesis and
+input rule of the package is raised with its one text by one ``raise``."""
 
 import ast
+import collections
 import graphlib
 import pathlib
 
@@ -91,3 +94,60 @@ def test_the_package_is_layered():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_ideals_imports_only_diagram_and_twisted():
+    source = (ROOT / "src/twisted_brauer/ideals.py").read_text(encoding="utf-8")
+    assert package_imports(source)[0] == {"diagram", "twisted"}
+
+
+def raised_texts(source: str) -> list[str]:
+    """The text of each ``raise E("...")`` or ``raise E(f"...")``, with
+    ``{}`` for each formatted value; a message built otherwise is skipped."""
+    texts = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        if all(isinstance(p, ast.FormattedValue)
+               or isinstance(p, ast.Constant) and isinstance(p.value, str) for p in parts):
+            texts.append("".join("{}" if isinstance(p, ast.FormattedValue) else p.value
+                                 for p in parts))
+    return texts
+
+
+def test_the_raise_scan_reads_literal_messages():
+    source = ("def f(n, name):\n"
+              "    if n:\n"
+              "        raise ValueError(f'degree {n!r} of ' 'the {name}')\n"
+              "    raise KeyError('plain')\n"
+              "raise TypeError(MESSAGE)\n"
+              "raise TypeError(3)\n"
+              "raise StopIteration\n")
+    assert sorted(raised_texts(source)) == ["degree {} of the {name}", "plain"]
+
+
+# the one text of each hypothesis and input rule, and the module that raises it
+RULE_TEXTS = {
+    "{} is stated for n >= 3, got n = {}": "ideals",
+    "{} is stated for 0 < r < n, got r = {} in degree {}": "ideals",
+    "twist parameter {} must be non-negative": "ideals",
+    "degrees differ: {} vs {}": "diagram",
+    "degree must be a non-negative integer, got {}": "diagram",
+}
+# wordings of the same rules that no other raise may use
+RULE_WORDS = ("degree >= 3", "n >= 3", "0 < r < n", "0 < rank", "strictly between",
+              "non-negative", "degrees differ")
+
+
+def test_each_rule_is_raised_once_with_one_text():
+    raised = collections.defaultdict(list)
+    for path in sorted(ROOT.glob("src/twisted_brauer/*.py")):
+        for text in raised_texts(path.read_text(encoding="utf-8")):
+            raised[text].append(path.stem)
+    assert {text: raised[text] for text in RULE_TEXTS} == {
+        text: [module] for text, module in RULE_TEXTS.items()}
+    restated = sorted(text for text in raised
+                      if text not in RULE_TEXTS and any(word in text for word in RULE_WORDS))
+    assert restated == []
