@@ -64,7 +64,8 @@ class BrauerDiagram:
             raise DiagramError(f"need an int degree and a tuple pairing, got {n!r} and a "
                                f"{type(p).__name__}")
         n2 = 2 * n
-        if n < 0 or len(p) != n2:
+        if len(p) != n2:  # as at every negative degree
+            _check_degree(n)
             raise DiagramError(f"pairing must have length {n2}, got {len(p)}")
         try:
             for x, y in enumerate(p):

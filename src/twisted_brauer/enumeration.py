@@ -17,28 +17,15 @@ from dataclasses import dataclass
 
 from .diagram import (BrauerDiagram, DiagramError, _check_degree, _raw_diagram, identity,
                       make_diagram, permutation_diagram, transposition)
-from .ideals import COUNT_CAP, _check_rank_param, capped_delta, capped_diagrams, index_set
+from .ideals import _check_rank_param, capped_delta, capped_diagrams, check_cost, index_set
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
-# |B_10| = 19!!: every stream of degree <= 10 fits, and so does every D-class
-# of degree 10 (the largest is delta(10, 6) = 285,768,000)
-ENUMERATION_LIMIT = COUNT_CAP - 1
-# |B_7| = 13!!: the divisibility oracle holds every diagram with its right
-# and left Cayley graphs and the reach masks of their components, about
-# 0.8 KB each (120 MB peak measured at degree 7 with all three relations
-# searched; degree 8 would need about 1.6 GB)
-ORACLE_LIMIT = 135_135
-
-
 def _check_size(n: int, r: int | None = None) -> None:
-    """Refuse a negative degree, or a stream of more than ENUMERATION_LIMIT
-    diagrams: all (2n-1)!! of degree n, or the delta(n, r) of rank r, which
-    is counted, capped, before anything is enumerated."""
+    """Refuse a negative degree, or a stream of the (2n-1)!! diagrams of degree n,
+    or of the delta(n, r) of rank r, that costs more than the budget."""
     _check_degree(n)
-    size = capped_diagrams(n) if r is None else capped_delta(n, r)
-    if size > ENUMERATION_LIMIT:  # the size is not printed: past the limit it is the cap
-        raise DiagramError(
-            f"enumeration of degree {n} refused: it streams more than {ENUMERATION_LIMIT} diagrams")
+    check_cost(f"enumeration of degree {n}", "streamed diagram",
+               capped_diagrams(n) if r is None else capped_delta(n, r))
 
 
 def _matchings(pairing: list[int], free: list[int], hooks: int):
@@ -136,6 +123,7 @@ def d_class(n: int, r: int):
 def truncation(n: int, twists, max_rank: int | None = None) -> list[TwistedElement]:
     """The elements (i, d), i in ``twists`` and d of degree n and rank at most
     ``max_rank``: twist by twist, each over one pool of D-classes, lowest first."""
+    _check_degree(n)
     pool = [d for s in index_set(n) if max_rank is None or s <= max_rank for d in d_class(n, s)]
     return [TwistedElement(i, d) for i in twists for d in pool]
 
@@ -288,14 +276,19 @@ def bounded_closure(generators, twist_bound: int) -> ClosureResult:
 
     Twist never falls along a product, so every prefix of a word within
     the bound is itself within it and the Cayley graph misses nothing.
-    Terminates because at most (bound+1) * (2n-1)!! elements fit under the
-    bound.  Monotone in both the bound and the generator set.
+    Terminates because the closure lies in the twists from the least generator
+    twist to the bound, at ranks up to the greatest generator rank, where its
+    products must fit the budget.  Monotone in the bound and the generator set.
     """
     if twist_bound < 0:
         raise DiagramError(f"bound must be at least 0, got {twist_bound}")
     gens = [as_twisted(g) for g in generators]
     if any(g.twist > twist_bound for g in gens):
         raise DiagramError("twist bound lies below a generator's twist")
+    if gens:
+        n, least = gens[0].degree, min(g.twist for g in gens)
+        size = (twist_bound + 1 - least) * capped_diagrams(n, max(g.rank for g in gens))
+        check_cost(f"closure of degree {n}", "closure product", size * len(gens), size)
     graph = CayleyGraph(gens, star, keep=lambda p: p.twist <= twist_bound)
     return ClosureResult(twist_bound, frozenset(graph.elements), graph.complete)
 
@@ -376,17 +369,13 @@ class DivisibilityOracle:
     reach masks, which answer every later query.  It never
     consults kernels or ranks: this is the independent route the
     characterisations are verified against.  It checks itself by reaching
-    all (2n-1)!! diagrams, and refuses more than ORACLE_LIMIT of them.
+    all (2n-1)!! diagrams, and holds no more than the budget allows.
     """
 
     def __init__(self, n: int):
-        _check_size(n)
+        _check_degree(n)
         size = capped_diagrams(n)
-        if size > ORACLE_LIMIT:
-            raise DiagramError(  # size <= ENUMERATION_LIMIT here, so it prints
-                f"divisibility oracle over {size} diagrams of degree {n} refused: "
-                f"more than {ORACLE_LIMIT}, since it keeps every diagram in memory"
-            )
+        check_cost(f"divisibility oracle of degree {n}", "oracle diagram", size, size)
         gens = [identity(n)]
         if n >= 2:
             gens += [

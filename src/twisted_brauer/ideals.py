@@ -19,7 +19,8 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .diagram import BrauerDiagram, DiagramError, PreconditionError, _check_degrees, _from_pairs
+from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _check_degree,
+                      _check_degrees, _from_pairs)
 from .twisted import _hook_idempotent, as_twisted
 
 
@@ -42,8 +43,8 @@ def double_factorial(m: int) -> int:
 
 def _check_rank_param(n: int, r: int) -> None:
     ranks = index_set(n)  # empty at a negative degree
-    if r not in ranks:
-        shown = tuple(ranks) if len(ranks) <= 8 else f"({ranks[0]}, {ranks[1]}, ..., {n})"
+    if r not in ranks:  # up to degree 15, I(n) has at most 8 ranks
+        shown = tuple(ranks) if n < 16 else f"({ranks[0]}, {ranks[1]}, ..., {n})"
         raise DiagramError(f"rank {r} is not in I({n}) = {shown}")
 
 
@@ -74,13 +75,37 @@ def delta(n: int, r: int) -> int:
     return rho(n, r) ** 2 * math.factorial(r)
 
 
-# The capped counts that every size guard decides by are exact up to
-# |B_10| = 19!!, the largest size limit in the package, and equal COUNT_CAP
-# above it, so no refusal computes a huge integer.
+# The capped counts, which every size guard decides by, are exact up to |B_10| = 19!!
+# and COUNT_CAP above it, where a count of any unit in COSTS exceeds the step budget.
 COUNT_CAP = double_factorial(19) + 1
-# |B_8| = 15!!: the most items a verify check visits, and so the most
-# elements of an M(r;k) grid that structure.generating_set builds
-SWEEP_LIMIT = double_factorial(15)
+# unit: (nanoseconds per unit of work, bytes per unit held), measured on one 2-core
+# host (Python 3.11.7) by tests/measure_costs.py; verify's checks name theirs too
+COSTS = {
+    "streamed diagram": (2_100, 0),
+    "oracle diagram": (17_000, 810),  # held with its Cayley graph rows and reach masks
+    "GH candidate": (2_800, 0),  # and gh-conditions', rank-table's and singular-rank's items
+    "grid element": (1_600, 120),
+    "generator degree": (980, 360),  # the four top generators, per unit of degree
+    "closure product": (3_400, 760),  # bytes per element of the bound; and the closure checks'
+    "cocycle triple degree": (8_400, 570),  # per triple and unit of degree; bytes per degree
+    "pre-order pair": (35_000, 820),  # bytes per diagram of B_n, with the oracle's
+    "classified diagram": (5_900, 150),
+    "regularity pair": (3_600, 0),
+    "classification element": (2_400, 120),  # bytes per truncation element
+    "lemma diagram": (13_000, 0),
+    "absorbed transposition": (21_000, 0),
+    "factored diagram": (77_000, 0),
+}
+STEP_BUDGET_NS, BYTE_BUDGET = 60 * 10**9, 10**9  # 60 s and 1 GB
+
+
+def check_cost(subject: str, unit: str, work: int, held: int = 0) -> None:
+    """The one size guard, called once per request: refuse ``subject`` when its ``work``
+    units of ``unit`` take more than 60 s, or its ``held`` units more than 1 GB."""
+    ns, size = COSTS[unit]
+    budget = "1 GB" if held * size > BYTE_BUDGET else "60 s" if work * ns > STEP_BUDGET_NS else ""
+    if budget:
+        raise DiagramError(f"{subject} refused: it needs more than {budget}")
 
 
 def capped_rho(n: int, r: int) -> int:
@@ -127,6 +152,7 @@ def gh_degree(n: int, r: int) -> int:
     [4, 6, 48]
     """
     _check_rank_param(n, r)
+    _check_proper_rank(n, r, "the Graham-Houghton degree")
     k = (n - r) // 2
     return 2**k * math.prod(range(r, r + k))
 
@@ -143,6 +169,7 @@ class IdealSpec:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_degree(self.degree)
         for r, k in self.terms:
             _check_term(self.degree, r, k)
         ranks = [r for r, _ in self.terms]
@@ -173,6 +200,7 @@ def ideal_normalize(degree: int, terms) -> IdealSpec:
     A term (r, k) is dominated by (q, l) when r <= q and k >= l, since then
     I(r;k) is contained in I(q;l).
     """
+    _check_degree(degree)
     terms = [(int(r), int(k)) for r, k in terms]
     for r, k in terms:
         _check_term(degree, r, k)
@@ -392,8 +420,6 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     _check_degree_3(n, "the rank table")
     _check_term(n, r, k)
     max_digits = sys.get_int_max_str_digits()
-    too_long = (f"rank of I({r};{k}) in degree {n} refused: it has more than {max_digits} "
-                "digits, the int-to-text limit")
     h = (n - r) // 2  # ln rho(n, r) = ln n! - ln r! - h ln 2 - ln h!
     try:
         log_lead = math.lgamma(n + 1) - math.lgamma(r + 1) - h * math.log(2) - math.lgamma(h + 1)
@@ -402,14 +428,15 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     except OverflowError:  # a parameter past the float range
         log_lead = math.inf
     if max_digits and log_lead > 2 * max_digits * math.log(10):
-        raise DiagramError(too_long)
-    if k == 0 and r == n:
+        value = None  # refused uncomputed
+    elif k == 0 and r == n:
         value = 4
     elif k == 0 and 0 < r < n:
         value = rho(n, r)
     else:  # the M(r;k) grid: twists k to 2k, 2k itself only at r = 0
         value = (k + (r == 0)) * sum(delta(n, s) for s in index_set(r))
-    if max_digits and value >= 10**max_digits:
-        raise DiagramError(too_long)
+    if max_digits and (value is None or value >= 10**max_digits):
+        raise DiagramError(f"rank of I({r};{k}) in degree {n} refused: it has more than "
+                           f"{max_digits} digits, the int-to-text limit")
     ig = 0 < r < n and k == 0
     return IdealRank(n, (r, k), value, ig, value if ig else None)

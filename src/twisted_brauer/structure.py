@@ -25,15 +25,11 @@ from dataclasses import dataclass
 from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _raw_diagram, identity,
                       permutation_diagram, transposition)
 from .green import canonical_idempotent
-from .ideals import (SWEEP_LIMIT, IdealSpec, _bottoms_and_hooks, _check_degree_3,
-                     _check_proper_rank, capped_delta, capped_diagrams, idempotent_factor_sigma,
+from .ideals import (IdealSpec, _bottoms_and_hooks, _check_degree_3, _check_proper_rank,
+                     capped_delta, capped_diagrams, check_cost, idempotent_factor_sigma,
                      lemma_rank_drop, rho)
 from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
-
-# delta(8, 4) = 1,058,400 is the largest D-class of degree <= 8;
-# delta(9, 3) = 9,525,600 is refused.
-GH_CANDIDATE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -104,17 +100,15 @@ class GHGraph:
 def build_gh_graph(n: int, r: int) -> GHGraph:
     """Enumerate the twisted idempotents of the rank-r D-class and record
     each one's (kernel, cokernel) pair.  Requires n >= 3 and 0 < r < n, and
-    refuses D-classes of more than GH_CANDIDATE_LIMIT diagrams.
+    refuses a D-class whose delta(n, r) candidates cost more than the budget.
 
     Each candidate's H-class is read off its place in the d_class stream
     (whose docstring fixes the block order), so no kernel is computed from
     a diagram, and only the two signature indices are kept."""
     _check_degree_3(n, "the Graham-Houghton analysis")
     _check_proper_rank(n, r, "the Graham-Houghton analysis")
-    if capped_delta(n, r) > GH_CANDIDATE_LIMIT:
-        raise DiagramError(
-            f"Graham-Houghton graph of D_{r} in degree {n} refused: it tests "
-            f"more than {GH_CANDIDATE_LIMIT} diagrams")
+    check_cost(f"Graham-Houghton graph of D_{r} in degree {n}", "GH candidate",
+               capped_delta(n, r))
     patterns = [tuple(hooks) for hooks, _ in enumeration.hook_patterns(n, r)]
     signatures = tuple(sorted(patterns))
     index = {hooks: i for i, hooks in enumerate(signatures)}
@@ -305,8 +299,7 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     0 < r < n, k = 0 it is a set of rho(n, r) twisted idempotents read off
     a perfect matching of the Graham-Houghton graph; otherwise it is
     M(r;k), the grid of D-classes with twist between k and 2k (inclusive
-    on both ends when r = 0, exclusive above otherwise), refused past
-    SWEEP_LIMIT elements.
+    on both ends when r = 0, exclusive above otherwise).
     """
     if not spec.is_principal():
         raise DiagramError("generating sets are computed for principal ideals only")
@@ -314,6 +307,7 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     (r, k), = spec.terms
     if k == 0 and r == n:
         _check_degree_3(n, "the four-generator description")
+        check_cost(f"the four generators of degree {n}", "generator degree", n, n)
         cycle = permutation_diagram(n, list(range(2, n + 1)) + [1])
         elements = (
             as_twisted(transposition(n, 1, 2)),
@@ -325,9 +319,8 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     if k == 0 and 0 < r < n:
         return GeneratingSet(n, (r, k), "idempotent-matching",
                              tuple(idempotent_generating_set(n, r)))
-    if (k + (r == 0)) * capped_diagrams(n, r) > SWEEP_LIMIT:
-        raise DiagramError(f"M({r};{k}) in degree {n} refused: it has more than "
-                           f"{SWEEP_LIMIT} elements")
+    size = (k + (r == 0)) * capped_diagrams(n, r)
+    check_cost(f"M({r};{k}) in degree {n}", "grid element", size, size)
     elements = tuple(enumeration.truncation(n, range(k, 2 * k + (r == 0)), r))
     return GeneratingSet(n, (r, k), "d-class-grid", elements)
 

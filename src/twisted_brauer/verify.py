@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import enumeration, green, ideals, structure
 from .diagram import BrauerDiagram, DiagramError, identity, multiply, transposition
-from .ideals import SWEEP_LIMIT, capped_delta, capped_diagrams, capped_rho, capped_sum
+from .ideals import capped_delta, capped_diagrams, capped_rho, capped_sum, check_cost
 from .twisted import (
     TwistedElement,
     as_twisted,
@@ -73,17 +73,17 @@ class _Fail(Exception):
         self.witness = witness
 
 
-def _check(theorem: str, least_n: int = 0):
+def _check(theorem: str, unit: str, least_n: int = 0):
     """Register a check under ``theorem`` in CHECKS, for the result it
     replays, which is stated for the degrees n >= ``least_n``.
 
-    The decorated body is a generator.  It first yields ``(params, size,
-    unit)``: the parameters its report echoes and the number of items its
-    sweep visits, from the capped counts of ``ideals``, before anything is
-    enumerated.  It then sweeps, and returns the report's counts or raises
-    _Fail with a counterexample.  The runner refuses a parameter below its
-    least value, a degree below ``least_n`` (before the body runs), a sweep
-    of more than SWEEP_LIMIT items and a parameter that the params do not
+    The decorated body is a generator.  It first yields ``(params, work,
+    held)``: the parameters its report echoes and the units of ``unit`` its
+    sweep does and holds at once, from the capped counts of ``ideals``.  It
+    then sweeps, and returns the report's counts or raises _Fail with a
+    counterexample.  The runner refuses a parameter below its least value, a
+    degree below ``least_n`` (before the body runs), a sweep that costs more
+    than ``ideals.check_cost`` admits and a parameter that the params do not
     echo as given, and builds and times the report."""
 
     def register(body):
@@ -101,10 +101,8 @@ def _check(theorem: str, least_n: int = 0):
             if (n := given.get("n", default_n)) < least_n:
                 raise DiagramError(f"verify {theorem} is stated for n >= {least_n}, got n = {n}")
             sweep = body(*args, **kwargs)
-            params, size, unit = next(sweep)
-            if size > SWEEP_LIMIT:
-                raise DiagramError(
-                    f"verify {theorem} refused: it visits more than {SWEEP_LIMIT} {unit}")
+            params, work, held = next(sweep)
+            check_cost(f"verify {theorem}", unit, work, held)
             ignored = [f"--{name}" for name, value in given.items() if params.get(name) != value]
             if ignored:
                 raise DiagramError(
@@ -125,11 +123,11 @@ def _check(theorem: str, least_n: int = 0):
     return register
 
 
-@_check("tau-identity")
+@_check("tau-identity", "cocycle triple degree")
 def check_tau_identity(n: int = 3, samples: int | None = None, seed: int = 0):
     """tau(a,b) + tau(ab,c) = tau(a,bc) + tau(b,c), and (ab)c = a(bc)."""
     total = capped_diagrams(n) ** 3 if samples is None else samples
-    yield {"n": n, "samples": samples, "seed": seed if samples else None}, total, "triples"
+    yield {"n": n, "samples": samples, "seed": seed if samples else None}, total * n, n
     rng = random.Random(seed)
     triples = (itertools.product(list(enumeration.all_diagrams(n)), repeat=3) if samples is None
                else (tuple(enumeration.random_diagram(n, rng) for _ in range(3))
@@ -144,7 +142,7 @@ def check_tau_identity(n: int = 3, samples: int | None = None, seed: int = 0):
     return {"triples": total}
 
 
-@_check("green-pre-orders")
+@_check("green-pre-orders", "pre-order pair")
 def check_green_preorders(
     n: int = 3, samples: int | None = None, seed: int = 0, factor: bool = True
 ):
@@ -153,8 +151,7 @@ def check_green_preorders(
     size = capped_diagrams(n)
     total = size * size if samples is None else samples
     # the oracle searches the graph of each relation once, over all of B_n
-    yield ({"n": n, "samples": samples, "seed": seed if samples else None},
-           total + 3 * size, "pairs and oracle search steps")
+    yield {"n": n, "samples": samples, "seed": seed if samples else None}, total + 3 * size, size
     oracle = enumeration.DivisibilityOracle(n)
     pool, rng = list(enumeration.all_diagrams(n)), random.Random(seed)
     pairs = (itertools.product(pool, repeat=2) if samples is None else
@@ -181,14 +178,13 @@ def check_green_preorders(
     return {"pairs": total, **factored}
 
 
-@_check("green-relations")
+@_check("green-relations", "classified diagram")
 def check_green_relations(n: int = 4):
     """D-class sizes, R/L-class counts and H-class sizes against the
     delta, rho and r! formulas, and the twisted class semantics."""
-    yield {"n": n}, capped_diagrams(n), "diagrams"
+    yield {"n": n}, capped_diagrams(n), capped_diagrams(n)
     # one pass over B_n, keeping per rank only the H-class sizes, keyed by
-    # (kernel, cokernel), and the first six diagrams: memory grows with
-    # the sum of rho^2, not with |B_n|
+    # (kernel, cokernel), and the first six diagrams
     h_sizes: dict[int, Counter] = {}
     first: dict[int, list[BrauerDiagram]] = {}
     for d in enumeration.all_diagrams(n):
@@ -221,12 +217,12 @@ def check_green_relations(n: int = 4):
     return {"diagrams": total, "ranks": len(h_sizes)}
 
 
-@_check("regularity")
+@_check("regularity", "regularity pair")
 def check_regularity(n: int = 3, bound: int = 1):
     """is_regular against brute-force search for y with x*y*x = x."""
     elements = (bound + 1) * capped_diagrams(n)
     # a non-regular element is tried against every candidate
-    yield {"n": n, "bound": bound}, elements * elements, "pairs"
+    yield {"n": n, "bound": bound}, elements * elements, 0
     candidates = enumeration.truncation(n, range(bound + 1))
     for x in candidates:
         found = any(star(star(x, y), x) == x for y in candidates)
@@ -235,14 +231,14 @@ def check_regularity(n: int = 3, bound: int = 1):
     return {"elements": len(candidates), "candidates": len(candidates)}
 
 
-@_check("ideal-classification")
+@_check("ideal-classification", "classification element")
 def check_ideal_classification(n: int = 3, bound: int = 4, seed: int = 0):
     """Canonical-form subset/normalize decisions against pointwise
     membership on a twist-bounded truncation, and closure of ideals."""
     cases = 50
-    # two 2-twist truncations; the closure products below are strided to <= 2 * 80 * 80
+    # pairs decided on |I(n)| ranks by bound + 1 twists; two 2-twist truncations held
     yield ({"n": n, "bound": bound, "cases": cases, "seed": seed},
-           cases + 4 * capped_diagrams(n), "spec pairs and truncation elements")
+           cases * (n // 2 + 1) * (bound + 1) + 4 * capped_diagrams(n), 4 * capped_diagrams(n))
     rng = random.Random(seed)
     ranks = ideals.index_set(n)
     grid = [(r, i) for r in ranks for i in range(bound + 1)]
@@ -274,10 +270,10 @@ def check_ideal_classification(n: int = 3, bound: int = 4, seed: int = 0):
     return {"spec_pairs": cases, "closure_products": closure_checked}
 
 
-@_check("rank-drop-lemma", least_n=4)  # below it no rank r <= n - 4 exists
+@_check("rank-drop-lemma", "lemma diagram", least_n=4)  # below it no rank r <= n - 4 exists
 def check_rank_drop(n: int = 4):
     """D_r lies in D_{r+2} * D_{r+2} with no floating component, r <= n-4."""
-    yield {"n": n}, capped_diagrams(n, n - 4), "diagrams"
+    yield {"n": n}, capped_diagrams(n, n - 4), 0
     checked = 0
     for r in ideals.index_set(n)[:-2]:  # the ranks r <= n - 4
         for alpha in enumeration.d_class(n, r):
@@ -292,7 +288,7 @@ def _twist_lemma(n: int, lemma, tau: int):
     """The sweep of the twist lemmas: alpha = alpha * lemma(alpha) with twist
     tau for every singular alpha, and lemma(alpha) of the rank of alpha, or
     of rank 2 when the twist is kept at rank 0."""
-    yield {"n": n}, capped_diagrams(n), "diagrams"
+    yield {"n": n}, capped_diagrams(n), 0
     checked = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:
@@ -305,27 +301,26 @@ def _twist_lemma(n: int, lemma, tau: int):
     return {"diagrams": checked}
 
 
-@_check("twist-raise-lemma", least_n=2)  # below it no diagram is singular
+@_check("twist-raise-lemma", "lemma diagram", least_n=2)  # below it no diagram is singular
 def check_twist_raise(n: int = 4):
     """alpha = alpha*beta with tau = 1 and rank preserved, alpha singular."""
     return _twist_lemma(n, ideals.lemma_twist_raise, 1)
 
 
-@_check("twist-keep-lemma", least_n=2)
+@_check("twist-keep-lemma", "lemma diagram", least_n=2)
 def check_twist_keep(n: int = 4):
     """alpha = alpha*beta with tau = 0; beta in D_alpha, or D_2 at rank 0."""
     return _twist_lemma(n, ideals.lemma_twist_keep, 0)
 
 
-@_check("idempotent-generation", least_n=3)
+@_check("idempotent-generation", "absorbed transposition", least_n=3)
 def check_idempotent_generation(n: int = 4, r: int | None = None):
     """Transposition absorption: alpha * sigma_ij is a zero-twist chain of
     alpha with rank-preserving twisted idempotents, all cases.  The rank
     defaults to n - 2."""
     r = n - 2 if r is None else r
     ideals._check_proper_rank(n, r, "verify idempotent-generation")
-    yield ({"n": n, "r": r}, capped_delta(n, r) * math.comb(n, 2),
-           "(diagram, transposition) pairs")
+    yield {"n": n, "r": r}, capped_delta(n, r) * math.comb(n, 2), 0
     checked = 0
     for alpha in enumeration.d_class(n, r):
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -340,16 +335,16 @@ def check_idempotent_generation(n: int = 4, r: int | None = None):
     return {"triples": checked}
 
 
-@_check("idempotent-closure", least_n=3)
+@_check("idempotent-closure", "closure product", least_n=3)
 def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     """Bounded closure of the twisted idempotents of D_r covers the
     twist-bounded truncation of I(r;0), which is idempotent-generated
     exactly when 0 < r < n."""
     ideals._check_proper_rank(n, r, "verify idempotent-closure")
     # the closure lies in the truncation; an H-class holds at most one idempotent
-    products = (bound + 1) * capped_diagrams(n, r) * capped_rho(n, r) ** 2
-    yield ({"n": n, "r": r, "bound": bound}, capped_diagrams(n) + products,
-           "diagrams and closure products")
+    truncated = (bound + 1) * capped_diagrams(n, r)
+    yield ({"n": n, "r": r, "bound": bound},
+           capped_diagrams(n) + truncated * capped_rho(n, r) ** 2, truncated)
     gens = [d for d in enumeration.idempotents(n) if d.rank == r]
     closure = enumeration.bounded_closure(gens, bound).elements
     spec = ideals.ideal_normalize(n, [(r, 0)])
@@ -361,7 +356,7 @@ def check_idempotent_closure(n: int = 3, r: int = 1, bound: int = 2):
     return {"generators": len(gens), "closure": len(closure), "truncation": len(expected)}
 
 
-@_check("gh-conditions", least_n=3)
+@_check("gh-conditions", "GH candidate", least_n=3)
 def check_gh_conditions(n: int = 4, r: int | None = None):
     """Balance, degree-regularity with b >= 2, connectivity and Strong Hall
     for the Graham-Houghton graph; SCC decision against the subset oracle
@@ -369,9 +364,7 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
     the closed form ideals.gh_degree.  The rank defaults to n - 2."""
     r = n - 2 if r is None else r
     ideals._check_proper_rank(n, r, "verify gh-conditions")
-    # nothing is visited beyond the build, which refuses its delta(n, r)
-    # candidates above GH_CANDIDATE_LIMIT < SWEEP_LIMIT
-    yield {"n": n, "r": r}, 0, "candidates"
+    yield {"n": n, "r": r}, capped_delta(n, r), 0
     graph = structure.build_gh_graph(n, r)
     gh_report = structure.rank_idrank_report(graph)
     if not gh_report.certified:
@@ -388,7 +381,7 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
     return counts
 
 
-@_check("rank-table", least_n=3)
+@_check("rank-table", "GH candidate", least_n=3)
 def check_rank_table(n: int = 3):
     """The four-case rank formula, cross-checked against the materialised
     minimal generating set in every cell of twist k <= 3."""
@@ -397,7 +390,7 @@ def check_rank_table(n: int = 3):
     size = capped_sum((4 if r == n else capped_delta(n, r)) if k == 0
                       else (k + (r == 0)) * capped_diagrams(n, r)
                       for r in reversed(ideals.index_set(n)) for k in range(max_k + 1))
-    yield {"n": n, "max_k": max_k}, size, "candidates and generators"
+    yield {"n": n, "max_k": max_k}, size, 0
     cells = [(r, k) for r in ideals.index_set(n) for k in range(max_k + 1)]
     for r, k in cells:
         info = ideals.rank_of_ideal(n, r, k)
@@ -412,7 +405,7 @@ def check_rank_table(n: int = 3):
     return {"cells": len(cells)}
 
 
-@_check("minimal-gens", least_n=1)
+@_check("minimal-gens", "closure product", least_n=1)
 def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     """M(r;k): star-indecomposable inside I(r;k), and its bounded closure
     recovers the bounded truncation of the ideal.  M(r;k) generates I(r;k)
@@ -420,12 +413,10 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     if k == 0 < r:
         raise DiagramError(
             f"verify minimal-gens is stated for k >= 1 or r = 0, got r = {r}, k = {k}")
-    # the generators lie in the pool P of twists k to 2k, and the closure in
-    # the truncation T of twists k to 2k + 2
+    # the generators lie in P, of twists k to 2k, and the closure in T, of twists to 2k + 2
     pool = (k + 1) * capped_diagrams(n, r)
     closure_size = (k + 3) * capped_diagrams(n, r)
-    yield ({"n": n, "r": r, "k": k}, pool * (pool + closure_size),
-           "pairs and closure products")
+    yield {"n": n, "r": r, "k": k}, pool * (pool + closure_size), closure_size
     spec = ideals.ideal_normalize(n, [(r, k)])
     gens = structure.generating_set(spec).elements
     gen_set = set(gens)
@@ -443,14 +434,14 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     return {"generators": len(gens), "closure": len(closure)}
 
 
-@_check("singular-rank", least_n=3)
+@_check("singular-rank", "GH candidate", least_n=3)
 def check_singular_rank(n: int = 3, bound: int = 2):
     """The C(n,2) + n! formula, the matching generating set, and (desk
     scale) its bounded closure covering the singular truncation."""
     # the GH build tests delta(n, n-2) candidates, and the set lists the n! units;
     # the closure, which takes the bound, runs at desk scale only
     yield ({"n": n, "bound": bound} if n <= 3 else {"n": n},
-           capped_delta(n, n - 2) + capped_delta(n, n), "diagrams")
+           capped_delta(n, n - 2) + capped_delta(n, n), 0)
     value = structure.singular_rank(n)
     if value != math.comb(n, 2) + math.factorial(n):
         raise _Fail(value=value)
@@ -467,15 +458,14 @@ def check_singular_rank(n: int = 3, bound: int = 2):
     return counts
 
 
-@_check("ig-subsemigroup", least_n=2)
+@_check("ig-subsemigroup", "closure product", least_n=2)
 def check_ig_subsemigroup(n: int = 3, bound: int = 2):
     """The idempotent-generated subsemigroup is {1} u I(n-2;0) (degree >= 3);
     at degree 2 the twisted idempotents generate only {1}."""
     # the closure lies in the truncation; an H-class holds at most one idempotent
     generators = capped_sum(capped_rho(n, r) ** 2 for r in reversed(ideals.index_set(n)))
-    yield ({"n": n, "bound": bound},
-           capped_diagrams(n) + (bound + 1) * capped_diagrams(n) * generators,
-           "diagrams and closure products")
+    truncated = (bound + 1) * capped_diagrams(n)
+    yield {"n": n, "bound": bound}, capped_diagrams(n) + truncated * generators, truncated
     twisted_idems = list(enumeration.idempotents(n))
     closure = enumeration.bounded_closure(twisted_idems, bound).elements
     if n == 2:
@@ -495,11 +485,11 @@ def check_ig_subsemigroup(n: int = 3, bound: int = 2):
             "rank": structure.ig_subsemigroup_rank(n)}
 
 
-@_check("maltcev-mazorchuk", least_n=3)
+@_check("maltcev-mazorchuk", "factored diagram", least_n=3)
 def check_maltcev_mazorchuk(n: int = 3):
     """Every singular diagram is a zero-twist chain of twisted idempotents,
     and the idempotent-generated submonoids of the plain monoid coincide."""
-    yield {"n": n}, capped_diagrams(n), "diagrams"
+    yield {"n": n}, capped_diagrams(n), 0
     factored = 0
     for alpha in enumeration.all_diagrams(n):
         if alpha.rank == n:

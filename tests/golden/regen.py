@@ -190,6 +190,14 @@ def requests() -> list[str]:
         "ideal rank --n 4 --r 2 --k -1",
         f"factor --n 2 --idempotents {q(hook2)}",
         "enumerate --n -1 --count-only",
+        f"ideal normalize --n -1 --spec {q('I()')}",
+    ]
+    out += [  # refused by the one cost check, by the step or the byte budget
+        "verify maltcev-mazorchuk --n 8",
+        "enumerate --n 10 --count-only",
+        "verify tau-identity --n 1000000000 --samples 1",
+        "ideal gens --n 1000000000 --r 1000000000 --k 0",
+        f"closure --n 3 --bound 1000000 --gens {CLOSURE_GENS}",
     ]
     return out
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -26,10 +27,9 @@ from twisted_brauer import (
     verify,
 )
 from twisted_brauer.cli import build_parser, main, parse_element
-from twisted_brauer.enumeration import ENUMERATION_LIMIT, random_diagram
+from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.ideals import delta, rank_of_ideal
-from twisted_brauer.structure import GH_CANDIDATE_LIMIT
-from twisted_brauer.verify import CHECKS, SWEEP_LIMIT
+from twisted_brauer.verify import CHECKS
 
 ALPHA10 = "n=10: (1,2)(5,8)(9,10)(3,3')(4,6')(6,7')(7,8')(1',2')(4',5')(9',10')"
 BETA10 = "n=10: (2,4)(6,7)(8,10)(1,5)(3,2')(9,9')(1',3')(4',5')(7',8')(6',10')"
@@ -40,6 +40,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cost_refusal(subject):
+    """The one size refusal of ``subject``, on stderr, by either budget."""
+    return re.compile(f"error: {re.escape(subject)} refused: it needs more than (60 s|1 GB)\n")
 
 
 def test_mul_figure1(capsys):
@@ -334,9 +339,9 @@ def test_green_class_h_golden(capsys):
 
 def test_gh_graph_guard(capsys):
     for extra in ((), ("--format", "dot")):
-        code, out, err = run(capsys, "gh-graph", "--n", "9", "--r", "3", *extra)
+        code, out, err = run(capsys, "gh-graph", "--n", "10", "--r", "2", *extra)
         assert (code, out) == (1, "")
-        assert err.startswith("error:") and "refused" in err
+        assert cost_refusal("Graham-Houghton graph of D_2 in degree 10").fullmatch(err)
 
 
 def test_ideal_spec_junk_is_domain_error(capsys):
@@ -417,8 +422,7 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
     # without --samples tau-identity sweeps every triple; with it, only the samples
     code, out, err = run(capsys, "verify", "tau-identity", "--n", "9")
-    assert (code, out) == (1, "")
-    assert err == f"error: verify tau-identity refused: it visits more than {SWEEP_LIMIT} triples\n"
+    assert (code, out) == (1, "") and cost_refusal("verify tau-identity").fullmatch(err)
     code, out, _ = run(capsys, "verify", "tau-identity", "--n", "9", "--samples", "3")
     assert code == 0 and json.loads(out)["counts"]["triples"] == 3
     code, out, _ = run(capsys, "verify", "tau-identity", "--n", "50", "--samples", "10")
@@ -435,43 +439,39 @@ def test_verify_green_preorders_samples_degree_6(capsys):
     assert report["status"] == "pass" and report["counts"]["pairs"] == 1000
 
 
-# at least one request per check above verify.SWEEP_LIMIT, with the unit its
-# refusal names; gh-conditions is refused by its D-class size instead
+# at least one request per check that costs more than a budget: a degree
+# above the largest each check admits, or a count far past it
 REFUSED_SWEEPS = {
-    "tau-identity": ("tau-identity --n 5", "triples"),  # 843,908,625
-    "tau-identity-sampled": ("tau-identity --n 50 --samples 1000000000", "triples"),
-    "tau-identity-huge-degree": ("tau-identity --n 100000", "triples"),
-    "green-pre-orders": ("green-pre-orders --n 6", "pairs and oracle search steps"),
-    "green-relations": ("green-relations --n 9", "diagrams"),  # 34,459,425
-    "regularity": ("regularity --n 6", "pairs"),  # 20,790^2
-    "regularity-degree-5": ("regularity --n 5", "pairs"),  # 1,890^2 = 3,572,100
-    "ideal-classification": ("ideal-classification --n 8", "spec pairs and truncation elements"),
-    "rank-drop-lemma": ("rank-drop-lemma --n 9", "diagrams"),
-    "twist-raise-lemma": ("twist-raise-lemma --n 9", "diagrams"),
-    "twist-keep-lemma": ("twist-keep-lemma --n 9", "diagrams"),
-    "idempotent-generation": ("idempotent-generation --n 8", "(diagram, transposition) pairs"),
-    "idempotent-closure": ("idempotent-closure --n 6 --r 4 --bound 2",
-                           "diagrams and closure products"),
-    "gh-conditions": ("gh-conditions --n 9 --r 3", f"more than {GH_CANDIDATE_LIMIT}"),
-    "rank-table": ("rank-table --n 7", "candidates and generators"),
-    "rank-table-huge-degree": ("rank-table --n 2000", "candidates and generators"),
-    "minimal-gens": ("minimal-gens --n 6 --r 6 --k 1", "pairs and closure products"),
-    "singular-rank": ("singular-rank --n 9", "diagrams"),
-    "ig-subsemigroup": ("ig-subsemigroup --n 6", "diagrams and closure products"),
-    "maltcev-mazorchuk": ("maltcev-mazorchuk --n 9", "diagrams"),
+    "tau-identity": "tau-identity --n 5",  # 843,908,625 triples
+    "tau-identity-sampled": "tau-identity --n 50 --samples 1000000000",
+    "tau-identity-huge-degree": "tau-identity --n 100000",
+    "green-pre-orders": "green-pre-orders --n 6",
+    "green-relations": "green-relations --n 9",  # 34,459,425 diagrams
+    "regularity": "regularity --n 6",  # 20,790^2 pairs
+    "regularity-degree-5": "regularity --n 5 --bound 4",  # 4,725^2 pairs
+    "ideal-classification": "ideal-classification --n 9",
+    "rank-drop-lemma": "rank-drop-lemma --n 9",
+    "twist-raise-lemma": "twist-raise-lemma --n 9",
+    "twist-keep-lemma": "twist-keep-lemma --n 9",
+    "idempotent-generation": "idempotent-generation --n 8",
+    "idempotent-closure": "idempotent-closure --n 7 --r 5 --bound 2",
+    "gh-conditions": "gh-conditions --n 10 --r 2",  # 44,651,250 candidates
+    "rank-table": "rank-table --n 8",
+    "rank-table-huge-degree": "rank-table --n 2000",
+    "minimal-gens": "minimal-gens --n 6 --r 6 --k 1",
+    "singular-rank": "singular-rank --n 10",
+    "ig-subsemigroup": "ig-subsemigroup --n 7",
+    "maltcev-mazorchuk": "maltcev-mazorchuk --n 8",  # 2,027,025 diagrams
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_SWEEPS))
 def test_verify_refuses_sweeps_above_the_limit(capsys, case):
-    request, unit = REFUSED_SWEEPS[case]
+    request = REFUSED_SWEEPS[case]
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", *request.split())
     assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and "refused" in err and unit in err
-    if case != "gh-conditions":
-        assert err.rstrip().endswith(f"it visits more than {SWEEP_LIMIT} {unit}")
+    assert (code, out) == (1, "") and cost_refusal(f"verify {request.split()[0]}").fullmatch(err)
 
 
 @pytest.mark.parametrize("request_", [
@@ -559,17 +559,16 @@ def test_verify_bound_reaches_the_check(capsys):
     assert code == 0 and json.loads(out)["params"] == {"n": 2, "bound": 2}
 
 
-@pytest.mark.parametrize("request_, limit", [
-    ("enumerate --n 3000 --count-only", ENUMERATION_LIMIT),
-    ("enumerate --n 3000 --rank 2998 --count-only", ENUMERATION_LIMIT),
-    ("gh-graph --n 3000 --r 2998", GH_CANDIDATE_LIMIT),
-    ("verify gh-conditions --n 3000", GH_CANDIDATE_LIMIT),
+@pytest.mark.parametrize("request_, subject", [
+    ("enumerate --n 3000 --count-only", "enumeration of degree 3000"),
+    ("enumerate --n 3000 --rank 2998 --count-only", "enumeration of degree 3000"),
+    ("gh-graph --n 3000 --r 2998", "Graham-Houghton graph of D_2998 in degree 3000"),
+    ("verify gh-conditions --n 3000", "verify gh-conditions"),
 ])
-def test_size_refusals_never_print_the_unbounded_count(capsys, request_, limit):
+def test_size_refusals_never_print_the_unbounded_count(capsys, request_, subject):
     # (2n-1)!! and delta(n, r) at degree 3000 exceed Python's 4,300-digit int-to-text limit
     code, out, err = run(capsys, *request_.split())
-    assert (code, out) == (1, "") and err.startswith("error:") and "refused" in err
-    assert f"more than {limit}" in err
+    assert (code, out, err) == (1, "", f"error: {subject} refused: it needs more than 60 s\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -665,19 +664,18 @@ def test_verify_oracle_refusal_is_immediate(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "8")
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and out == "" and err.startswith("error:") and "2027025" in err
+    assert (code, out) == (1, "") and cost_refusal("verify green-pre-orders").fullmatch(err)
 
 
 def test_verify_gh_conditions_is_refused_by_its_real_size(capsys):
-    # build_gh_graph refuses a D-class of more than GH_CANDIDATE_LIMIT diagrams
+    # its delta(n, r) candidates, the Graham-Houghton build's, cost 2.8 us each
     code, out, err = run(capsys, "verify", "gh-conditions", "--n", "7", "--r", "3")
     assert (code, err) == (0, "")
     assert json.loads(out)["status"] == "pass"
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "gh-conditions", "--n", "9", "--r", "3")
+    code, out, err = run(capsys, "verify", "gh-conditions", "--n", "10", "--r", "2")
     assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and f"more than {GH_CANDIDATE_LIMIT}" in err
+    assert (code, out) == (1, "") and cost_refusal("verify gh-conditions").fullmatch(err)
 
 
 def _child_process(args, timeout):
@@ -794,34 +792,77 @@ def test_huge_degree_ideal_normalizes(capsys, degree):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("request_", [
-    "verify tau-identity --n 1000000000 --samples 1",  # samples diagrams of degree 10^9
-    "ideal gens --n 1000000000 --r 1000000000 --k 0",  # the four top generators
+@pytest.mark.parametrize("request_, subject", [
+    # each draws or builds diagrams of degree 10^9, and once ran out of memory
+    ("verify tau-identity --n 1000000000 --samples 1", "verify tau-identity"),
+    ("ideal gens --n 1000000000 --r 1000000000 --k 0", "the four generators of degree 1000000000"),
 ])
-def test_running_out_of_memory_is_an_error(request_):
-    # no size guard bounds these two; only the child process runs them,
-    # since in-process they would claim gigabytes
+def test_requests_that_ran_out_of_memory_are_refused_by_their_bytes(capsys, request_, subject):
     proc = _run_child(request_.split())
+    message = f"error: {subject} refused: it needs more than 1 GB\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+    start = time.perf_counter()
+    assert run(capsys, *request_.split()) == (1, "", message)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_running_out_of_memory_is_an_error():
+    # the backstop, for what no guard bounds: a diagram argument of degree 10^9
+    # is read into 2 * 10^9 slots, which the child's 1 GB address space cannot hold
+    argv = ["mul", "--n", "1000000000", "n=1000000000:(1,2)", "n=1000000000:(1,2)"]
+    proc = _run_child(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 # M(r;k) has (k + [r = 0]) * |D_r u D_(r-2) u ...| elements: 9(k + [r = 0])
-# at (3, 1) and (4, 0), so k = 225,225 and 225,224 build |B_8| = 2,027,025
-GRIDS_PAST_THE_LIMIT = ["ideal gens --n 3 --r 1 --k 225226", "ideal gens --n 4 --r 0 --k 225225",
-                        "ideal gens --n 3 --r 1 --k 1000000", f"ideal gens --n 5 --r 3 --k {10**100}"]
+# at (3, 1) and (4, 0); tests/test_costs.py walks the boundary
+GRIDS_PAST_THE_LIMIT = ["ideal gens --n 3 --r 1 --k 10000000",
+                        "ideal gens --n 4 --r 0 --k 10000000",
+                        f"ideal gens --n 5 --r 3 --k {10**100}"]
 
 
 def test_ideal_gens_refuses_a_grid_past_the_limit(capsys):
-    assert SWEEP_LIMIT == 2_027_025  # one limit for both: every grid a verify check takes is built
     requests = [request_.split() for request_ in GRIDS_PAST_THE_LIMIT]
     proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)], timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     for argv, line in zip(requests, proc.stdout.splitlines(), strict=True):
         code, out, err, seconds = json.loads(line)
         assert (code, out) == (1, "") and seconds < 1.0
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "refused: it has more than 2027025 elements" in err
+        assert cost_refusal(f"M({argv[5]};{argv[7]}) in degree {argv[3]}").fullmatch(err)
         assert run(capsys, *argv) == (1, "", err)
+
+
+# requests that no size guard decides, of mul, star, green, factor and
+# closure (whose bound is guarded), and requests with absurd --r, --k,
+# --samples and --bound values, at the degrees of GUARDED: {v} is 10^100
+SWEPT = ["mul --n {n} n={n}:(1,2) n={n}:(1,2)", "mul --n 3 n=3:(1,2)(3,1')(2',3') n={n}:(1,2)",
+         "star --n {n} {v}*n={n}:(1,2)", "star --n 3 {v}*n=3:(1,1')(2,2')(3,3')",
+         "green leq --n {n} --rel J n={n}:(1,2) n={n}:(1,2)",
+         "green class --n {n} --rel H n={n}:(1,2)",
+         "green factor --n {n} --mode right n={n}:(1,2) n={n}:(1,2)",
+         "factor --idempotents --n {n} n={n}:(1,2)",
+         "closure --n {n} --gens {gens} --bound {v}", "closure --n 3 --gens {gens} --bound {v}",
+         "closure --n 3 --gens {gens} --bound -{v}",
+         "ideal gens --n {n} --r {v} --k {v}", "ideal gens --n 5 --r 3 --k {v}",
+         "ideal rank --n {n} --r {v} --k -{v}", "ideal rank --n 5 --r 1 --k {v}",
+         "verify tau-identity --n 3 --samples {v} --seed {v}",
+         "verify green-pre-orders --n 3 --samples {v}", "verify regularity --n 3 --bound {v}",
+         "verify ideal-classification --n 3 --bound {v}", "verify singular-rank --n 3 --bound {v}",
+         "verify minimal-gens --n 3 --r 1 --k {v}", "verify ig-subsemigroup --n 3 --bound {v}",
+         "verify idempotent-closure --n 5 --r 3 --bound {v}",
+         "verify idempotent-generation --n {n} --r {v}", "verify gh-conditions --n {n} --r -{v}"]
+
+
+@pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
+def test_no_request_ends_in_a_traceback_or_a_hang(degree):
+    gens = os.path.join(os.path.dirname(__file__), "golden", "closure-gens.txt")
+    requests = [request_.format(n=degree, v=10**100, gens=gens).split() for request_ in SWEPT]
+    proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)],
+                          timeout=10 * len(requests))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv, line in zip(requests, proc.stdout.splitlines(), strict=True):
+        code, _, err, seconds = json.loads(line)
+        assert code in (0, 1, 2) and "Traceback" not in err and seconds < 10, argv
 
 
 def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):
@@ -829,6 +870,9 @@ def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):
         1, "", "error: rank 2 is not in I(15) = (1, 3, 5, 7, 9, 11, 13, 15)\n")
     assert run(capsys, "gh-graph", "--n", "16", "--r", "3") == (
         1, "", "error: rank 3 is not in I(16) = (0, 2, ..., 16)\n")
+    huge = 10**30  # I(n) has more ranks than a range can count
+    assert run(capsys, "ideal", "rank", "--n", str(huge), "--r", "3", "--k", "0") == (
+        1, "", f"error: rank 3 is not in I({huge}) = (0, 2, ..., {huge})\n")
 
 
 @pytest.mark.parametrize("request_", [

@@ -42,8 +42,8 @@ from twisted_brauer import (
 )
 from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.diagram import _from_pairs
-from twisted_brauer import ideals, structure
-from twisted_brauer.ideals import double_factorial
+from twisted_brauer import ideals
+from twisted_brauer.ideals import BYTE_BUDGET, COSTS, STEP_BUDGET_NS, double_factorial
 from conftest import (block_list_rank_drop, block_list_sigma, block_list_twist_keep,
                       block_list_twist_raise)
 
@@ -495,14 +495,17 @@ def test_generating_set_sizes():
 
 
 def test_generating_set_builds_a_grid_of_exactly_the_limit(monkeypatch):
-    # M(1;k) in degree 3 and M(0;k) in degree 4 have 9(k + [r = 0]) elements
-    monkeypatch.setattr(structure, "SWEEP_LIMIT", 9)
-    assert generating_set(ideal_normalize(3, [(1, 1)])).size == 9
-    assert generating_set(ideal_normalize(4, [(0, 0)])).size == 9
-    for n, r, k in ((3, 1, 2), (4, 0, 1)):
-        with pytest.raises(DiagramError, match=f"M.{r};{k}. in degree {n} refused: it has "
-                                               "more than 9 elements"):
-            generating_set(ideal_normalize(n, [(r, k)]))
+    # M(1;k) in degree 3 and M(0;k) in degree 4 have 9(k + [r = 0]) elements;
+    # at these costs 9 elements fill the step budget, or the byte budget
+    for cost, budget in (((STEP_BUDGET_NS // 9, 0), "60 s"), ((1, BYTE_BUDGET // 9), "1 GB")):
+        monkeypatch.setitem(COSTS, "grid element", cost)
+        assert generating_set(ideal_normalize(3, [(1, 1)])).size == 9
+        assert generating_set(ideal_normalize(4, [(0, 0)])).size == 9
+        for n, r, k in ((3, 1, 2), (4, 0, 1)):
+            with pytest.raises(DiagramError) as refused:
+                generating_set(ideal_normalize(n, [(r, k)]))
+            assert str(refused.value) == (
+                f"M({r};{k}) in degree {n} refused: it needs more than {budget}")
 
 
 def test_generating_set_rejects_non_principal():

@@ -7,7 +7,8 @@ imports are re-exports, and so are ``__future__`` imports, which are
 compiler directives.  Under ``src/`` no import sits inside a function, and
 the package's modules import each other without a cycle.  ``ideals``
 imports no sibling but ``diagram`` and ``twisted``, and each hypothesis and
-input rule of the package is raised with its one text by one ``raise``."""
+input rule of the package, and the one size refusal, is raised with its one
+text by one ``raise``."""
 
 import ast
 import collections
@@ -128,8 +129,11 @@ def test_the_raise_scan_reads_literal_messages():
     assert sorted(raised_texts(source)) == ["degree {} of the {name}", "plain"]
 
 
-# the one text of each hypothesis and input rule, and the module that raises it
+# the one text of each hypothesis and input rule, and of the one size
+# refusal, and the module that raises it
+COST_TEXT = "{} refused: it needs more than {}"
 RULE_TEXTS = {
+    COST_TEXT: "ideals",
     "{} is stated for n >= 3, got n = {}": "ideals",
     "{} is stated for 0 < r < n, got r = {} in degree {}": "ideals",
     "twist parameter {} must be non-negative": "ideals",
@@ -151,3 +155,23 @@ def test_each_rule_is_raised_once_with_one_text():
     restated = sorted(text for text in raised
                       if text not in RULE_TEXTS and any(word in text for word in RULE_WORDS))
     assert restated == []
+
+
+# wordings of a size refusal that no raise but the cost check's may use
+COST_WORDS = ("refused", "more than")
+# the two limits that are no cost, and the module that raises each: an
+# oracle's domain, and the interpreter's int-to-text limit, which is no work
+KEPT_LIMITS = {
+    "subset oracle refused for |J| = {} > 16": ["structure"],
+    "rank of I({};{}) in degree {} refused: it has more than {} digits, the int-to-text "
+    "limit": ["ideals"],
+}
+
+
+def test_every_size_refusal_is_the_cost_check():
+    raised = collections.defaultdict(list)
+    for path in sorted(ROOT.glob("src/twisted_brauer/*.py")):
+        for text in raised_texts(path.read_text(encoding="utf-8")):
+            if any(word in text for word in COST_WORDS):
+                raised[text].append(path.stem)
+    assert raised == {COST_TEXT: ["ideals"], **KEPT_LIMITS}

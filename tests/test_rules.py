@@ -7,10 +7,13 @@ entry point raises PreconditionError.  A negative twist parameter,
 operands of different degrees and a negative degree are malformed input:
 DiagramError.  Every call below sits just outside its rule."""
 
+import random
+
 import pytest
 
 import twisted_brauer
 from twisted_brauer import (
+    BrauerDiagram,
     DiagramError,
     IdealSpec,
     PreconditionError,
@@ -35,12 +38,15 @@ from twisted_brauer import (
     leq_R,
     make_diagram,
     multiply,
+    random_diagram,
     rank_of_ideal,
     same_class,
     singular_generating_set,
     singular_rank,
 )
 from twisted_brauer.cli import main
+from twisted_brauer.enumeration import truncation
+from twisted_brauer.ideals import gh_degree
 from twisted_brauer.verify import CHECKS
 
 HOOK2 = make_diagram(2, [(1, 2), (-1, -2)])
@@ -75,6 +81,8 @@ HYPOTHESES = {  # entry point -> (call, text)
                               proper_rank("the Graham-Houghton analysis", 3, 3)),
     "build_gh_graph rank 0": (lambda: build_gh_graph(4, 0),
                               proper_rank("the Graham-Houghton analysis", 0, 4)),
+    "gh_degree rank n": (lambda: gh_degree(3, 3), proper_rank("the Graham-Houghton degree", 3, 3)),
+    "gh_degree rank 0": (lambda: gh_degree(4, 0), proper_rank("the Graham-Houghton degree", 0, 4)),
     "idempotent_factor_sigma rank n": (lambda: idempotent_factor_sigma(identity(3), 1, 2),
                                        proper_rank("the absorption of sigma_ij", 3, 3)),
     "idempotent_factor_sigma rank 0": (lambda: idempotent_factor_sigma(RANK0, 1, 2),
@@ -103,6 +111,11 @@ INPUT_RULES = {
     "identity": (lambda: identity(-1), DEGREE),
     "all_diagrams": (lambda: next(all_diagrams(-1)), DEGREE),
     "d_class": (lambda: next(d_class(-1, 1)), DEGREE),
+    "truncation": (lambda: truncation(-1, [0]), DEGREE),
+    "IdealSpec degree": (lambda: IdealSpec(-1, ()), DEGREE),
+    "ideal_normalize degree": (lambda: ideal_normalize(-1, []), DEGREE),
+    "BrauerDiagram": (lambda: BrauerDiagram(-1, ()), DEGREE),
+    "random_diagram": (lambda: random_diagram(-1, random.Random(0)), DEGREE),
 }
 
 

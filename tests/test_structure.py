@@ -46,7 +46,6 @@ from twisted_brauer.enumeration import random_diagram
 from twisted_brauer.green import canonical_idempotent
 from twisted_brauer.ideals import gh_degree
 from twisted_brauer.structure import (
-    GH_CANDIDATE_LIMIT,
     _kernel_idempotent,
     _swap_points,
     _transposition_factors,
@@ -303,12 +302,14 @@ def test_perfect_matching_matches_recursive_matcher_on_larger_graphs():
 
 
 def test_gh_graph_size_guard():
-    largest_to_8 = max(delta(n, r) for n, r in _gh_cases(8))
-    assert largest_to_8 == delta(8, 4) == 1_058_400 <= GH_CANDIDATE_LIMIT < delta(9, 3)
-    with pytest.raises(DiagramError, match="refused"):
-        build_gh_graph(9, 3)
-    with pytest.raises(DiagramError, match="refused"):
-        verify_rank_idrank(11, 5)
+    # every D-class of degree 10 costs more than the step budget in candidates,
+    # the least of them delta(10, 2) = 44,651,250
+    assert min(delta(10, r) for r in (2, 4, 6, 8)) == delta(10, 2) == 44_651_250
+    for n, r in ((10, 2), (11, 5)):
+        with pytest.raises(DiagramError) as refused:
+            verify_rank_idrank(n, r)
+        assert str(refused.value) == (
+            f"Graham-Houghton graph of D_{r} in degree {n} refused: it needs more than 60 s")
 
 
 def test_verify_rank_idrank_certifies():

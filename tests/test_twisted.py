@@ -205,7 +205,8 @@ def test_text_and_json_forms():
 @pytest.mark.parametrize("n", range(8))
 def test_hook_idempotent_on_every_hook_pair(n):
     # each (U, C) pair of a rank either raises or gives a twisted idempotent
-    # on exactly those hooks, and each U meets gh_degree(n, r) such C
+    # on exactly those hooks, and each U meets gh_degree(n, r) such C for
+    # 0 < r < n; at rank n the identity is the one, and rank 0 has none
     for r in index_set(n):
         patterns = [hooks for hooks, _ in hook_patterns(n, r)]
         for upper in patterns:
@@ -220,7 +221,7 @@ def test_hook_idempotent_on_every_hook_pair(n):
                 built += 1
                 assert (e.ker, e.coker) == (frozenset(upper), frozenset(lower))
                 assert _square_walk(e) == n and multiply(e, e) == (e, 0)
-            assert built == gh_degree(n, r)
+            assert built == (gh_degree(n, r) if 0 < r < n else int(r == n))
 
 
 def test_hook_idempotent_refuses_negated_hook_ends_without_looping():

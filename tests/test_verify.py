@@ -8,7 +8,6 @@ import time
 import pytest
 
 from twisted_brauer import DiagramError, all_diagrams, verify
-from twisted_brauer.enumeration import ENUMERATION_LIMIT
 from twisted_brauer.ideals import (
     COUNT_CAP,
     capped_delta,
@@ -97,7 +96,7 @@ def test_a_parameter_the_sweep_would_ignore_is_refused():
         verify.check_tau_identity(3, seed=2)  # without samples it sweeps every triple
     with pytest.raises(DiagramError, match="singular-rank ignores --bound with"):
         verify.check_singular_rank(4, 3)  # the closure runs at n <= 3 only
-    with pytest.raises(DiagramError, match="refused: it visits more than"):
+    with pytest.raises(DiagramError, match="refused: it needs more than 60 s"):
         verify.check_tau_identity(9, seed=3)  # the size guard comes first
     # None is no value given, and a value the report echoes is taken
     assert verify.check_tau_identity(3, samples=None, seed=None).passed
@@ -125,8 +124,8 @@ def test_every_check_refuses_a_negative_degree(theorem):
 
 
 def test_sweep_counts_are_exact_up_to_the_limit():
-    # one cap, |B_10| + 1, above every size limit in the package
-    assert COUNT_CAP == 654_729_076 == ENUMERATION_LIMIT + 1 > verify.SWEEP_LIMIT
+    # one cap, |B_10| + 1: a count past it costs more than a budget in every unit
+    assert COUNT_CAP == 654_729_076 == double_factorial(19) + 1
     for n in range(7):
         ranks = [d.rank for d in all_diagrams(n)]
         for r in range(-1, n + 1):
