@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -368,6 +369,15 @@ def multiply(alpha: BrauerDiagram, beta: BrauerDiagram) -> tuple[BrauerDiagram, 
     return _raw_diagram(n, tuple(out)), floating
 
 
+def read_int(digits: str) -> int:
+    """The one reader of the numbers of a diagram, twist or ideal text and of
+    JSON input: int(), with a DiagramError past the int-to-text limit."""
+    if 0 < (limit := sys.get_int_max_str_digits()) < len(digits):
+        raise DiagramError(PAST_INT_LIMIT.format(limit))
+    return int(digits)
+
+
+PAST_INT_LIMIT = "a number has more digits than the int-to-text limit, {}"
 _BLOCK = re.compile(r"\s*\(\s*(\d+)\s*('?)\s*,\s*(\d+)\s*('?)\s*\)")
 _PREFIX = re.compile(r"^\s*n\s*=\s*(\d+)\s*:\s*")
 
@@ -379,10 +389,12 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
     whitespace; anything else in the body is an error.  A leading ``n=K:``
     fixes the degree (mandatory unless ``degree`` is given).
     """
+    # a text no longer than the int-to-text limit holds no number past it
+    number = read_int if 0 < sys.get_int_max_str_digits() < len(text) else int
     m = _PREFIX.match(text)
     body = text
     if m:
-        stated = int(m.group(1))
+        stated = number(m.group(1))
         _check_declared_degree(stated, degree)
         degree = stated
         body = text[m.end():]
@@ -395,8 +407,8 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
         m = _BLOCK.match(body, pos)
         if m is None:
             raise DiagramError(f"unparsable diagram text: {text!r}")
-        a = int(m.group(1)) * (-1 if m.group(2) else 1)
-        b = int(m.group(3)) * (-1 if m.group(4) else 1)
+        a = number(m.group(1)) * (-1 if m.group(2) else 1)
+        b = number(m.group(3)) * (-1 if m.group(4) else 1)
         blocks.append((a, b))
         pos = m.end()
     return make_diagram(degree, blocks)
@@ -429,4 +441,4 @@ def diagram_from_json_obj(obj: dict, degree: int | None = None) -> BrauerDiagram
 
 
 def diagram_from_json(text: str) -> BrauerDiagram:
-    return diagram_from_json_obj(json.loads(text))
+    return diagram_from_json_obj(json.loads(text, parse_int=read_int))

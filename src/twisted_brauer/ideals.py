@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _check_degree,
-                      _check_degrees, _from_pairs)
+                      _check_degrees, _from_pairs, read_int)
 from .twisted import _hook_idempotent, as_twisted
 
 
@@ -244,7 +244,7 @@ def parse_ideal(text: str, degree: int) -> IdealSpec:
             m = _IDEAL_TERM.fullmatch(part)
             if m is None:
                 raise DiagramError(f"unparsable ideal: {text!r}")
-            terms.append((int(m.group(1)), int(m.group(2))))
+            terms.append((read_int(m.group(1)), read_int(m.group(2))))
     return ideal_normalize(degree, terms)
 
 

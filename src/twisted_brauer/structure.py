@@ -31,6 +31,8 @@ from .ideals import (IdealSpec, _bottoms_and_hooks, _check_degree_3, _check_prop
 from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
+SUBSET_ORACLE_LIMIT = 16  # the largest |J| whose 2^|J| subsets the subset oracle walks
+
 
 @dataclass(frozen=True)
 class GHGraph:
@@ -191,10 +193,10 @@ def strong_hall_check(graph: GHGraph) -> bool:
 
 
 def strong_hall_subset_oracle(graph: GHGraph) -> bool:
-    """The 2^|J| definition in O(|J|) ints, an independent check for |J| <= 16."""
+    """The 2^|J| definition in O(|J|) ints, an independent check for small |J|."""
     size = len(graph.signatures)
-    if size > 16:
-        raise DiagramError(f"subset oracle refused for |J| = {size} > 16")
+    if size > SUBSET_ORACLE_LIMIT:
+        raise DiagramError(f"subset oracle refused for |J| = {size} > {SUBSET_ORACLE_LIMIT}")
     masks = [sum(1 << r for r in graph.neighbors(l)) for l in range(size)]
     # level[t]: neighbourhood of the latest subset with lowest member t, and
     # level[-1] = 0 for the empty set.  In increasing order, S - low(S) is the

@@ -50,18 +50,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def fail(self, **witness) -> None:
-        self.status = "fail"
-        if self.counterexample is None:
-            self.counterexample = witness
-
     def to_json(self) -> str:
         return json.dumps({**asdict(self), "seconds": round(self.seconds, 6)})
 
 
-# each parameter a request can set, one verify flag each, with its least value
-# (None for none): below it a sweep crashes or checks nothing
-PARAMETERS = {"n": 0, "r": None, "k": 0, "bound": 0, "samples": 1, "seed": None}
+# each parameter a request can set, one verify flag each, and its least value, below which
+# a sweep crashes or checks nothing (None for none; least_n and _check_term state n's and k's)
+PARAMETERS = {"n": None, "r": None, "k": None, "bound": 0, "samples": 1, "seed": None}
 
 CHECKS: dict[str, Callable[..., VerificationReport]] = {}
 
@@ -81,26 +76,28 @@ def _check(theorem: str, unit: str, least_n: int = 0):
     held)``: the parameters its report echoes and the units of ``unit`` its
     sweep does and holds at once, from the capped counts of ``ideals``.  It
     then sweeps, and returns the report's counts or raises _Fail with a
-    counterexample.  The runner refuses a parameter below its least value, a
-    degree below ``least_n`` (before the body runs), a sweep that costs more
-    than ``ideals.check_cost`` admits and a parameter that the params do not
-    echo as given, and builds and times the report."""
+    counterexample.  The runner alone reads a request.  It refuses a
+    parameter below its least value, a degree below ``least_n`` (before the
+    body runs), a sweep that costs more than ``ideals.check_cost`` admits and
+    a parameter that the params do not echo as given, as is any the body
+    does not take, and builds and times the report."""
 
     def register(body):
         signature = inspect.signature(body)
-        default_n = signature.parameters["n"].default
+        taken = signature.parameters
 
         @functools.wraps(body)
         def check(*args, **kwargs) -> VerificationReport:
             start = time.perf_counter()
-            passed = signature.bind(*args, **kwargs).arguments
-            given = {name: passed[name] for name in PARAMETERS if passed.get(name) is not None}
+            passed = signature.bind(*args, **{key: kwargs[key] for key in kwargs.keys() & taken})
+            given = {name: value for name, value in {**kwargs, **passed.arguments}.items()
+                     if value is not None and (name in PARAMETERS or name not in taken)}
             for name, value in given.items():
-                if (least := PARAMETERS[name]) is not None and value < least:
+                if (least := PARAMETERS.get(name)) is not None and value < least:
                     raise DiagramError(f"{name} must be at least {least}, got {value}")
-            if (n := given.get("n", default_n)) < least_n:
+            if (n := given.get("n", taken["n"].default)) < least_n:
                 raise DiagramError(f"verify {theorem} is stated for n >= {least_n}, got n = {n}")
-            sweep = body(*args, **kwargs)
+            sweep = body(*passed.args, **passed.kwargs)
             params, work, held = next(sweep)
             check_cost(f"verify {theorem}", unit, work, held)
             ignored = [f"--{name}" for name, value in given.items() if params.get(name) != value]
@@ -113,7 +110,7 @@ def _check(theorem: str, unit: str, least_n: int = 0):
             except StopIteration as done:
                 report.counts = done.value
             except _Fail as failure:
-                report.fail(**failure.witness)
+                report.status, report.counterexample = "fail", failure.witness
             report.seconds = time.perf_counter() - start
             return report
 
@@ -371,7 +368,7 @@ def check_gh_conditions(n: int = 4, r: int | None = None):
         raise _Fail(**gh_report.to_json_obj())
     counts = {"side": gh_report.side_size, "b": gh_report.common_degree,
               "edges": len(graph.edges)}
-    if len(graph.signatures) <= 16:
+    if len(graph.signatures) <= structure.SUBSET_ORACLE_LIMIT:
         if gh_report.strong_hall != structure.strong_hall_subset_oracle(graph):
             raise _Fail(reason="SCC method disagrees with subset oracle")
         counts["oracle"] = "agrees"
@@ -413,11 +410,11 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     if k == 0 < r:
         raise DiagramError(
             f"verify minimal-gens is stated for k >= 1 or r = 0, got r = {r}, k = {k}")
+    spec = ideals.ideal_normalize(n, [(r, k)])  # k >= 0 and r in I(n), before the cost
     # the generators lie in P, of twists k to 2k, and the closure in T, of twists to 2k + 2
     pool = (k + 1) * capped_diagrams(n, r)
     closure_size = (k + 3) * capped_diagrams(n, r)
     yield {"n": n, "r": r, "k": k}, pool * (pool + closure_size), closure_size
-    spec = ideals.ideal_normalize(n, [(r, k)])
     gens = structure.generating_set(spec).elements
     gen_set = set(gens)
     for x, y in itertools.product(enumeration.truncation(n, range(k, 2 * k + 1), r), repeat=2):

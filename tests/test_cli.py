@@ -404,8 +404,10 @@ def test_verify_seeded_sampling_echoes_seed(capsys):
 
 
 def test_verify_unknown_theorem(capsys):
-    code, _, err = run(capsys, "verify", "no-such-theorem")
-    assert code == 2 and "unknown theorem" in err
+    with pytest.raises(SystemExit) as info:  # argparse knows the ids
+        main(["verify", "no-such-theorem"])
+    assert info.value.code == 2
+    assert "argument theorem: invalid choice: 'no-such-theorem'" in capsys.readouterr().err
 
 
 def test_verify_refuses_large_exhaustive(capsys):
@@ -417,7 +419,7 @@ def test_verify_samples_lift_the_guard_only_where_they_bound_the_sweep(capsys):
     # green-relations takes no --samples, and green-pre-orders searches the
     # graph of each relation over all 34M diagrams of B_9 whatever --samples is
     code, out, err = run(capsys, "verify", "green-relations", "--n", "9", "--samples", "3")
-    assert (code, out) == (2, "") and "--samples" in err
+    assert (code, out) == (1, "") and cost_refusal("verify green-relations").fullmatch(err)
     code, out, err = run(capsys, "verify", "green-pre-orders", "--n", "9", "--samples", "3")
     assert code == 1 and out == "" and err.startswith("error:") and "refused" in err
     # without --samples tau-identity sweeps every triple; with it, only the samples
@@ -522,9 +524,14 @@ def test_verify_runs_each_check_from_its_least_degree(capsys, theorem):
     ("regularity --n 3 --k 1", "--k"),
 ])
 def test_verify_names_the_flags_a_check_does_not_take(capsys, request_, unused):
-    code, out, err = run(capsys, "verify", *request_.split())
-    assert (code, out) == (2, "")
-    assert err == f"verify {request_.split()[0]} does not take {unused}\n"
+    # refused by the runner as a flag the check would ignore is, with its one text
+    theorem = request_.split()[0]
+    message = f"verify {theorem} ignores {unused} with these parameters"
+    assert run(capsys, "verify", *request_.split()) == (1, "", f"error: {message}\n")
+    flags = request_.split()[1:]
+    with pytest.raises(DiagramError) as refused:  # a Python call, with its keywords
+        CHECKS[theorem](**{flag[2:]: int(value) for flag, value in zip(flags[::2], flags[1::2])})
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("request_, ignored", [
@@ -536,6 +543,26 @@ def test_verify_refuses_a_flag_the_check_would_ignore(capsys, request_, ignored)
     code, out, err = run(capsys, "verify", *request_.split())
     assert (code, out) == (1, "")
     assert err == f"error: verify {request_.split()[0]} ignores {ignored} with these parameters\n"
+
+
+@pytest.mark.parametrize("flag", list(verify.PARAMETERS))
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_the_cli_and_a_python_call_read_each_flag_alike(capsys, theorem, flag):
+    # the check echoes the flag in its params, or both refuse it with the one text;
+    # each value is legal for the checks that take the flag, at their default degree
+    n = inspect.signature(CHECKS[theorem]).parameters["n"].default
+    value = {"n": n, "r": n - 2, "k": 1, "bound": 1, "samples": 2, "seed": 1}[flag]
+    code, out, err = run(capsys, "verify", theorem, f"--{flag}", str(value))
+    try:
+        report = CHECKS[theorem](**{flag: value})
+    except DiagramError as refused:
+        message = f"verify {theorem} ignores --{flag} with these parameters"
+        assert str(refused) == message
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        return
+    assert (code, err) == (0, "")
+    assert report.passed and report.params[flag] == value
+    assert _strip_seconds(["verify"], out) == _strip_seconds(["verify"], report.to_json() + "\n")
 
 
 def test_verify_flags_are_the_parameter_table():
@@ -832,6 +859,11 @@ def test_ideal_gens_refuses_a_grid_past_the_limit(capsys):
         assert run(capsys, *argv) == (1, "", err)
 
 
+# numbers of more digits than the int-to-text limit, read or printed: a degree
+# prefix, a JSON twist, and the sum of two twists at the limit
+OVER_THE_INT_LIMIT = ["mul --n 3 n=0{zeros}3:(1,2)(3,1')(2',3') n=3:(1,2)",
+                      'star --n 3 {{"n":3,"blocks":[[1,-1],[2,-2],[3,-3]],"twist":{over}}}',
+                      "star --n 3 {at}*n=3:(1,1')(2,2')(3,3') {at}*n=3:(1,1')(2,2')(3,3')"]
 # requests that no size guard decides, of mul, star, green, factor and
 # closure (whose bound is guarded), and requests with absurd --r, --k,
 # --samples and --bound values, at the degrees of GUARDED: {v} is 10^100
@@ -850,19 +882,26 @@ SWEPT = ["mul --n {n} n={n}:(1,2) n={n}:(1,2)", "mul --n 3 n=3:(1,2)(3,1')(2',3'
          "verify ideal-classification --n 3 --bound {v}", "verify singular-rank --n 3 --bound {v}",
          "verify minimal-gens --n 3 --r 1 --k {v}", "verify ig-subsemigroup --n 3 --bound {v}",
          "verify idempotent-closure --n 5 --r 3 --bound {v}",
-         "verify idempotent-generation --n {n} --r {v}", "verify gh-conditions --n {n} --r -{v}"]
+         "verify idempotent-generation --n {n} --r {v}", "verify gh-conditions --n {n} --r -{v}",
+         *OVER_THE_INT_LIMIT]
 
 
 @pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
 def test_no_request_ends_in_a_traceback_or_a_hang(degree):
     gens = os.path.join(os.path.dirname(__file__), "golden", "closure-gens.txt")
-    requests = [request_.format(n=degree, v=10**100, gens=gens).split() for request_ in SWEPT]
+    limit = sys.get_int_max_str_digits()
+    zeros, at = "0" * limit, "9" * limit
+    requests = [request_.format(n=degree, v=10**100, gens=gens, zeros=zeros, over="1" + zeros,
+                                at=at).split() for request_ in SWEPT]
     proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)],
                           timeout=10 * len(requests))
     assert (proc.returncode, proc.stderr) == (0, "")
-    for argv, line in zip(requests, proc.stdout.splitlines(), strict=True):
+    for template, argv, line in zip(SWEPT, requests, proc.stdout.splitlines(), strict=True):
         code, _, err, seconds = json.loads(line)
         assert code in (0, 1, 2) and "Traceback" not in err and seconds < 10, argv
+        if template in OVER_THE_INT_LIMIT:
+            assert (code, err) == (1, f"error: a number has more digits than the int-to-text "
+                                      f"limit, {limit}\n"), template
 
 
 def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):

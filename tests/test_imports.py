@@ -97,6 +97,15 @@ def test_the_package_is_layered():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+def test_only_verify_imports_inspect():
+    # which reads each check's signature; the runner alone reads a request
+    importers = [path.stem for path in sorted(ROOT.glob("src/**/*.py"))
+                 if any(isinstance(node, ast.Import) and "inspect" in (a.name for a in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module == "inspect"
+                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert importers == ["verify"]
+
+
 def test_ideals_imports_only_diagram_and_twisted():
     source = (ROOT / "src/twisted_brauer/ideals.py").read_text(encoding="utf-8")
     assert package_imports(source)[0] == {"diagram", "twisted"}
@@ -139,6 +148,7 @@ RULE_TEXTS = {
     "twist parameter {} must be non-negative": "ideals",
     "degrees differ: {} vs {}": "diagram",
     "degree must be a non-negative integer, got {}": "diagram",
+    "verify {} ignores {} with these parameters": "verify",
 }
 # wordings of the same rules that no other raise may use
 RULE_WORDS = ("degree >= 3", "n >= 3", "0 < r < n", "0 < rank", "strictly between",
@@ -162,7 +172,7 @@ COST_WORDS = ("refused", "more than")
 # the two limits that are no cost, and the module that raises each: an
 # oracle's domain, and the interpreter's int-to-text limit, which is no work
 KEPT_LIMITS = {
-    "subset oracle refused for |J| = {} > 16": ["structure"],
+    "subset oracle refused for |J| = {} > {}": ["structure"],
     "rank of I({};{}) in degree {} refused: it has more than {} digits, the int-to-text "
     "limit": ["ideals"],
 }

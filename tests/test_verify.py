@@ -69,12 +69,10 @@ def test_sampled_checks_are_deterministic():
 
 
 def test_fail_reports_carry_counterexamples():
-    report = verify.VerificationReport("demo", {"n": 1})
-    report.fail(alpha="n=1: (1,1')")
-    assert report.status == "fail"
-    assert report.counterexample == {"alpha": "n=1: (1,1')"}
-    report.fail(alpha="other")  # first witness is kept
-    assert report.counterexample == {"alpha": "n=1: (1,1')"}
+    report = verify.VerificationReport("demo", {"n": 1}, "fail",
+                                       counterexample={"alpha": "n=1: (1,1')"})
+    assert not report.passed
+    assert json.loads(report.to_json())["counterexample"] == {"alpha": "n=1: (1,1')"}
 
 
 def test_sampled_triples_refuse_fewer_than_one_sample():
@@ -119,8 +117,16 @@ def test_every_parameter_the_benchmark_sets_is_used(call, params):
 
 @pytest.mark.parametrize("theorem", sorted(EXPECTED_IDS))
 def test_every_check_refuses_a_negative_degree(theorem):
-    with pytest.raises(DiagramError, match="n must be at least 0, got -1"):
+    # by its least degree, 0 where it states none
+    with pytest.raises(DiagramError, match=rf"^verify {theorem} is stated for n >= \d, got n = -1$"):
         verify.CHECKS[theorem](n=-1)
+
+
+@pytest.mark.parametrize("k", [-1, -10**100])
+def test_a_negative_twist_is_refused_by_the_term_rule(k):
+    # before the cost check, which a huge negative k would fail
+    with pytest.raises(DiagramError, match=f"^twist parameter {k} must be non-negative$"):
+        verify.check_minimal_gens(k=k)
 
 
 def test_sweep_counts_are_exact_up_to_the_limit():
