@@ -18,6 +18,7 @@ import twisted_brauer
 
 from twisted_brauer import (
     DiagramError,
+    diagram_from_json,
     TwistedElement,
     identity,
     is_idempotent_twisted,
@@ -28,7 +29,7 @@ from twisted_brauer import (
 )
 from twisted_brauer.cli import build_parser, main, parse_element
 from twisted_brauer.enumeration import random_diagram
-from twisted_brauer.ideals import delta, rank_of_ideal
+from twisted_brauer.ideals import delta, parse_ideal, rank_of_ideal
 from twisted_brauer.verify import CHECKS
 
 ALPHA10 = "n=10: (1,2)(5,8)(9,10)(3,3')(4,6')(6,7')(7,8')(1',2')(4',5')(9',10')"
@@ -902,6 +903,23 @@ def test_no_request_ends_in_a_traceback_or_a_hang(degree):
         if template in OVER_THE_INT_LIMIT:
             assert (code, err) == (1, f"error: a number has more digits than the int-to-text "
                                       f"limit, {limit}\n"), template
+
+
+def test_numbers_past_the_int_limit_are_diagram_errors():
+    limit = sys.get_int_max_str_digits()
+    over = "1" + "0" * limit
+    message = f"^a number has more digits than the int-to-text limit, {limit}$"
+    for read in (lambda: parse_diagram(f"n=0{'0' * limit}3: (1,2)(3,1')(2',3')"),
+                 lambda: parse_diagram(f"n=3: ({over},2)(3,1')(2',3')"),
+                 lambda: parse_ideal(f"I(1;{over})", 3),
+                 lambda: diagram_from_json(f'{{"n": {over}, "blocks": []}}'),
+                 lambda: parse_element(f"{over} * n=1: (1,1')"),
+                 lambda: parse_element(f'{{"n": 1, "blocks": [[1, -1]], "twist": {over}}}')):
+        with pytest.raises(DiagramError, match=message):
+            read()
+    # at the limit every number is read
+    assert parse_element(f"{'9' * limit} * n=1: (1,1')").twist == 10**limit - 1
+    assert parse_diagram(f"n=0{'0' * (limit - 2)}3: (1,2)(3,1')(2',3')").degree == 3
 
 
 def test_rank_message_lists_i_n_up_to_eight_ranks(capsys):

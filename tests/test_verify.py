@@ -96,6 +96,9 @@ def test_a_parameter_the_sweep_would_ignore_is_refused():
         verify.check_singular_rank(4, 3)  # the closure runs at n <= 3 only
     with pytest.raises(DiagramError, match="refused: it needs more than 60 s"):
         verify.check_tau_identity(9, seed=3)  # the size guard comes first
+    # a keyword that no check takes is refused as one the check does not take, in order
+    with pytest.raises(DiagramError, match="^verify rank-table ignores --k, --foo with these"):
+        verify.check_rank_table(k=0, foo=1)
     # None is no value given, and a value the report echoes is taken
     assert verify.check_tau_identity(3, samples=None, seed=None).passed
     assert verify.check_tau_identity(3, samples=5, seed=2).passed
