@@ -22,6 +22,7 @@ glued middle row are *floating components*; their number is the twist
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -104,14 +105,12 @@ class BrauerDiagram:
         Every non-singleton kernel class of a Brauer diagram is a hook, so
         kernel containment is containment of these sets.
         """
-        n, p = self.degree, self.pairing
-        return frozenset((i + 1, p[i] + 1) for i in range(n) if i < p[i] < n)
+        return frozenset(self.top_hooks())
 
     @property
     def coker(self) -> frozenset[tuple[int, int]]:
         """The cokernel: the lower hooks (a, b) of a' and b', a < b."""
-        n, p = self.degree, self.pairing
-        return frozenset((i - n + 1, p[i] - n + 1) for i in range(n, 2 * n) if i < p[i])
+        return frozenset(self.bottom_hooks())
 
     def top_hooks(self) -> list[tuple[int, int]]:
         """Upper hooks in canonical order (sorted, smaller vertex first)."""
@@ -145,19 +144,16 @@ class BrauerDiagram:
 
     def blocks(self) -> list[tuple[int, int]]:
         """Blocks as signed 1-based pairs (negative = bottom), canonical order."""
-        n = self.degree
-        return [
-            (x + 1 if x < n else n - x - 1, y + 1 if y < n else n - y - 1)
-            for x, y in enumerate(self.pairing)
-            if x < y
-        ]
+        return [(a, b) for a, b in self.to_json_obj()["blocks"]]
 
     def to_text(self) -> str:
         """Canonical human-readable form, e.g. ``n=2: (1,2)(1',2')``."""
-        body = "".join(f"({_token_str(a)},{_token_str(b)})" for a, b in self.blocks())
+        blocks = self.to_json_obj()["blocks"]
+        body = "".join(f"({_token_str(a)},{_token_str(b)})" for a, b in blocks)
         return f"n={self.degree}: {body}"
 
     def to_json_obj(self) -> dict:
+        """The machine form, whose signed block list every other block reader reads."""
         n = self.degree
         blocks = [
             [x + 1 if x < n else n - x - 1, y + 1 if y < n else n - y - 1]
@@ -215,9 +211,11 @@ def is_int(x) -> bool:
 
 
 def _token_to_index(t: int, n: int) -> int:
-    if not is_int(t) or t == 0 or abs(t) > n:
+    # read once as an exact int, so an int subclass cannot bend a comparison;
+    # an exact int skips the is_int call, which would pass it
+    if not (type(t) is int or is_int(t)) or not 0 < abs(i := operator.index(t)) <= n:
         raise DiagramError(f"vertex token {t!r} out of range for degree {n}")
-    return t - 1 if t > 0 else n - t - 1
+    return i - 1 if i > 0 else n - i - 1
 
 
 def _token_str(t: int) -> str:
@@ -227,57 +225,46 @@ def _token_str(t: int) -> str:
 def make_diagram(degree: int, blocks) -> BrauerDiagram:
     """Build a diagram from blocks of signed vertices (+i top, -i bottom).
 
-    Raises DiagramError with a message naming each failure mode: a block
-    without exactly two distinct vertices, an out-of-range vertex, a vertex
-    used twice, or a vertex left uncovered.  A pairing of plain ints that
+    Raises DiagramError with a message naming each failure mode, in block
+    order: a block without exactly two distinct vertices, an out-of-range
+    vertex, a vertex used twice, or a vertex left uncovered.  A pairing that
     passes these checks is a fixed-point-free involution, so it is not
-    validated again; tokens of an int subclass keep the full validation.
+    validated again.  The points are kept in a dict, so a short block list
+    costs no memory in the degree.
 
     >>> make_diagram(2, [(1, -1), (2, -2)]) == identity(2)
     True
     """
     _check_degree(degree)
     n = degree
-    pairing = [-1] * (2 * n)
-    plain = True
+    pairing = {}
     for block in blocks:
         block = tuple(block)
         if len(block) != 2 or block[0] == block[1]:
             raise DiagramError(f"block {block!r} does not have size 2")
-        s, t = block
-        if type(s) is int and type(t) is int and 0 < abs(s) <= n and 0 < abs(t) <= n:
-            x = s - 1 if s > 0 else n - s - 1
-            y = t - 1 if t > 0 else n - t - 1
-        else:  # raises on the first bad token, in block order
-            x, y = _token_to_index(s, n), _token_to_index(t, n)
-            plain = False
-        if pairing[x] != -1 or pairing[y] != -1:
+        x, y = _token_to_index(block[0], n), _token_to_index(block[1], n)
+        if x == y or x in pairing or y in pairing:
             raise DiagramError(f"vertex repeated in block {block!r}")
         pairing[x], pairing[y] = y, x
-    for x, y in enumerate(pairing):
-        if y == -1:
-            raise DiagramError(
-                f"vertex {_token_str(_index_to_token(x, n))} is not covered"
-            )
-    if plain:
-        return _raw_diagram(n, tuple(pairing))
-    return BrauerDiagram(n, tuple(pairing))
+    if len(pairing) < 2 * n:  # of the len(pairing) + 1 first points, one is uncovered
+        x = next(x for x in range(len(pairing) + 1) if x not in pairing)
+        raise DiagramError(f"vertex {_token_str(_index_to_token(x, n))} is not covered")
+    return _raw_diagram(n, tuple([pairing[x] for x in range(2 * n)]))
 
 
 def identity(n: int) -> BrauerDiagram:
     """The identity diagram: i joined to i' for every i."""
     _check_degree(n)
-    return BrauerDiagram(n, tuple(range(n, 2 * n)) + tuple(range(n)))
+    return permutation_diagram(n, range(1, n + 1))
 
 
 def transposition(n: int, i: int, j: int) -> BrauerDiagram:
     """The unit interchanging i and j and fixing everything else."""
     if not 1 <= i < j <= n:
         raise DiagramError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    pairing = list(range(n, 2 * n)) + list(range(n))
-    pairing[i - 1], pairing[j - 1] = n + j - 1, n + i - 1
-    pairing[n + i - 1], pairing[n + j - 1] = j - 1, i - 1
-    return BrauerDiagram(n, tuple(pairing))
+    images = list(range(1, n + 1))
+    images[i - 1], images[j - 1] = j, i
+    return permutation_diagram(n, images)
 
 
 def permutation_diagram(n: int, images) -> BrauerDiagram:

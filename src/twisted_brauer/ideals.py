@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _check_degree,
                       _check_degrees, _from_pairs, read_int)
@@ -386,23 +386,18 @@ def idempotent_factor_sigma(
 
 @dataclass(frozen=True)
 class IdealRank:
-    """Rank data of a principal ideal (four regimes by r and k)."""
+    """Rank data of a principal ideal (four regimes by r and k); the fields
+    are its JSON keys, in order."""
 
-    degree: int
-    term: tuple[int, int]
+    n: int
+    r: int
+    k: int
     rank: int
     idempotent_generated: bool
     idrank: int | None
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.degree,
-            "r": self.term[0],
-            "k": self.term[1],
-            "rank": self.rank,
-            "idempotent_generated": self.idempotent_generated,
-            "idrank": self.idrank,
-        }
+        return asdict(self)
 
 
 def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
@@ -439,4 +434,4 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
         raise DiagramError(f"rank of I({r};{k}) in degree {n} refused: it has more than "
                            f"{max_digits} digits, the int-to-text limit")
     ig = 0 < r < n and k == 0
-    return IdealRank(n, (r, k), value, ig, value if ig else None)
+    return IdealRank(n, r, k, value, ig, value if ig else None)

@@ -284,8 +284,6 @@ def idempotent_generating_set(n: int, r: int) -> list[TwistedElement]:
 class GeneratingSet:
     """A generating set for a principal ideal, with its provenance."""
 
-    degree: int
-    term: tuple[int, int]
     kind: str  # "top-four" | "idempotent-matching" | "d-class-grid"
     elements: tuple[TwistedElement, ...]
 
@@ -317,14 +315,13 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
             as_twisted(canonical_idempotent(n, n - 2)),
             TwistedElement(1, identity(n)),
         )
-        return GeneratingSet(n, (r, k), "top-four", elements)
+        return GeneratingSet("top-four", elements)
     if k == 0 and 0 < r < n:
-        return GeneratingSet(n, (r, k), "idempotent-matching",
-                             tuple(idempotent_generating_set(n, r)))
+        return GeneratingSet("idempotent-matching", tuple(idempotent_generating_set(n, r)))
     size = (k + (r == 0)) * capped_diagrams(n, r)
     check_cost(f"M({r};{k}) in degree {n}", "grid element", size, size)
     elements = tuple(enumeration.truncation(n, range(k, 2 * k + (r == 0)), r))
-    return GeneratingSet(n, (r, k), "d-class-grid", elements)
+    return GeneratingSet("d-class-grid", elements)
 
 
 def singular_rank(n: int) -> int:

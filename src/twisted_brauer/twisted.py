@@ -94,7 +94,8 @@ def _square_walk(alpha: BrauerDiagram) -> int:
     lower hooks, and must leave through the second copy's edge to j.  When
     every walk does, the square keeps alpha's transversals, and its hooks
     are alpha's own: alpha^2 = alpha.  The middle points no walk covers
-    then lie on floating loops.
+    then lie on floating loops.  A walk past n covered points is no walk of
+    an involution, so it stops there and gives -1.
     """
     n, p = alpha.degree, alpha.pairing
     covered = 0
@@ -104,7 +105,7 @@ def _square_walk(alpha: BrauerDiagram) -> int:
             continue
         q = p[j - n]  # the second copy's edge from middle point j - n
         covered += 1
-        while q < n:  # an upper hook, back into the middle row at q
+        while q < n and covered <= n:  # an upper hook, back into the middle row at q
             m = p[n + q]  # the first copy's edge from middle point q
             if m < n:  # a transversal: the walk climbs to the top row
                 return -1

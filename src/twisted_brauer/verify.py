@@ -90,6 +90,8 @@ def _check(theorem: str, unit: str, least_n: int = 0):
         def check(*args, **kwargs) -> VerificationReport:
             start = time.perf_counter()
             passed = signature.bind(*args, **{key: kwargs[key] for key in kwargs.keys() & taken})
+            # an explicit None is an absent parameter, so the body's default applies
+            passed.arguments = {k: v for k, v in passed.arguments.items() if v is not None}
             given = {name: value for name, value in {**kwargs, **passed.arguments}.items()
                      if value is not None and (name in PARAMETERS or name not in taken)}
             for name, value in given.items():

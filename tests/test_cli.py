@@ -834,12 +834,30 @@ def test_requests_that_ran_out_of_memory_are_refused_by_their_bytes(capsys, requ
     assert time.perf_counter() - start < 1.0
 
 
-def test_running_out_of_memory_is_an_error():
-    # the backstop, for what no guard bounds: a diagram argument of degree 10^9
-    # is read into 2 * 10^9 slots, which the child's 1 GB address space cannot hold
-    argv = ["mul", "--n", "1000000000", "n=1000000000:(1,2)", "n=1000000000:(1,2)"]
-    proc = _run_child(argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+def test_a_short_diagram_text_at_a_huge_degree_is_refused_at_once(capsys):
+    # make_diagram keeps no slot per degree, so it names the first uncovered
+    # point at once: at 10^9 the request once ran out of memory, at 10^30 it
+    # ended in an OverflowError
+    requests = [["mul", "--n", str(n), f"n={n}:(1,2)", f"n={n}:(1,2)"] for n in (10**9, 10**30)]
+    proc = _child_process(["-c", _RUN_IN_TURN, json.dumps(requests)], timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    refusal = [1, "", "error: vertex 3 is not covered\n"]
+    for argv, line in zip(requests, proc.stdout.splitlines(), strict=True):
+        *result, seconds = json.loads(line)
+        assert result == refusal and seconds < 1.0, argv
+        start = time.perf_counter()
+        assert list(run(capsys, *argv)) == refusal
+        assert time.perf_counter() - start < 1.0
+
+
+def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
+    # the backstop, for what no guard bounds: a command that runs out of memory
+    def out_of_memory(alpha, beta):
+        raise MemoryError
+
+    monkeypatch.setattr(twisted_brauer.cli, "multiply", out_of_memory)
+    assert run(capsys, "mul", "--n", "2", "n=2:(1,2)(1',2')", "n=2:(1,2)(1',2')") == (
+        1, "", "error: out of memory\n")
 
 
 # M(r;k) has (k + [r = 0]) * |D_r u D_(r-2) u ...| elements: 9(k + [r = 0])
@@ -887,7 +905,7 @@ SWEPT = ["mul --n {n} n={n}:(1,2) n={n}:(1,2)", "mul --n 3 n=3:(1,2)(3,1')(2',3'
          *OVER_THE_INT_LIMIT]
 
 
-@pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9])
+@pytest.mark.parametrize("degree", [3000, 10**5, 10**6, 10**9, 10**30])
 def test_no_request_ends_in_a_traceback_or_a_hang(degree):
     gens = os.path.join(os.path.dirname(__file__), "golden", "closure-gens.txt")
     limit = sys.get_int_max_str_digits()

@@ -17,6 +17,8 @@ from twisted_brauer import (
     diagram_from_json,
     diagram_from_json_obj,
     identity,
+    is_idempotent_plain,
+    is_idempotent_twisted,
     make_diagram,
     multiply,
     parse_diagram,
@@ -115,7 +117,7 @@ def test_identity_and_units():
     assert multiply(t, t) == (identity(3), 0)
     with pytest.raises(DiagramError, match="need 1 <= i < j <= n, got i=2, j=2, n=3"):
         transposition(3, 2, 2)
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match=r"^\[1, 1, 2\] is not a bijection of \[3\]$"):
         permutation_diagram(3, [1, 1, 2])
 
 
@@ -174,13 +176,15 @@ def test_multiply_refuses_a_pairing_that_is_no_involution():
 
 def test_multiply_terminates_on_any_pairing_tuple():
     # entries in range but no involution: every call raises DiagramError or
-    # returns a product that validation accepts
+    # returns a product that validation accepts, and both idempotent tests end
     rng = random.Random(13)
     raised = 0
     with within(10.0):
         for n in list(range(1, 13)) * 200:
             a, b = (_raw_diagram(n, tuple(rng.randrange(2 * n) for _ in range(2 * n)))
                     for _ in range(2))
+            for test in (is_idempotent_plain, is_idempotent_twisted):
+                assert test(a) in (False, True) and test(b) in (False, True)
             try:
                 d, _ = multiply(a, b)
             except DiagramError:
@@ -420,9 +424,9 @@ def test_make_diagram_validates_int_subclass_tokens():
 
         __hash__ = int.__hash__
 
-    # unequal to itself, so (1, 1) passes the block check and makes a
-    # fixed point, which only the full validation catches
-    with pytest.raises(DiagramError, match="fixed-point-free"):
+    # unequal to itself, so (1, 1) passes the block check; read as an exact
+    # int, its two tokens name one point
+    with pytest.raises(DiagramError, match=r"^vertex repeated in block \(1, 1\)$"):
         make_diagram(1, [(Liar(1), Liar(1)), (Liar(-1), Liar(-1))])
 
 

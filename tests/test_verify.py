@@ -68,6 +68,13 @@ def test_sampled_checks_are_deterministic():
     assert first.counts == second.counts
 
 
+def test_an_explicit_none_seed_samples_with_the_default_seed():
+    # seed=None is no seed given, so the sample is the seed-0 sample and replays
+    first, second = (verify.check_green_preorders(3, samples=5, seed=None) for _ in range(2))
+    assert first.params == second.params == {"n": 3, "samples": 5, "seed": 0}
+    assert first.counts == second.counts == verify.check_green_preorders(3, samples=5).counts
+
+
 def test_fail_reports_carry_counterexamples():
     report = verify.VerificationReport("demo", {"n": 1}, "fail",
                                        counterexample={"alpha": "n=1: (1,1')"})
