@@ -83,8 +83,11 @@ class BrauerDiagram:
     @property
     def rank(self) -> int:
         """Number of transversals (blocks meeting both rows)."""
-        n = self.degree
-        return sum(1 for i in range(n) if self.pairing[i] >= n)
+        n, count = self.degree, 0
+        for y in self.pairing[:n]:  # on CPython 3.11 faster than sum() over map or a generator
+            if y >= n:
+                count += 1
+        return count
 
     @property
     def dom(self) -> tuple[int, ...]:

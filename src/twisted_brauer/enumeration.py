@@ -15,8 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .diagram import (BrauerDiagram, DiagramError, _check_degree, _raw_diagram, identity,
-                      make_diagram, permutation_diagram, transposition)
+from .diagram import (BrauerDiagram, DiagramError, _check_degree, _check_degrees, _raw_diagram,
+                      identity, make_diagram, permutation_diagram, transposition)
 from .ideals import _check_rank_param, capped_delta, capped_diagrams, check_cost, index_set
 from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
 
@@ -402,7 +402,12 @@ class DivisibilityOracle:
             succ = {"R": right, "L": left}.get(rel) or [r + l for r, l in zip(right, left)]
             reach = self._reach[rel] = _component_reach(succ)
         component, masks = reach
-        return bool(masks[component[self._index[beta]]] >> self._index[alpha] & 1)
+        try:
+            return bool(masks[component[self._index[beta]]] >> self._index[alpha] & 1)
+        except KeyError:  # B_n is all indexed, so a miss is a diagram of another degree
+            _check_degrees(alpha, beta)
+            _check_degrees(alpha, self.diagrams[0])
+            raise
 
     def leq_R(self, alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
         """Whether alpha = beta * d for some diagram d."""

@@ -19,6 +19,7 @@ import inspect
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -152,13 +153,16 @@ def check_green_preorders(
     # the oracle searches the graph of each relation once, over all of B_n
     yield {"n": n, "samples": samples, "seed": seed if samples else None}, total + 3 * size, size
     oracle = enumeration.DivisibilityOracle(n)
-    pool, rng = list(enumeration.all_diagrams(n)), random.Random(seed)
+    # the oracle has reached all of B_n; in pairing order it is all_diagrams(n)
+    pool = sorted(oracle.diagrams, key=operator.attrgetter("pairing"))
+    rng = random.Random(seed)
     pairs = (itertools.product(pool, repeat=2) if samples is None else
              ((rng.choice(pool), rng.choice(pool)) for _ in range(samples)))
+    relations = (("R", green.leq_R, oracle.leq_R), ("L", green.leq_L, oracle.leq_L),
+                 ("J", green.leq_J, oracle.leq_J))
     factored = {"right": 0, "left": 0, "two_sided": 0}
     for a, b in pairs:
-        for rel, fast, slow in (("R", green.leq_R, oracle.leq_R), ("L", green.leq_L, oracle.leq_L),
-                                ("J", green.leq_J, oracle.leq_J)):
+        for rel, fast, slow in relations:
             claimed = fast(a, b)
             if claimed != slow(a, b):
                 raise _Fail(relation=rel, alpha=a.to_text(), beta=b.to_text())

@@ -391,6 +391,13 @@ def test_oracle_reaches_every_diagram():
         DivisibilityOracle(11)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_the_oracle_holds_all_diagrams_in_pairing_order(n):
+    # verify green-pre-orders samples this pool in place of all_diagrams(n)
+    pool = sorted(DivisibilityOracle(n).diagrams, key=lambda d: d.pairing)
+    assert pool == list(all_diagrams(n))
+
+
 def test_oracle_refuses_by_its_memory_size():
     # it holds every diagram with two Cayley graphs and their components'
     # reach masks, about 110 MB at degree 7: degree 8 needs more than 1 GB

@@ -27,6 +27,7 @@ from twisted_brauer import (
     leq_J,
     leq_L,
     leq_R,
+    make_diagram,
     multiply,
     permutation_diagram,
     rho,
@@ -57,6 +58,42 @@ def test_preorders_match_divisibility_oracle_n3():
         assert leq_R(a, b) == oracle.leq_R(a, b)
         assert leq_L(a, b) == oracle.leq_L(a, b)
         assert leq_J(a, b) == oracle.leq_J(a, b)
+
+
+def _assert_invariants_match_hook_sets(a, b):
+    assert leq_R(a, b) == (b.ker <= a.ker)
+    assert leq_L(a, b) == (b.coker <= a.coker)
+    assert a.rank == len(a.transversal_pairs())
+
+
+def test_preorders_match_hook_sets_exhaustive_n4():
+    pool = list(all_diagrams(4))
+    for a, b in itertools.product(pool, repeat=2):
+        _assert_invariants_match_hook_sets(a, b)
+
+
+def _kernel_inside(alpha, rng):
+    """A random diagram whose upper hooks are a random subset of alpha's."""
+    n = alpha.degree
+    hooks = [h for h in alpha.top_hooks() if rng.random() < 0.5]
+    closed = {x for h in hooks for x in h}
+    bottoms = rng.sample(range(1, n + 1), n)
+    blocks = hooks + [(x, -bottoms.pop()) for x in range(1, n + 1) if x not in closed]
+    blocks += [(-bottoms[i], -bottoms[i + 1]) for i in range(0, len(bottoms), 2)]
+    return make_diagram(n, blocks)
+
+
+@pytest.mark.parametrize("n", [6, 10, 20, 40])
+def test_preorders_match_hook_sets_random(n):
+    rng = random.Random(n)
+    comparable = 0
+    for k in range(600):
+        a = random_diagram(n, rng)
+        b = (random_diagram(n, rng), _kernel_inside(a, rng),
+             _kernel_inside(a.star(), rng).star())[k % 3]
+        _assert_invariants_match_hook_sets(a, b)
+        comparable += leq_R(a, b) or leq_L(a, b)
+    assert comparable >= 600 // 4
 
 
 def test_mutual_R_is_kernel_equality_n3():

@@ -15,8 +15,10 @@ import twisted_brauer
 from twisted_brauer import (
     BrauerDiagram,
     DiagramError,
+    DivisibilityOracle,
     IdealSpec,
     PreconditionError,
+    TwistedElement,
     all_diagrams,
     build_gh_graph,
     d_class,
@@ -43,6 +45,7 @@ from twisted_brauer import (
     same_class,
     singular_generating_set,
     singular_rank,
+    twisted_leq,
 )
 from twisted_brauer.cli import main
 from twisted_brauer.enumeration import truncation
@@ -107,6 +110,18 @@ INPUT_RULES = {
                        ("factor_right", factor_right), ("factor_left", factor_left),
                        ("factor_two_sided", factor_two_sided), ("multiply", multiply))},
     "same_class": (lambda: same_class("R", identity(2), identity(3)), DEGREES),
+    # the degrees are checked before the twists can decide
+    "twisted_leq": (lambda: twisted_leq("R", TwistedElement(0, identity(2)),
+                                        TwistedElement(1, identity(3))), DEGREES),
+    "twisted_leq swapped": (lambda: twisted_leq("R", TwistedElement(1, identity(3)),
+                                                TwistedElement(0, identity(2))),
+                            "degrees differ: 3 vs 2"),
+    **{f"DivisibilityOracle {rel}": (lambda rel=rel: getattr(DivisibilityOracle(3), rel)(
+        identity(2), identity(3)), DEGREES) for rel in ("leq_R", "leq_L", "leq_J")},
+    "DivisibilityOracle beta": (lambda: DivisibilityOracle(3).leq_R(identity(3), identity(2)),
+                                "degrees differ: 3 vs 2"),
+    "DivisibilityOracle both operands": (
+        lambda: DivisibilityOracle(3).leq_R(identity(2), identity(2)), DEGREES),
     "make_diagram": (lambda: make_diagram(-1, []), DEGREE),
     "identity": (lambda: identity(-1), DEGREE),
     "all_diagrams": (lambda: next(all_diagrams(-1)), DEGREE),

@@ -3,11 +3,12 @@ determinism of seeded runs."""
 
 import itertools
 import json
+import random
 import time
 
 import pytest
 
-from twisted_brauer import DiagramError, all_diagrams, verify
+from twisted_brauer import DiagramError, all_diagrams, leq_J, leq_L, leq_R, verify
 from twisted_brauer.ideals import (
     COUNT_CAP,
     capped_delta,
@@ -66,6 +67,16 @@ def test_sampled_checks_are_deterministic():
     assert first.passed and second.passed
     assert first.params == second.params
     assert first.counts == second.counts
+
+
+def test_sampled_pre_order_pairs_are_drawn_from_all_diagrams_in_order():
+    n, samples, seed = 4, 400, 3
+    pool, rng = list(all_diagrams(n)), random.Random(seed)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(samples)]
+    report = verify.check_green_preorders(n, samples=samples, seed=seed)
+    assert report.counts == {"pairs": samples, **{
+        key: sum(leq(a, b) for a, b in pairs)
+        for key, leq in (("right", leq_R), ("left", leq_L), ("two_sided", leq_J))}}
 
 
 def test_an_explicit_none_seed_samples_with_the_default_seed():
