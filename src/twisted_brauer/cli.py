@@ -27,7 +27,7 @@ from pathlib import Path
 from . import enumeration, green, ideals, structure, verify
 from .diagram import (PAST_INT_LIMIT, BrauerDiagram, DiagramError, diagram_from_json_obj,
                       multiply, parse_diagram, read_int)
-from .twisted import TwistedElement, as_twisted, star_chain
+from .twisted import TwistedElement, _check_plain, as_twisted, star_chain
 
 _TWIST_PREFIX = re.compile(r"^\s*(\d+)\s*\*\s*")
 
@@ -52,9 +52,7 @@ def parse_element(text: str, degree: int | None = None) -> TwistedElement:
 
 def parse_plain(text: str, degree: int | None = None) -> BrauerDiagram:
     element = parse_element(text, degree)
-    if element.twist:
-        raise DiagramError("expected a plain diagram, got a twisted element")
-    return element.diagram
+    return _check_plain(element if element.twist else element.diagram)
 
 
 def _emit_element(x: TwistedElement, fmt: str) -> str:
@@ -66,10 +64,16 @@ def _emit_element(x: TwistedElement, fmt: str) -> str:
         raise DiagramError(PAST_INT_LIMIT.format(sys.get_int_max_str_digits())) from None
 
 
+def _emit_witnesses(witnesses, chain: TwistedElement, alpha: BrauerDiagram, fmt: str) -> int:
+    if chain != TwistedElement(0, alpha):
+        raise DiagramError("internal check failed: the witnesses do not rebuild the input")
+    for w in witnesses:
+        print(_emit_element(as_twisted(w), fmt))
+    return 0
+
+
 def _cmd_mul(args) -> int:
-    a = parse_plain(args.alpha, args.n)
-    b = parse_plain(args.beta, args.n)
-    product, t = multiply(a, b)
+    product, t = multiply(parse_plain(args.alpha, args.n), parse_plain(args.beta, args.n))
     if args.format == "jsonl":
         print(json.dumps({"product": product.to_json_obj(), "tau": t}))
     else:
@@ -88,30 +92,20 @@ def _cmd_green(args) -> int:
     if args.green_cmd == "leq":
         x = parse_element(args.x, args.n)
         y = parse_element(args.y, args.n)
-        result = green.twisted_leq(args.rel, x, y)
-        print("true" if result else "false")
+        print("true" if green.twisted_leq(args.rel, x, y) else "false")
         return 0
     if args.green_cmd == "class":
-        x = parse_element(args.x, args.n)
-        print(green.green_class(args.rel, x))
+        print(green.green_class(args.rel, parse_element(args.x, args.n)))
         return 0
     a = parse_plain(args.x, args.n)
     b = parse_plain(args.y, args.n)
-    if args.mode == "right":
-        witnesses = [green.factor_right(a, b)]
-        chain = star_chain(b, *witnesses)
+    if args.mode == "right":  # the witnesses left and right of b in the chain that rebuilds a
+        left, right = [], [green.factor_right(a, b)]
     elif args.mode == "left":
-        witnesses = [green.factor_left(a, b)]
-        chain = star_chain(witnesses[0], b)
+        left, right = [green.factor_left(a, b)], []
     else:
-        gamma, delta = green.factor_two_sided(a, b)
-        witnesses = [gamma, delta]
-        chain = star_chain(gamma, b, delta)
-    if chain != TwistedElement(0, a):
-        raise DiagramError("internal check failed: factorization does not rebuild alpha")
-    for w in witnesses:
-        print(_emit_element(as_twisted(w), args.format))
-    return 0
+        left, right = ([w] for w in green.factor_two_sided(a, b))
+    return _emit_witnesses(left + right, star_chain(*left, b, *right), a, args.format)
 
 
 def _cmd_ideal(args) -> int:
@@ -181,11 +175,7 @@ def _cmd_gh_graph(args) -> int:
 def _cmd_factor(args) -> int:
     alpha = parse_plain(args.alpha, args.n)
     chain = structure.factor_into_idempotents(alpha)
-    if star_chain(chain) != TwistedElement(0, alpha):
-        raise DiagramError("internal check failed: chain does not rebuild the input")
-    for b in chain:
-        print(_emit_element(as_twisted(b), args.format))
-    return 0
+    return _emit_witnesses(chain, star_chain(chain), alpha, args.format)
 
 
 def _cmd_verify(args) -> int:

@@ -47,6 +47,16 @@ def _check_degrees(alpha, beta) -> None:
         raise DiagramError(f"degrees differ: {alpha.degree} vs {beta.degree}")
 
 
+def _check_least(name: str, value: int, least: int | None) -> None:
+    if least is not None and value < least:
+        raise DiagramError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    if not 1 <= i < j <= n:
+        raise PreconditionError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class BrauerDiagram:
     """A perfect matching on [n] u [n]', immutable and totally ordered.
@@ -263,8 +273,7 @@ def identity(n: int) -> BrauerDiagram:
 
 def transposition(n: int, i: int, j: int) -> BrauerDiagram:
     """The unit interchanging i and j and fixing everything else."""
-    if not 1 <= i < j <= n:
-        raise DiagramError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    _check_pair(n, i, j)
     images = list(range(1, n + 1))
     images[i - 1], images[j - 1] = j, i
     return permutation_diagram(n, images)
@@ -379,15 +388,12 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
     whitespace; anything else in the body is an error.  A leading ``n=K:``
     fixes the degree (mandatory unless ``degree`` is given).
     """
-    # a text no longer than the int-to-text limit holds no number past it
-    number = read_int if 0 < sys.get_int_max_str_digits() < len(text) else int
     m = _PREFIX.match(text)
     body = text
     if m:
-        stated = number(m.group(1))
+        stated = read_int(m.group(1))
         _check_declared_degree(stated, degree)
-        degree = stated
-        body = text[m.end():]
+        degree, body = stated, text[m.end():]
     if degree is None:
         raise DiagramError(f"no degree in {text!r}; expected a leading 'n=K:'")
     body = body.rstrip()
@@ -397,8 +403,8 @@ def parse_diagram(text: str, degree: int | None = None) -> BrauerDiagram:
         m = _BLOCK.match(body, pos)
         if m is None:
             raise DiagramError(f"unparsable diagram text: {text!r}")
-        a = number(m.group(1)) * (-1 if m.group(2) else 1)
-        b = number(m.group(3)) * (-1 if m.group(4) else 1)
+        a = read_int(m.group(1)) * (-1 if m.group(2) else 1)
+        b = read_int(m.group(3)) * (-1 if m.group(4) else 1)
         blocks.append((a, b))
         pos = m.end()
     return make_diagram(degree, blocks)

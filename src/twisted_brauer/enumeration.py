@@ -15,10 +15,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .diagram import (BrauerDiagram, DiagramError, _check_degree, _check_degrees, _raw_diagram,
-                      identity, make_diagram, permutation_diagram, transposition)
+from .diagram import (BrauerDiagram, DiagramError, _check_degree, _check_degrees, _check_least,
+                      _raw_diagram, identity, make_diagram, permutation_diagram, transposition)
 from .ideals import _check_rank_param, capped_delta, capped_diagrams, check_cost, index_set
-from .twisted import TwistedElement, as_twisted, is_idempotent_plain, is_idempotent_twisted, star
+from .twisted import (TwistedElement, _check_plain, as_twisted, is_idempotent_plain,
+                      is_idempotent_twisted, star)
 
 def _check_size(n: int, r: int | None = None) -> None:
     """Refuse a negative degree, or a stream of the (2n-1)!! diagrams of degree n,
@@ -280,8 +281,7 @@ def bounded_closure(generators, twist_bound: int) -> ClosureResult:
     twist to the bound, at ranks up to the greatest generator rank, where its
     products must fit the budget.  Monotone in the bound and the generator set.
     """
-    if twist_bound < 0:
-        raise DiagramError(f"bound must be at least 0, got {twist_bound}")
+    _check_least("bound", twist_bound, 0)
     gens = [as_twisted(g) for g in generators]
     if any(g.twist > twist_bound for g in gens):
         raise DiagramError("twist bound lies below a generator's twist")
@@ -404,8 +404,8 @@ class DivisibilityOracle:
         component, masks = reach
         try:
             return bool(masks[component[self._index[beta]]] >> self._index[alpha] & 1)
-        except KeyError:  # B_n is all indexed, so a miss is a diagram of another degree
-            _check_degrees(alpha, beta)
+        except (KeyError, TypeError):  # B_n is all indexed: a miss is no diagram of degree n
+            _check_degrees(_check_plain(alpha), _check_plain(beta))
             _check_degrees(alpha, self.diagrams[0])
             raise
 

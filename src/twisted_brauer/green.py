@@ -21,6 +21,11 @@ from .twisted import _hook_idempotent, as_twisted
 RELATIONS = ("R", "L", "H", "D", "J")
 
 
+def _check_relation(relation: str, names) -> None:
+    if relation not in names:
+        raise DiagramError(f"relation must be one of {', '.join(names)}, not {relation!r}")
+
+
 def leq_R(alpha: BrauerDiagram, beta: BrauerDiagram) -> bool:
     """a <=_R b iff ker(a) contains ker(b), i.e. hooks(b) <= hooks(a).
 
@@ -140,8 +145,7 @@ def factor_two_sided(
 
 def twisted_leq(relation: str, x, y) -> bool:
     """(i, a) <=_K (j, b) in the twisted monoid iff i >= j and a <=_K b."""
-    if relation not in _LEQ:
-        raise DiagramError(f"relation must be one of R, L, J, not {relation!r}")
+    _check_relation(relation, _LEQ)
     x, y = as_twisted(x), as_twisted(y)
     _check_degrees(x, y)
     return x.twist >= y.twist and _LEQ[relation](x.diagram, y.diagram)
@@ -170,8 +174,7 @@ class ClassDescription:
 
 def green_class(relation: str, x) -> ClassDescription:
     """Describe the K-class of a twisted element; the class is {i} x K_a."""
-    if relation not in RELATIONS:
-        raise DiagramError(f"relation must be one of {RELATIONS}, not {relation!r}")
+    _check_relation(relation, RELATIONS)
     x = as_twisted(x)
     d = x.diagram
     ker = tuple(d.top_hooks()) if relation in ("R", "H") else None

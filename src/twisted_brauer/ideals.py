@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _check_degree,
-                      _check_degrees, _from_pairs, read_int)
+                      _check_degrees, _check_pair, _from_pairs, read_int)
 from .twisted import _hook_idempotent, as_twisted
 
 
@@ -54,14 +54,20 @@ def _check_term(n: int, r: int, k: int) -> None:
         raise DiagramError(f"twist parameter {k} must be non-negative")
 
 
-def _check_degree_3(n: int, subject: str) -> None:
-    if n < 3:
-        raise PreconditionError(f"{subject} is stated for n >= 3, got n = {n}")
+def _check_least_degree(n: int, subject: str, least: int = 3) -> None:
+    if n < least:
+        raise PreconditionError(f"{subject} is stated for n >= {least}, got n = {n}")
 
 
 def _check_proper_rank(n: int, r: int, subject: str) -> None:
     if not 0 < r < n:  # where I(r;0) is idempotent-generated
         raise PreconditionError(f"{subject} is stated for 0 < r < n, got r = {r} in degree {n}")
+
+
+def _check_rank_ceiling(n: int, r: int, subject: str, gap: int = 2) -> None:
+    if r > n - gap:  # gap 2: alpha is singular, no unit
+        raise PreconditionError(
+            f"{subject} is stated for r <= n - {gap}, got r = {r} in degree {n}")
 
 
 def rho(n: int, r: int) -> int:
@@ -172,12 +178,8 @@ class IdealSpec:
         _check_degree(self.degree)
         for r, k in self.terms:
             _check_term(self.degree, r, k)
-        ranks = [r for r, _ in self.terms]
-        twists = [k for _, k in self.terms]
-        if ranks != sorted(ranks, reverse=True) or len(set(ranks)) != len(ranks):
-            raise DiagramError("term ranks must be strictly decreasing")
-        if twists != sorted(twists, reverse=True) or len(set(twists)) != len(twists):
-            raise DiagramError("term twists must be strictly decreasing")
+        if any(r >= q or k >= l for (q, l), (r, k) in zip(self.terms, self.terms[1:])):
+            raise DiagramError("term ranks and twists must be strictly decreasing")
 
     def is_principal(self) -> bool:
         return len(self.terms) == 1
@@ -284,8 +286,7 @@ def lemma_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDiagram]
     """
     n, p = alpha.degree, alpha.pairing
     bottoms, C = _bottoms_and_hooks(alpha)
-    if len(bottoms) > n - 4:
-        raise PreconditionError(f"rank {len(bottoms)} exceeds {n} - 4; cannot drop from above")
+    _check_rank_ceiling(n, len(bottoms), "the rank-drop lemma", 4)
     # b: the first upper hook (a, e) and the first lower hook (c, d) become a - c', e - d'
     a = next(x for x in range(n) if x < p[x] < n)
     (c, d), e = C[0], p[a]
@@ -304,8 +305,7 @@ def lemma_twist_raise(alpha: BrauerDiagram) -> BrauerDiagram:
     """
     n = alpha.degree
     bottoms, C = _bottoms_and_hooks(alpha)
-    if len(bottoms) == n:
-        raise PreconditionError("units admit no twist-raising right identity")
+    _check_rank_ceiling(n, len(bottoms), "the twist-raising lemma")
     return _pairing(n, bottoms, C, C, [(C[0][0], C[-1][1])])
 
 
@@ -319,8 +319,7 @@ def lemma_twist_keep(alpha: BrauerDiagram) -> BrauerDiagram:
     """
     n = alpha.degree
     bottoms, C = _bottoms_and_hooks(alpha)
-    if len(bottoms) == n:
-        raise PreconditionError("units are excluded from the twist-keeping lemma")
+    _check_rank_ceiling(n, len(bottoms), "the twist-keeping lemma")
     if bottoms:
         *keep, last = bottoms
         return _pairing(n, keep, C, C, [(C[-1][1], n + last), (last, C[0][0])])
@@ -356,8 +355,7 @@ def idempotent_factor_sigma(
     bottoms, hooks = _bottoms_and_hooks(alpha)  # 0-based from here on
     r = len(bottoms)
     _check_proper_rank(n, r, "the absorption of sigma_ij")
-    if not 1 <= i < j <= n:
-        raise PreconditionError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    _check_pair(n, i, j)
     i, j = i - 1, j - 1
     i_codom, j_codom = p[n + i] < n, p[n + j] < n
 
@@ -412,7 +410,7 @@ def rank_of_ideal(n: int, r: int, k: int) -> IdealRank:
     A rank longer than Python's int-to-text limit (if set) is refused: by an
     lgamma estimate where its leading term has twice as many digits, else exactly.
     """
-    _check_degree_3(n, "the rank table")
+    _check_least_degree(n, "the rank table")
     _check_term(n, r, k)
     max_digits = sys.get_int_max_str_digits()
     h = (n - r) // 2  # ln rho(n, r) = ln n! - ln r! - h ln 2 - ln h!

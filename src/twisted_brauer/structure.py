@@ -22,12 +22,12 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _raw_diagram, identity,
-                      permutation_diagram, transposition)
+from .diagram import (BrauerDiagram, DiagramError, _raw_diagram, identity, permutation_diagram,
+                      transposition)
 from .green import canonical_idempotent
-from .ideals import (IdealSpec, _bottoms_and_hooks, _check_degree_3, _check_proper_rank,
-                     capped_delta, capped_diagrams, check_cost, idempotent_factor_sigma,
-                     lemma_rank_drop, rho)
+from .ideals import (IdealSpec, _bottoms_and_hooks, _check_least_degree, _check_proper_rank,
+                     _check_rank_ceiling, _links, capped_delta, capped_diagrams, check_cost,
+                     idempotent_factor_sigma, lemma_rank_drop, rho)
 from .twisted import TwistedElement, _hook_idempotent, _square_walk, as_twisted, is_idempotent_twisted
 from . import enumeration
 
@@ -89,10 +89,8 @@ class GHGraph:
         """DOT rendering; vertices carry their hooks, e.g. ``(1,2)(3,4)``."""
         labels = ["".join(f"({a},{b})" for a, b in sig) or "()" for sig in self.signatures]
         lines = ["graph graham_houghton {", "  rankdir=LR;"]
-        for i, label in enumerate(labels):
-            lines.append(f'  L{i} [label="ker {label}" shape=box];')
-        for i, label in enumerate(labels):
-            lines.append(f'  R{i} [label="coker {label}" shape=ellipse];')
+        lines += [f'  L{i} [label="ker {s}" shape=box];' for i, s in enumerate(labels)]
+        lines += [f'  R{i} [label="coker {s}" shape=ellipse];' for i, s in enumerate(labels)]
         for l in range(len(labels)):
             lines.extend(f"  L{l} -- R{r};" for r in self.neighbors(l))
         lines.append("}")
@@ -107,7 +105,7 @@ def build_gh_graph(n: int, r: int) -> GHGraph:
     Each candidate's H-class is read off its place in the d_class stream
     (whose docstring fixes the block order), so no kernel is computed from
     a diagram, and only the two signature indices are kept."""
-    _check_degree_3(n, "the Graham-Houghton analysis")
+    _check_least_degree(n, "the Graham-Houghton analysis")
     _check_proper_rank(n, r, "the Graham-Houghton analysis")
     check_cost(f"Graham-Houghton graph of D_{r} in degree {n}", "GH candidate",
                capped_delta(n, r))
@@ -306,7 +304,7 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
     n = spec.degree
     (r, k), = spec.terms
     if k == 0 and r == n:
-        _check_degree_3(n, "the four-generator description")
+        _check_least_degree(n, "the four-generator description")
         check_cost(f"the four generators of degree {n}", "generator degree", n, n)
         cycle = permutation_diagram(n, list(range(2, n + 1)) + [1])
         elements = (
@@ -326,14 +324,14 @@ def generating_set(spec: IdealSpec) -> GeneratingSet:
 
 def singular_rank(n: int) -> int:
     """Smallest generating set size of the singular ideal: C(n, 2) + n!."""
-    _check_degree_3(n, "the singular rank formula")
+    _check_least_degree(n, "the singular rank formula")
     return math.comb(n, 2) + math.factorial(n)
 
 
 def singular_generating_set(n: int) -> list[TwistedElement]:
     """A generating set of the singular ideal matching the rank formula:
     C(n, 2) idempotents for I(n-2;0) plus every unit at twist 1."""
-    _check_degree_3(n, "the singular generating set")
+    _check_least_degree(n, "the singular generating set")
     gens = idempotent_generating_set(n, n - 2)
     gens += [TwistedElement(1, u) for u in enumeration.d_class(n, n)]
     return gens
@@ -342,7 +340,7 @@ def singular_generating_set(n: int) -> list[TwistedElement]:
 def ig_subsemigroup_rank(n: int) -> int:
     """Rank (= idempotent rank) of the idempotent-generated subsemigroup:
     C(n, 2) + 1."""
-    _check_degree_3(n, "the idempotent-generated subsemigroup's rank")
+    _check_least_degree(n, "the idempotent-generated subsemigroup's rank")
     return math.comb(n, 2) + 1
 
 
@@ -350,10 +348,8 @@ def in_idempotent_generated(x) -> bool:
     """Membership in the subsemigroup generated by the twisted idempotents:
     the untwisted identity, plus everything of rank at most n - 2."""
     x = as_twisted(x)
-    _check_degree_3(x.degree, "the idempotent-generated subsemigroup")
-    if x.rank <= x.degree - 2:
-        return True
-    return x.twist == 0 and x.diagram == identity(x.degree)
+    _check_least_degree(x.degree, "the idempotent-generated subsemigroup")
+    return x.rank <= x.degree - 2 or x.twist == 0 and x.diagram == identity(x.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +406,7 @@ def _kernel_idempotent(alpha: BrauerDiagram) -> tuple[BrauerDiagram, list[int]]:
     bottoms, lowers = _bottoms_and_hooks(alpha)  # 0-based points from here on
     t = p[n + bottoms[-1]]
     upper = [(a, p[a]) for a in range(n) if a < p[a] < n]  # (a_m, b_m)
-    chain = list(zip([t] + [b for _, b in upper], [a for a, _ in upper]))  # t_r' - a_1', ...
+    chain = _links([(t, t)] + upper)  # t_r' - a_1', b_1' - a_2', ...
     images = [q - n for q in p[:n]]  # right at each top but t_r; chain points are rewritten
     images[upper[-1][1]] = bottoms[-1]
     for (x, y), (c, d) in zip(chain, lowers):
@@ -432,9 +428,8 @@ def factor_into_idempotents(alpha: BrauerDiagram) -> list[BrauerDiagram]:
     split into two rank-2 factors with no floating component.
     """
     n, r = alpha.degree, alpha.rank
-    _check_degree_3(n, "idempotent factorization")
-    if r == n:
-        raise PreconditionError("units admit no idempotent factorization")
+    _check_least_degree(n, "idempotent factorization")
+    _check_rank_ceiling(n, r, "idempotent factorization")
     if is_idempotent_twisted(alpha):
         return [alpha]
     if r == 0:

@@ -61,6 +61,14 @@ def as_twisted(x) -> TwistedElement:
     raise TypeError(f"cannot interpret {x!r} as a twisted element")
 
 
+def _check_plain(x) -> BrauerDiagram:
+    """x if it is a plain diagram; a twisted element of any twist, or any other value, is not."""
+    if not isinstance(x, BrauerDiagram):
+        kind = "twisted element" if isinstance(x, TwistedElement) else type(x).__name__
+        raise DiagramError(f"expected a plain diagram, got a {kind}")
+    return x
+
+
 def star(x, y) -> TwistedElement:
     """The star product (i, a) * (j, b) = (i + j + tau(a, b), ab)."""
     x, y = as_twisted(x), as_twisted(y)

@@ -27,7 +27,8 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import enumeration, green, ideals, structure
-from .diagram import BrauerDiagram, DiagramError, identity, multiply, transposition
+from .diagram import (BrauerDiagram, DiagramError, PreconditionError, _check_least, identity,
+                      multiply, transposition)
 from .ideals import capped_delta, capped_diagrams, capped_rho, capped_sum, check_cost
 from .twisted import (
     TwistedElement,
@@ -96,10 +97,9 @@ def _check(theorem: str, unit: str, least_n: int = 0):
             given = {name: value for name, value in {**kwargs, **passed.arguments}.items()
                      if value is not None and (name in PARAMETERS or name not in taken)}
             for name, value in given.items():
-                if (least := PARAMETERS.get(name)) is not None and value < least:
-                    raise DiagramError(f"{name} must be at least {least}, got {value}")
-            if (n := given.get("n", taken["n"].default)) < least_n:
-                raise DiagramError(f"verify {theorem} is stated for n >= {least_n}, got n = {n}")
+                _check_least(name, value, PARAMETERS.get(name))
+            n = given.get("n", taken["n"].default)
+            ideals._check_least_degree(n, f"verify {theorem}", least_n)
             sweep = body(*passed.args, **passed.kwargs)
             params, work, held = next(sweep)
             check_cost(f"verify {theorem}", unit, work, held)
@@ -414,7 +414,7 @@ def check_minimal_gens(n: int = 3, r: int = 1, k: int = 1):
     recovers the bounded truncation of the ideal.  M(r;k) generates I(r;k)
     for n >= 1 when k >= 1 or r = 0."""
     if k == 0 < r:
-        raise DiagramError(
+        raise PreconditionError(
             f"verify minimal-gens is stated for k >= 1 or r = 0, got r = {r}, k = {k}")
     spec = ideals.ideal_normalize(n, [(r, k)])  # k >= 0 and r in I(n), before the cost
     # the generators lie in P, of twists k to 2k, and the closure in T, of twists to 2k + 2

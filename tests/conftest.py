@@ -356,7 +356,8 @@ def block_list_rank_drop(alpha: BrauerDiagram) -> tuple[BrauerDiagram, BrauerDia
     hooks, and built through the validating ``make_diagram``."""
     n, r = alpha.degree, alpha.rank
     if r > n - 4:
-        raise PreconditionError(f"rank {r} exceeds {n} - 4; cannot drop from above")
+        raise PreconditionError(
+            f"the rank-drop lemma is stated for r <= n - 4, got r = {r} in degree {n}")
     tv = alpha.transversal_pairs()
     A = alpha.top_hooks()
     C = alpha.bottom_hooks()
@@ -383,7 +384,8 @@ def block_list_twist_raise(alpha: BrauerDiagram) -> BrauerDiagram:
     signed blocks and built through the validating ``make_diagram``."""
     n, r = alpha.degree, alpha.rank
     if r == n:
-        raise PreconditionError("units admit no twist-raising right identity")
+        raise PreconditionError(
+            f"the twist-raising lemma is stated for r <= n - 2, got r = {r} in degree {n}")
     tv = alpha.transversal_pairs()
     C = alpha.bottom_hooks()
     s = len(C)
@@ -400,7 +402,8 @@ def block_list_twist_keep(alpha: BrauerDiagram) -> BrauerDiagram:
     ``make_diagram``."""
     n, r = alpha.degree, alpha.rank
     if r == n:
-        raise PreconditionError("units are excluded from the twist-keeping lemma")
+        raise PreconditionError(
+            f"the twist-keeping lemma is stated for r <= n - 2, got r = {r} in degree {n}")
     tv = alpha.transversal_pairs()
     C = alpha.bottom_hooks()
     s = len(C)

@@ -989,3 +989,30 @@ def test_rank_of_ideal_reads_the_int_to_text_limit():
         assert rank_of_ideal(1560, 0, 1).rank == 2 * delta(1560, 0)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["factor", "--idempotents", "--n", "3", HOOK3], "structure", "factor_into_idempotents"),
+    (["green", "factor", "--n", "3", "--mode", "right", HOOK3, HOOK3], "green", "factor_right"),
+    (["green", "factor", "--n", "3", "--mode", "left", HOOK3, HOOK3], "green", "factor_left"),
+    (["green", "factor", "--n", "3", "--mode", "two-sided", HOOK3, HOOK3], "green",
+     "factor_two_sided"),
+])
+def test_witnesses_that_do_not_rebuild_the_input_fail_the_one_internal_check(
+        capsys, monkeypatch, argv, module, name):
+    wrong = twisted_brauer.transposition(3, 1, 3)  # moves HOOK3 by either side
+    monkeypatch.setattr(getattr(twisted_brauer, module), name,
+                        lambda *_: (wrong, wrong) if name == "factor_two_sided" else
+                        [wrong] if module == "structure" else wrong)
+    message = "error: internal check failed: the witnesses do not rebuild the input\n"
+    assert run(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--n", "3", f"1 * {HOOK3}", HOOK3],
+    ["mul", "--n", "3", HOOK3, '{"n": 3, "blocks": [[1, 2], [3, -3], [-1, -2]], "twist": 2}'],
+    ["green", "factor", "--n", "3", "--mode", "right", HOOK3, f"1 * {HOOK3}"],
+    ["factor", "--idempotents", "--n", "3", f"1 * {HOOK3}"],
+])
+def test_a_twisted_operand_where_a_plain_diagram_is_due_is_refused(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: expected a plain diagram, got a twisted element\n")

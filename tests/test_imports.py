@@ -143,16 +143,25 @@ def test_the_raise_scan_reads_literal_messages():
 COST_TEXT = "{} refused: it needs more than {}"
 RULE_TEXTS = {
     COST_TEXT: "ideals",
-    "{} is stated for n >= 3, got n = {}": "ideals",
+    "{} is stated for n >= {}, got n = {}": "ideals",
     "{} is stated for 0 < r < n, got r = {} in degree {}": "ideals",
+    "{} is stated for r <= n - {}, got r = {} in degree {}": "ideals",
     "twist parameter {} must be non-negative": "ideals",
+    "term ranks and twists must be strictly decreasing": "ideals",
     "degrees differ: {} vs {}": "diagram",
     "degree must be a non-negative integer, got {}": "diagram",
+    "need 1 <= i < j <= n, got i={}, j={}, n={}": "diagram",
+    "{} must be at least {}, got {}": "diagram",
+    "relation must be one of {}, not {}": "green",
+    "expected a plain diagram, got a {}": "twisted",
     "verify {} ignores {} with these parameters": "verify",
+    "internal check failed: the witnesses do not rebuild the input": "cli",
 }
 # wordings of the same rules that no other raise may use
 RULE_WORDS = ("degree >= 3", "n >= 3", "0 < r < n", "0 < rank", "strictly between",
-              "non-negative", "degrees differ")
+              "non-negative", "degrees differ", "stated for n >=", "r <= n -", "cannot drop",
+              "units", "i < j", "must be one of", "must be at least", "strictly decreasing",
+              "plain diagram", "internal check", "rebuild")
 
 
 def test_each_rule_is_raised_once_with_one_text():

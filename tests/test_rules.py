@@ -1,11 +1,15 @@
 """Each hypothesis of the paper and each input rule is raised by one helper,
 with one text, at every entry point that states it.
 
-The results hold for degree n >= 3, and the idempotent-generated ideals
-I(r;0) are those of proper rank 0 < r < n: outside either hypothesis an
-entry point raises PreconditionError.  A negative twist parameter,
-operands of different degrees and a negative degree are malformed input:
-DiagramError.  Every call below sits just outside its rule."""
+The results hold from a least degree (n >= 3 for most), the
+idempotent-generated ideals I(r;0) are those of proper rank 0 < r < n, the
+twist lemmas and the idempotent factorization need a singular diagram
+(r <= n - 2), the rank-drop lemma needs r <= n - 4, and a transposition
+sigma_ij needs 1 <= i < j <= n: outside a hypothesis an entry point raises
+PreconditionError.  A negative twist parameter, operands of different
+degrees, a negative degree, an unknown relation, a value below its least,
+terms out of order and an operand that is not a plain diagram are malformed
+input: DiagramError.  Every call below sits just outside its rule."""
 
 import random
 
@@ -28,6 +32,7 @@ from twisted_brauer import (
     factor_two_sided,
     generating_set,
     green,
+    green_class,
     ideal_contains,
     ideal_normalize,
     ideal_subset,
@@ -45,11 +50,12 @@ from twisted_brauer import (
     same_class,
     singular_generating_set,
     singular_rank,
+    transposition,
     twisted_leq,
 )
 from twisted_brauer.cli import main
-from twisted_brauer.enumeration import truncation
-from twisted_brauer.ideals import gh_degree
+from twisted_brauer.enumeration import bounded_closure, truncation
+from twisted_brauer.ideals import gh_degree, lemma_rank_drop, lemma_twist_keep, lemma_twist_raise
 from twisted_brauer.verify import CHECKS
 
 HOOK2 = make_diagram(2, [(1, 2), (-1, -2)])
@@ -63,6 +69,14 @@ def degree_3(subject):
 
 def proper_rank(subject, r, n):
     return f"{subject} is stated for 0 < r < n, got r = {r} in degree {n}"
+
+
+def singular(subject, r=3, n=3, gap=2):
+    return f"{subject} is stated for r <= n - {gap}, got r = {r} in degree {n}"
+
+
+PAIR = "need 1 <= i < j <= n, got i=2, j=2, n=3"
+RANK1 = make_diagram(3, [(1, -1), (2, 3), (-2, -3)])
 
 
 HYPOTHESES = {  # entry point -> (call, text)
@@ -94,11 +108,33 @@ HYPOTHESES = {  # entry point -> (call, text)
                                       proper_rank(f"verify {theorem}", r, 3))
        for theorem in ("idempotent-closure", "idempotent-generation", "gh-conditions")
        for r in (0, 3)},
+    "verify gh-conditions degree": (lambda: CHECKS["gh-conditions"](n=2),
+                                    "verify gh-conditions is stated for n >= 3, got n = 2"),
+    "verify tau-identity degree": (lambda: CHECKS["tau-identity"](n=-1),
+                                   "verify tau-identity is stated for n >= 0, got n = -1"),
+    "verify minimal-gens k = 0": (lambda: CHECKS["minimal-gens"](n=3, r=1, k=0),
+                                  "verify minimal-gens is stated for k >= 1 or r = 0, got r = 1, "
+                                  "k = 0"),
+    "lemma_rank_drop": (lambda: lemma_rank_drop(next(d_class(6, 4))),
+                        singular("the rank-drop lemma", 4, 6, 4)),
+    "lemma_twist_raise": (lambda: lemma_twist_raise(identity(3)),
+                          singular("the twist-raising lemma")),
+    "lemma_twist_keep": (lambda: lemma_twist_keep(identity(3)),
+                         singular("the twist-keeping lemma")),
+    "factor_into_idempotents unit": (lambda: factor_into_idempotents(identity(3)),
+                                     singular("idempotent factorization")),
+    "transposition": (lambda: transposition(3, 2, 2), PAIR),
+    "idempotent_factor_sigma pair": (lambda: idempotent_factor_sigma(RANK1, 2, 2), PAIR),
 }
 
 TWIST = "twist parameter -1 must be non-negative"
 DEGREES = "degrees differ: 2 vs 3"
 DEGREE = "degree must be a non-negative integer, got -1"
+ORDER = "term ranks and twists must be strictly decreasing"
+# operands that are no diagram: a twist-0 element, a str and None miss the
+# oracle's index, and a list is no key at all
+NOT_DIAGRAMS = (("twisted element", TwistedElement(0, identity(3))), ("str", "x"),
+                ("NoneType", None), ("list", [1]))
 INPUT_RULES = {
     "IdealSpec twist": (lambda: IdealSpec(4, ((2, -1),)), TWIST),
     "ideal_normalize twist": (lambda: ideal_normalize(4, [(2, -1)]), TWIST),
@@ -131,6 +167,25 @@ INPUT_RULES = {
     "ideal_normalize degree": (lambda: ideal_normalize(-1, []), DEGREE),
     "BrauerDiagram": (lambda: BrauerDiagram(-1, ()), DEGREE),
     "random_diagram": (lambda: random_diagram(-1, random.Random(0)), DEGREE),
+    "green_class relation": (lambda: green_class("X", identity(2)),
+                             "relation must be one of R, L, H, D, J, not 'X'"),
+    "twisted_leq relation": (lambda: twisted_leq("H", identity(2), identity(2)),
+                             "relation must be one of R, L, J, not 'H'"),
+    "bounded_closure bound": (lambda: bounded_closure([identity(2)], -1),
+                              "bound must be at least 0, got -1"),
+    "verify regularity bound": (lambda: CHECKS["regularity"](n=2, bound=-1),
+                                "bound must be at least 0, got -1"),
+    "IdealSpec rank order": (lambda: IdealSpec(7, ((3, 2), (5, 4))), ORDER),
+    "IdealSpec twist order": (lambda: IdealSpec(7, ((5, 2), (3, 4))), ORDER),
+    "IdealSpec equal ranks": (lambda: IdealSpec(7, ((5, 4), (5, 2))), ORDER),
+    "IdealSpec equal twists": (lambda: IdealSpec(7, ((5, 2), (3, 2))), ORDER),
+    **{f"DivisibilityOracle {rel} {kind}": (
+        lambda rel=rel, x=x: getattr(DivisibilityOracle(3), rel)(x, identity(3)),
+        f"expected a plain diagram, got a {kind}")
+       for rel in ("leq_R", "leq_L", "leq_J") for kind, x in NOT_DIAGRAMS},
+    **{f"DivisibilityOracle beta {kind}": (
+        lambda x=x: DivisibilityOracle(3).leq_R(identity(3), x),
+        f"expected a plain diagram, got a {kind}") for kind, x in NOT_DIAGRAMS},
 }
 
 
