@@ -62,7 +62,7 @@ def as_twisted(x) -> TwistedElement:
 
 
 def _check_plain(x) -> BrauerDiagram:
-    """x if it is a plain diagram; a twisted element of any twist, or any other value, is not."""
+    """Return x if it is a plain diagram; refuse a twisted element or any other value."""
     if not isinstance(x, BrauerDiagram):
         kind = "twisted element" if isinstance(x, TwistedElement) else type(x).__name__
         raise DiagramError(f"expected a plain diagram, got a {kind}")
